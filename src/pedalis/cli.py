@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit
+from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit, verify
 from .errors import EmptyMesh, GeometryError
-from .hompoly import Space, degree_bookkeeping, parse_poly, strip_exceptional
+from .hompoly import Space, parse_poly, strip_exceptional
 from .projmaps import HPlane, HPoint
 from .surfkit import Chart, Domain, DualSurface, PointSurface, PolarSurface
 
@@ -453,208 +453,14 @@ def cmd_sample(args) -> int:
 # -- verify subcommand -----------------------------------------------------------------
 
 
-def _random_hplanes(rng, count):
-    out = []
-    while len(out) < count:
-        v = rng.uniform(-1.0, 1.0, size=4)
-        if np.max(np.abs(v)) < 1e-3:
-            continue
-        w = projmaps.canonical(v)
-        # stay clear of the exceptional sets of all maps under test
-        if abs(w[0]) < 1e-6 or np.linalg.norm(w[1:]) < 1e-6:
-            continue
-        out.append(HPlane(w))
-    return out
-
-
-def _random_hpoints(rng, count):
-    return [HPoint(p.coords) for p in _random_hplanes(rng, count)]
-
-
-def _check_involutions(rng, samples):
-    planes = _random_hplanes(rng, samples)
-    points = _random_hpoints(rng, samples)
-    worst = {"alpha_roundtrip": 0.0, "alpha_star_roundtrip": 0.0,
-             "sigma_involution": 0.0, "pi_identity": 0.0,
-             "alpha_factorization": 0.0, "alpha_star_factorization": 0.0}
-
-    def dev(a, b):
-        return float(np.max(np.abs(projmaps.canonical(a.coords) - projmaps.canonical(b.coords))))
-
-    for U in planes:
-        X = projmaps.alpha_hom(U)
-        worst["alpha_roundtrip"] = max(worst["alpha_roundtrip"],
-                                       dev(projmaps.alpha_star_hom(X), U))
-        worst["alpha_factorization"] = max(
-            worst["alpha_factorization"],
-            dev(projmaps.inversion_sigma(projmaps.polarity_pi(U)), X))
-        worst["pi_identity"] = max(worst["pi_identity"],
-                                   dev(projmaps.polarity_pi_star(projmaps.polarity_pi(U)), U))
-    for X in points:
-        U = projmaps.alpha_star_hom(X)
-        worst["alpha_star_roundtrip"] = max(worst["alpha_star_roundtrip"],
-                                            dev(projmaps.alpha_hom(U), X))
-        worst["alpha_star_factorization"] = max(
-            worst["alpha_star_factorization"],
-            dev(projmaps.polarity_pi_star(projmaps.inversion_sigma(X)), U))
-        worst["sigma_involution"] = max(
-            worst["sigma_involution"],
-            dev(projmaps.inversion_sigma(projmaps.inversion_sigma(X)), X))
-    return [(name, {"max_dev": val}, val < 1e-9) for name, val in worst.items()]
-
-
-DIAGRAM_FAMILIES = ("plane-conchoid", "sphere-offset", "paraboloid-offset")
-DIAGRAM_DISTANCES = (-1.0, -0.3, 0.0, 0.5, 2.0)
-
-
-def _check_diagrams(rng, samples):
-    results = []
-    for name in DIAGRAM_FAMILIES:
-        entry = gallery.get_entry(name)
-        n, e = entry.ne_charts()
-        worst = 0.0
-        for d in DIAGRAM_DISTANCES:
-            worst = max(worst, surfkit.commutation_check(n, e, d, grid=(50, 50)))
-        results.append((f"diagram_{name}", {"max_dev": worst}, worst < 1e-9))
-    return results
-
-
-def _check_gallery(rng, samples):
-    results = []
-    for name in gallery.list_entries():
-        entry = gallery.get_entry(name)
-        worst = 0.0
-        for case in entry.residual_cases:
-            rep = gallery.residual_report(case.surface, case.poly)
-            worst = max(worst, rep.max)
-        results.append((f"residual_{name}", {"max_residual": worst}, worst < 1e-8))
-        if entry.pullback_pair is not None:
-            source, image = entry.pullback_pair
-            fwd = (hompoly.pedal_pullback if source.space is Space.DUAL
-                   else hompoly.inverse_pedal_pullback)
-            stripped = strip_exceptional(fwd(source))
-            ok = stripped.reduced.equals_up_to_scale(image)
-            results.append((f"pullback_{name}", {"exact": float(ok)}, ok))
-    return results
-
-
-def _check_degrees(rng, samples):
-    results = []
-    for name in gallery.list_entries():
-        entry = gallery.get_entry(name)
-        if entry.expected is None:
-            continue
-        got = degree_bookkeeping(entry.expected_poly)
-        ok = got == entry.expected
-        results.append((f"degrees_{name}",
-                        {"n": got[0], "r": got[1], "k": got[2], "deg": got[3]}, ok))
-    return results
-
-
-def _check_extras(rng, samples):
-    results = []
-    # envelope reconstruction of the focal paraboloid
-    entry = gallery.get_entry("paraboloid-offset")
-    rep = gallery.residual_report(
-        surfkit.envelope_surface(entry.make_dual(0.0)), entry.point_poly, 40, 40)
-    results.append(("envelope_paraboloid", {"max_residual": rep.max}, rep.max < 1e-8))
-    # inverse pedal of the quadratic cylinder against the closed form
-    qc = gallery.get_entry("quadratic-cylinder")
-    ruled = qc.extras["ruled"]
-    closed = qc.extras["closed_form"]
-    worst = 0.0
-    for u in np.linspace(0.0, 2.0 * math.pi, 40):
-        for v in np.linspace(-2.0, 2.0, 40):
-            got = ruledpedal.inverse_pedal_ruled(ruled, u, v)
-            worst = max(worst, float(np.max(np.abs(got - closed(u, v)))))
-    results.append(("envelope_quadratic_cylinder", {"max_dev": worst}, worst < 1e-7))
-    # exact degeneracies
-    focal = quadricpedal.focal_degeneracy_check(1, 1, Fraction(-1, 4))
-    ok_focal = focal is not None
-    if ok_focal:
-        q, lin = focal
-        expect = parse_poly("4*x3 + x0")
-        ok_focal = lin.equals_up_to_scale(expect)
-    ok_focal = ok_focal and quadricpedal.focal_degeneracy_check(1, 1, 1) is None
-    results.append(("focal_factorization", {"exact": float(ok_focal)}, ok_focal))
-    ok_dupin = quadricpedal.is_parabola_dupin(1, Fraction(-1, 2)) and \
-        not quadricpedal.is_parabola_dupin(1, 1)
-    results.append(("dupin_condition", {"exact": float(ok_dupin)}, ok_dupin))
-    kinds = (
-        quadricpedal.sphere_inverse_pedal_affine(0, 1).kind.value,
-        quadricpedal.sphere_inverse_pedal_affine(2, 1).kind.value,
-        quadricpedal.sphere_inverse_pedal_affine(1, 1).kind.value,
-    )
-    ok_kinds = kinds == ("ellipsoid", "hyperboloid-two-sheets", "degenerate-point")
-    results.append(("sphere_classification", {"exact": float(ok_kinds)}, ok_kinds))
-    # pentaspherical lift round trip
-    cyclide = quadricpedal.pedal_of_quadric(quadricpedal.sphere_dual_quadric(2, 1))
-    form = quadricpedal.pentaspherical_lift(cyclide)
-    worst = 0.0
-    for _ in range(1000):
-        x = rng.uniform(-2.0, 2.0, size=3)
-        y = quadricpedal.pentaspherical_point(x)
-        lhs = float(form.eval(y))
-        rhs = float(cyclide.eval(np.concatenate(([1.0], x))))
-        scale = max(1.0, abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
-    results.append(("pentaspherical_lift", {"max_dev": worst}, worst < 1e-9))
-    # rational-norm identities for ruled offsets
-    plu = ruledpedal.RuledChart(
-        lambda u: np.array([0.0, 0.0, math.sin(2 * u)]),
-        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-        dc=lambda u: np.array([0.0, 0.0, 2 * math.cos(2 * u)]),
-        de=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
-        domain=Domain(0.1, 1.2, 0.15, 0.85),
-    )
-    F = ruledpedal.rational_offset_ruled(plu, 0.5)
-    worst = 0.0
-    for u in np.linspace(0.12, 1.18, 25):
-        for t in np.linspace(0.2, 0.8, 25):
-            y0, y1, _ = F.conic_coords(u, t)
-            n = F.normal(u, t)
-            worst = max(worst, abs(float(np.linalg.norm(n)) * y1 - y0))
-    results.append(("ratnorm_ruled", {"max_dev": worst}, worst < 1e-9))
-    worst = 0.0
-    for u in np.linspace(0.0, 2.0 * math.pi, 30):
-        for t in np.linspace(0.2, 1.4, 30):
-            r = 2.0 * math.cos(2 * u) * math.cos(t) / math.sin(t)
-            w = 2.0 * math.cos(2 * u) / math.sin(t)
-            worst = max(worst, abs(w * w - (4.0 * math.cos(2 * u) ** 2 + r * r)))
-    results.append(("ratnorm_pluecker", {"max_dev": worst}, worst < 1e-10))
-    # bisector of O and the plane z=1
-    plane_chart = PointSurface(Chart(
-        lambda u, v: np.array([u, v, 1.0]),
-        lambda u, v: np.array([1.0, 0.0, 0.0]),
-        lambda u, v: np.array([0.0, 1.0, 0.0]),
-        Domain(-2.0, 2.0, -2.0, 2.0),
-    ))
-    bis = quadricpedal.bisector_from_inverse_pedal(plane_chart)
-    worst = 0.0
-    for u in np.linspace(-2.0, 2.0, 40):
-        for v in np.linspace(-2.0, 2.0, 40):
-            p = bis.point(u, v)
-            worst = max(worst, abs(float(np.linalg.norm(p)) - abs(p[2] - 1.0)))
-    results.append(("bisector_plane", {"max_dev": worst}, worst < 1e-7))
-    return results
-
-
-_SUITES = {
-    "involutions": (_check_involutions,),
-    "diagrams": (_check_diagrams,),
-    "gallery": (_check_gallery,),
-    "degrees": (_check_degrees,),
-}
-
-
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else int(os.environ.get("PEDALIS_SEED", "0"))
     samples = args.samples
     rng = np.random.default_rng(seed)
     if args.suite == "all":
-        checks = [fn for suite in _SUITES.values() for fn in suite] + [_check_extras]
+        checks = list(verify.SUITES.values())
     else:
-        checks = list(_SUITES[args.suite])
+        checks = [verify.SUITES[args.suite]]
     all_ok = True
     t0 = time.perf_counter()
     for fn in checks:
@@ -673,6 +479,13 @@ def cmd_verify(args) -> int:
 
 
 # -- entry point -------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -708,10 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.set_defaults(func=cmd_sample)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
-    p_ver.add_argument("--suite", default="all",
-                       choices=["involutions", "diagrams", "gallery", "degrees", "all"])
+    p_ver.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--samples", type=int, default=10000)
+    p_ver.add_argument("--samples", type=_positive_int, default=10000,
+                       help="random tuples per involution check (at least 1)")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

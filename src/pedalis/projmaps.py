@@ -22,25 +22,33 @@ from .errors import (
 EPS_EXCEPTIONAL = 1e-12
 
 
-def canonical(coords) -> np.ndarray:
-    """Canonical representative of a projective tuple.
+def canonical_rows(rows) -> np.ndarray:
+    """Canonical representatives of the rows of an (N, 4) array.
 
-    Scales so the max-abs component is 1, then fixes the sign so the first
-    component with magnitude >= EPS_EXCEPTIONAL is positive.
+    Each row is scaled so its max-abs component is 1, then its sign is
+    fixed so the first component with magnitude >= EPS_EXCEPTIONAL is
+    positive.  Raises ValueError if any row is zero or not finite.
     """
+    V = np.asarray(rows, dtype=float)
+    if V.ndim != 2 or V.shape[1] != 4:
+        raise ValueError("projective tuples have exactly 4 components")
+    # ufunc.reduce directly: these functions also serve single tuples,
+    # where the ndarray.max wrapper costs as much as the reduction
+    m = np.maximum.reduce(np.abs(V), axis=1, keepdims=True)
+    if not np.logical_and.reduce((m > 0.0) & (m < np.inf), axis=None):
+        raise ValueError("projective tuple must be nonzero and finite")
+    V = V / m
+    lead = (np.abs(V) >= EPS_EXCEPTIONAL).argmax(axis=1)
+    V *= np.copysign(1.0, V[np.arange(len(V)), lead])[:, None]
+    return V
+
+
+def canonical(coords) -> np.ndarray:
+    """Canonical representative of one projective tuple; see canonical_rows."""
     v = np.asarray(coords, dtype=float)
     if v.shape != (4,):
         raise ValueError("projective tuples have exactly 4 components")
-    m = np.max(np.abs(v))
-    if m == 0.0 or not np.isfinite(m):
-        raise ValueError("projective tuple must be nonzero and finite")
-    v = v / m
-    for c in v:
-        if abs(c) >= EPS_EXCEPTIONAL:
-            if c < 0.0:
-                v = -v
-            break
-    return v
+    return canonical_rows(v[None])[0]
 
 
 class _HTuple:
@@ -54,7 +62,8 @@ class _HTuple:
         v = np.asarray(coords, dtype=float)
         if v.shape != (4,):
             raise ValueError(f"{type(self).__name__} needs 4 coordinates")
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) == 0.0:
+        # the max-abs component is NaN or inf unless all components are finite
+        if not 0.0 < np.abs(v).max() < np.inf:
             raise ValueError(f"{type(self).__name__} must be nonzero and finite")
         self.coords = v
 
@@ -179,43 +188,79 @@ def alpha_z(plane: AffPlane, z) -> np.ndarray:
     return z + ((e - z @ n) / (n @ n)) * n
 
 
+# -- homogeneous maps, row-wise over (N, 4) arrays ------------------------
+#
+# The quadratic maps canonicalize their input rows and return the image rows
+# together with a boolean mask that is False where the image vanishes, i.e.
+# where the input lies in the exceptional set or base locus of the map.
+
+
+def _quadratic_rows(rows, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x0,x) -> (sign*(x.x), x0*x) on canonicalized rows, with validity mask."""
+    V = canonical_rows(rows)
+    img = V[:, :1] * V
+    x = V[:, 1:]
+    img[:, 0] = sign * np.add.reduce(x * x, axis=1)
+    return img, np.maximum.reduce(np.abs(img), axis=1) >= EPS_EXCEPTIONAL
+
+
+def alpha_rows(planes) -> tuple[np.ndarray, np.ndarray]:
+    """Foot-point map R(u0,u) -> (-(u.u), u0*u)R; mask False on ideal planes."""
+    return _quadratic_rows(planes, -1.0)
+
+
+def alpha_star_rows(points) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse foot-point map (x0,x)R -> R(-(x.x), x0*x); mask False at O."""
+    return _quadratic_rows(points, -1.0)
+
+
+def sigma_rows(points) -> tuple[np.ndarray, np.ndarray]:
+    """Inversion at the unit sphere (x0,x)R -> (x.x, x0*x)R; mask False on base points."""
+    return _quadratic_rows(points, 1.0)
+
+
+def pi_rows(planes) -> np.ndarray:
+    """Poles of planes with respect to the unit sphere: negate component 0."""
+    img = np.array(planes, dtype=float)
+    img[:, 0] = -img[:, 0]
+    return img
+
+
+def pi_star_rows(points) -> np.ndarray:
+    """Polar planes of points with respect to the unit sphere."""
+    return pi_rows(points)
+
+
+# -- the same maps on single HPoint / HPlane values --------------------------
+
+
+def _single(rows_fn, tup: _HTuple, result, error, message: str):
+    img, valid = rows_fn(tup.coords[None])
+    if not valid[0]:
+        raise error(message)
+    return result(img[0])
+
+
 def alpha_hom(U: HPlane) -> HPoint:
     """Homogeneous foot-point map R(u0,u) -> (-(u.u), u0*u)R."""
-    v = U.canonical()
-    u0, u = v[0], v[1:]
-    img = np.concatenate(([-(u @ u)], u0 * u))
-    if np.max(np.abs(img)) < EPS_EXCEPTIONAL:
-        raise ExceptionalElement("ideal plane")
-    return HPoint(img)
+    return _single(alpha_rows, U, HPoint, ExceptionalElement, "ideal plane")
 
 
 def alpha_star_hom(X: HPoint) -> HPlane:
     """Homogeneous inverse foot-point map (x0,x)R -> R(-(x.x), x0*x)."""
-    v = X.canonical()
-    x0, x = v[0], v[1:]
-    img = np.concatenate(([-(x @ x)], x0 * x))
-    if np.max(np.abs(img)) < EPS_EXCEPTIONAL:
-        raise BasePoint("base point: reference point O")
-    return HPlane(img)
+    return _single(alpha_star_rows, X, HPlane, BasePoint, "base point: reference point O")
 
 
 def inversion_sigma(X: HPoint) -> HPoint:
     """Inversion at the unit sphere, (x0,x)R -> (x.x, x0*x)R."""
-    v = X.canonical()
-    x0, x = v[0], v[1:]
-    img = np.concatenate(([x @ x], x0 * x))
-    if np.max(np.abs(img)) < EPS_EXCEPTIONAL:
-        raise BasePoint("base point of the inversion")
-    return HPoint(img)
+    return _single(sigma_rows, X, HPoint, BasePoint, "base point of the inversion")
 
 
 def polarity_pi(U: HPlane) -> HPoint:
     """Pole of the plane U with respect to the unit sphere."""
-    v = U.coords
-    return HPoint(np.concatenate(([-v[0]], v[1:])))
+    return HPoint(pi_rows(U.coords[None])[0])
 
 
 def polarity_pi_star(X: HPoint) -> HPlane:
     """Polar plane of the point X with respect to the unit sphere."""
-    v = X.coords
-    return HPlane(np.concatenate(([-v[0]], v[1:])))
+    return HPlane(pi_star_rows(X.coords[None])[0])

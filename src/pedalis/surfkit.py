@@ -20,11 +20,11 @@ import numpy as np
 from . import projmaps
 from .errors import (
     DegenerateEnvelope,
+    EmptyGrid,
     EmptyMesh,
-    GeometryError,
     NonUnitNormal,
 )
-from .projmaps import AffPlane, HPlane, HPoint, alpha_affine
+from .projmaps import AffPlane, HPlane, alpha_affine
 
 # Envelope solves with an estimated condition number above this are
 # treated as degenerate (developable / plane / point cases).
@@ -324,35 +324,44 @@ def commutation_check(n_chart: Chart, e_chart: Chart, d: float,
 
     Primal: offset the plane family by d then map by the foot-point map,
     versus map first and push the radius by d.  Dual: map the shifted point
-    back, versus offset the mapped plane family.  Samples where a path hits
-    an exceptional set are skipped.
+    back, versus offset the mapped plane family.  The charts are evaluated
+    once per grid point and both diagrams run over all samples at once.
+    Samples where a path hits an exceptional set are masked out; EmptyGrid
+    is raised when no sample reaches a comparison.
     """
     nu, nv = grid
     U, V = n_chart.domain.grid(nu, nv)
-    worst = 0.0
+    normals, supports = [], []
     for u, v in zip(U, V):
         if n_chart.is_singular(u, v) or e_chart.is_singular(u, v):
             continue
-        n = np.asarray(n_chart(u, v), float)
-        e = float(e_chart(u, v))
-        # primal diagram: alpha(offset) vs conchoid(alpha), via the
-        # quadratic homogeneous map on one side
-        try:
-            X = projmaps.alpha_hom(HPlane(np.concatenate(([-(e + d)], n))))
-            p1 = X.dehomogenize()
-        except GeometryError:
-            continue
-        p2 = (e + d) * n
-        worst = max(worst, float(np.max(np.abs(p1 - p2))))
-        # dual diagram: alpha*(shifted point) vs shifted plane family
-        point = (e + d) * n
-        if np.linalg.norm(point) < 1e-9:
-            continue
-        back = projmaps.alpha_star_hom(HPoint(np.concatenate(([1.0], point))))
-        expect = np.concatenate(([-(e + d)], n))
-        dev = np.max(np.abs(projmaps.canonical(back.coords) - projmaps.canonical(expect)))
-        worst = max(worst, float(dev))
-    return worst
+        normals.append(np.asarray(n_chart(u, v), float))
+        supports.append(float(e_chart(u, v)))
+    if not normals:
+        raise EmptyGrid("every sample of the diagram grid is singular")
+    n = np.array(normals)
+    s = np.array(supports) + d
+    planes = np.column_stack((-s, n))
+    # primal diagram: alpha(offset) vs conchoid(alpha), via the quadratic
+    # homogeneous map on one side; ideal planes and ideal feet drop out
+    X, valid = projmaps.alpha_rows(planes)
+    keep = np.flatnonzero(valid)
+    X = projmaps.canonical_rows(X[keep])
+    affine = np.abs(X[:, 0]) >= projmaps.EPS_EXCEPTIONAL
+    keep, X = keep[affine], X[affine]
+    if not len(keep):
+        raise EmptyGrid("no sample of the diagram grid reached a comparison")
+    point = s[keep, None] * n[keep]
+    worst = np.abs(X[:, 1:] / X[:, :1] - point).max()
+    # dual diagram: alpha*(shifted point) vs shifted plane family, away from O
+    far = np.linalg.norm(point, axis=1) >= 1e-9
+    back, valid = projmaps.alpha_star_rows(
+        np.column_stack((np.ones(np.count_nonzero(far)), point[far])))
+    if valid.any():
+        expect = planes[keep[far][valid]]
+        dev = np.abs(projmaps.canonical_rows(back[valid]) - projmaps.canonical_rows(expect))
+        worst = max(worst, dev.max())
+    return float(worst)
 
 
 # -- meshing ---------------------------------------------------------------

@@ -1,0 +1,224 @@
+"""Verification suites behind ``pedalis verify``.
+
+Each check function takes the suite generator and the sample count and
+returns ``(name, metrics, ok)`` triples; ``SUITES`` lists them in report
+order.  The involution suite and the commuting diagrams run as numpy
+batches over the row-wise maps of ``projmaps``.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit
+from .errors import EmptyGrid, ExceptionalElement
+from .hompoly import Space, degree_bookkeeping, parse_poly, strip_exceptional
+from .surfkit import Chart, Domain, PointSurface
+
+
+def random_tuples(rng, count: int) -> np.ndarray:
+    """(count, 4) canonical tuples clear of the exceptional sets of all maps.
+
+    Uniform draws on [-1, 1]^4 are rejected when tiny or when their
+    canonical form has a (near) zero 0-component or vector part.  Each
+    round draws one row of 4 uniforms per missing tuple and keeps the
+    accepted rows in draw order, so the result and the generator state are
+    those of drawing one row at a time until ``count`` rows are accepted.
+    """
+    out = np.empty((0, 4))
+    while len(out) < count:
+        v = rng.uniform(-1.0, 1.0, size=(count - len(out), 4))
+        w = projmaps.canonical_rows(v[np.abs(v).max(axis=1) >= 1e-3])
+        keep = (np.abs(w[:, 0]) >= 1e-6) & (np.linalg.norm(w[:, 1:], axis=1) >= 1e-6)
+        out = np.concatenate((out, w[keep]))
+    return out
+
+
+def _image(rows_fn, rows) -> np.ndarray:
+    """Images under a masked row map, raising if any row is masked.
+
+    The sample tuples keep clear of every exceptional set, so a masked row
+    is exceptional geometry to report, not a sample to drop.
+    """
+    img, valid = rows_fn(rows)
+    if not valid.all():
+        raise ExceptionalElement(
+            f"{np.count_nonzero(~valid)} sample tuples hit the exceptional set of "
+            f"{rows_fn.__name__}")
+    return img
+
+
+def _max_dev(a, b) -> float:
+    """Largest component deviation between the canonical forms of two row sets."""
+    return float(np.abs(projmaps.canonical_rows(a) - projmaps.canonical_rows(b)).max())
+
+
+def _check_involutions(rng, samples):
+    planes = random_tuples(rng, samples)
+    points = random_tuples(rng, samples)
+    X = _image(projmaps.alpha_rows, planes)
+    U = _image(projmaps.alpha_star_rows, points)
+    S = _image(projmaps.sigma_rows, points)
+    worst = {
+        "alpha_roundtrip": _max_dev(_image(projmaps.alpha_star_rows, X), planes),
+        "alpha_star_roundtrip": _max_dev(_image(projmaps.alpha_rows, U), points),
+        "sigma_involution": _max_dev(_image(projmaps.sigma_rows, S), points),
+        "pi_identity": _max_dev(projmaps.pi_star_rows(projmaps.pi_rows(planes)), planes),
+        "alpha_factorization": _max_dev(
+            _image(projmaps.sigma_rows, projmaps.pi_rows(planes)), X),
+        "alpha_star_factorization": _max_dev(projmaps.pi_star_rows(S), U),
+    }
+    return [(name, {"max_dev": val}, val < 1e-9) for name, val in worst.items()]
+
+
+DIAGRAM_FAMILIES = ("plane-conchoid", "sphere-offset", "paraboloid-offset")
+DIAGRAM_DISTANCES = (-1.0, -0.3, 0.0, 0.5, 2.0)
+
+
+def _check_diagrams(rng, samples):
+    """Both commuting diagrams per family; a distance with no compared sample fails it."""
+    results = []
+    for name in DIAGRAM_FAMILIES:
+        entry = gallery.get_entry(name)
+        n, e = entry.ne_charts()
+        worst = 0.0
+        for d in DIAGRAM_DISTANCES:
+            try:
+                worst = max(worst, surfkit.commutation_check(n, e, d, grid=(50, 50)))
+            except EmptyGrid:
+                worst = math.nan
+                break
+        results.append((f"diagram_{name}", {"max_dev": worst}, worst < 1e-9))
+    return results
+
+
+def _check_gallery(rng, samples):
+    results = []
+    for name in gallery.list_entries():
+        entry = gallery.get_entry(name)
+        worst = 0.0
+        for case in entry.residual_cases:
+            rep = gallery.residual_report(case.surface, case.poly)
+            worst = max(worst, rep.max)
+        results.append((f"residual_{name}", {"max_residual": worst}, worst < 1e-8))
+        if entry.pullback_pair is not None:
+            source, image = entry.pullback_pair
+            fwd = (hompoly.pedal_pullback if source.space is Space.DUAL
+                   else hompoly.inverse_pedal_pullback)
+            stripped = strip_exceptional(fwd(source))
+            ok = stripped.reduced.equals_up_to_scale(image)
+            results.append((f"pullback_{name}", {"exact": float(ok)}, ok))
+    return results
+
+
+def _check_degrees(rng, samples):
+    results = []
+    for name in gallery.list_entries():
+        entry = gallery.get_entry(name)
+        if entry.expected is None:
+            continue
+        got = degree_bookkeeping(entry.expected_poly)
+        ok = got == entry.expected
+        results.append((f"degrees_{name}",
+                        {"n": got[0], "r": got[1], "k": got[2], "deg": got[3]}, ok))
+    return results
+
+
+def _check_extras(rng, samples):
+    results = []
+    # envelope reconstruction of the focal paraboloid
+    entry = gallery.get_entry("paraboloid-offset")
+    rep = gallery.residual_report(
+        surfkit.envelope_surface(entry.make_dual(0.0)), entry.point_poly, 40, 40)
+    results.append(("envelope_paraboloid", {"max_residual": rep.max}, rep.max < 1e-8))
+    # inverse pedal of the quadratic cylinder against the closed form
+    qc = gallery.get_entry("quadratic-cylinder")
+    ruled = qc.extras["ruled"]
+    closed = qc.extras["closed_form"]
+    worst = 0.0
+    for u in np.linspace(0.0, 2.0 * math.pi, 40):
+        for v in np.linspace(-2.0, 2.0, 40):
+            got = ruledpedal.inverse_pedal_ruled(ruled, u, v)
+            worst = max(worst, float(np.max(np.abs(got - closed(u, v)))))
+    results.append(("envelope_quadratic_cylinder", {"max_dev": worst}, worst < 1e-7))
+    # exact degeneracies
+    focal = quadricpedal.focal_degeneracy_check(1, 1, Fraction(-1, 4))
+    ok_focal = focal is not None
+    if ok_focal:
+        q, lin = focal
+        expect = parse_poly("4*x3 + x0")
+        ok_focal = lin.equals_up_to_scale(expect)
+    ok_focal = ok_focal and quadricpedal.focal_degeneracy_check(1, 1, 1) is None
+    results.append(("focal_factorization", {"exact": float(ok_focal)}, ok_focal))
+    ok_dupin = quadricpedal.is_parabola_dupin(1, Fraction(-1, 2)) and \
+        not quadricpedal.is_parabola_dupin(1, 1)
+    results.append(("dupin_condition", {"exact": float(ok_dupin)}, ok_dupin))
+    kinds = (
+        quadricpedal.sphere_inverse_pedal_affine(0, 1).kind.value,
+        quadricpedal.sphere_inverse_pedal_affine(2, 1).kind.value,
+        quadricpedal.sphere_inverse_pedal_affine(1, 1).kind.value,
+    )
+    ok_kinds = kinds == ("ellipsoid", "hyperboloid-two-sheets", "degenerate-point")
+    results.append(("sphere_classification", {"exact": float(ok_kinds)}, ok_kinds))
+    # pentaspherical lift round trip
+    cyclide = quadricpedal.pedal_of_quadric(quadricpedal.sphere_dual_quadric(2, 1))
+    form = quadricpedal.pentaspherical_lift(cyclide)
+    worst = 0.0
+    for _ in range(1000):
+        x = rng.uniform(-2.0, 2.0, size=3)
+        y = quadricpedal.pentaspherical_point(x)
+        lhs = float(form.eval(y))
+        rhs = float(cyclide.eval(np.concatenate(([1.0], x))))
+        scale = max(1.0, abs(rhs))
+        worst = max(worst, abs(lhs - rhs) / scale)
+    results.append(("pentaspherical_lift", {"max_dev": worst}, worst < 1e-9))
+    # rational-norm identities for ruled offsets
+    plu = ruledpedal.RuledChart(
+        lambda u: np.array([0.0, 0.0, math.sin(2 * u)]),
+        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
+        dc=lambda u: np.array([0.0, 0.0, 2 * math.cos(2 * u)]),
+        de=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
+        domain=Domain(0.1, 1.2, 0.15, 0.85),
+    )
+    F = ruledpedal.rational_offset_ruled(plu, 0.5)
+    worst = 0.0
+    for u in np.linspace(0.12, 1.18, 25):
+        for t in np.linspace(0.2, 0.8, 25):
+            y0, y1, _ = F.conic_coords(u, t)
+            n = F.normal(u, t)
+            worst = max(worst, abs(float(np.linalg.norm(n)) * y1 - y0))
+    results.append(("ratnorm_ruled", {"max_dev": worst}, worst < 1e-9))
+    worst = 0.0
+    for u in np.linspace(0.0, 2.0 * math.pi, 30):
+        for t in np.linspace(0.2, 1.4, 30):
+            r = 2.0 * math.cos(2 * u) * math.cos(t) / math.sin(t)
+            w = 2.0 * math.cos(2 * u) / math.sin(t)
+            worst = max(worst, abs(w * w - (4.0 * math.cos(2 * u) ** 2 + r * r)))
+    results.append(("ratnorm_pluecker", {"max_dev": worst}, worst < 1e-10))
+    # bisector of O and the plane z=1
+    plane_chart = PointSurface(Chart(
+        lambda u, v: np.array([u, v, 1.0]),
+        lambda u, v: np.array([1.0, 0.0, 0.0]),
+        lambda u, v: np.array([0.0, 1.0, 0.0]),
+        Domain(-2.0, 2.0, -2.0, 2.0),
+    ))
+    bis = quadricpedal.bisector_from_inverse_pedal(plane_chart)
+    worst = 0.0
+    for u in np.linspace(-2.0, 2.0, 40):
+        for v in np.linspace(-2.0, 2.0, 40):
+            p = bis.point(u, v)
+            worst = max(worst, abs(float(np.linalg.norm(p)) - abs(p[2] - 1.0)))
+    results.append(("bisector_plane", {"max_dev": worst}, worst < 1e-7))
+    return results
+
+
+SUITES = {
+    "involutions": _check_involutions,
+    "diagrams": _check_diagrams,
+    "gallery": _check_gallery,
+    "degrees": _check_degrees,
+    "extras": _check_extras,
+}

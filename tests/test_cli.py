@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+from pedalis import verify
 from pedalis.gallery import get_entry
+from pedalis.surfkit import Chart, Domain, constant_chart
 
 CMD = [sys.executable, "-m", "pedalis"]
 
@@ -191,3 +193,38 @@ class TestVerify:
                 env={"PEDALIS_SEED": "42"})
         b = run("verify", "--suite", "involutions", "--samples", "300", "--seed", "42")
         assert a.stdout.replace("seed=42", "") == b.stdout.replace("seed=42", "")
+
+    def test_samples_below_one_rejected(self):
+        for bad in ("0", "-5"):
+            res = run("verify", "--suite", "involutions", "--samples", bad)
+            assert res.returncode == 1, bad
+            assert "--samples" in res.stderr
+            assert "pass=" not in res.stdout
+
+    def test_extras_suite_alone(self):
+        res = run("verify", "--suite", "extras", "--seed", "5")
+        assert res.returncode == 0
+        names = [line.split(".", 1)[0] for line in res.stdout.splitlines()
+                 if ".pass=" in line]
+        assert names[0] == "envelope_paraboloid" and names[-1] == "bisector_plane"
+        assert "alpha_roundtrip" not in res.stdout
+        assert res.stdout.splitlines()[-1] == "suite=extras seed=5 pass=true"
+
+    def test_all_runs_every_suite_in_order(self):
+        assert list(verify.SUITES) == ["involutions", "diagrams", "gallery", "degrees",
+                                       "extras"]
+
+    def test_diagram_family_without_samples_fails(self, monkeypatch):
+        dom = Domain(0.0, 1.0, 0.0, 1.0)
+
+        class Singular:
+            def ne_charts(self):
+                n = Chart(lambda u, v: np.array([0.0, 0.0, 1.0]), domain=dom,
+                          singular=lambda u, v: True)
+                return n, constant_chart(1.0, dom)
+
+        monkeypatch.setattr(verify.gallery, "get_entry", lambda name: Singular())
+        results = verify._check_diagrams(None, 1)
+        assert [name for name, _, _ in results] == [
+            f"diagram_{name}" for name in verify.DIAGRAM_FAMILIES]
+        assert not any(ok for _, _, ok in results)

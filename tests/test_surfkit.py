@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pedalis.errors import DegenerateEnvelope, EmptyMesh, NonUnitNormal
+from pedalis.errors import DegenerateEnvelope, EmptyGrid, EmptyMesh, NonUnitNormal
 from pedalis.gallery import get_entry, residual_report
 from pedalis.sphereatlas import trig_s2
 from pedalis.surfkit import (
@@ -29,6 +29,7 @@ from pedalis.surfkit import (
 )
 
 SPHERE_DOM = Domain(0.0, 2.0 * math.pi, -1.3, 1.3)
+UNIT_DOM = Domain(0.0, 1.0, 0.0, 1.0)
 
 
 def unit_sphere_normals():
@@ -200,6 +201,18 @@ class TestCommutation:
             n, e = entry.ne_charts()
             for d in (-1.0, -0.3, 0.0, 0.5, 2.0):
                 assert commutation_check(n, e, d, grid=(15, 15)) < 1e-9, (name, d)
+
+    @pytest.mark.parametrize("n", [
+        Chart(lambda u, v: np.array([0.0, 0.0, 1.0]), domain=UNIT_DOM,
+              singular=lambda u, v: True),
+        # zero normal: every offset plane R(-(e+d),0,0,0) is the ideal plane
+        constant_chart([0.0, 0.0, 0.0], UNIT_DOM),
+    ], ids=["everywhere-singular", "zero-normal"])
+    def test_no_compared_sample_raises_empty_grid(self, n):
+        e = constant_chart(1.0, UNIT_DOM)
+        for d in (-0.3, 0.0, 2.0):
+            with pytest.raises(EmptyGrid):
+                commutation_check(n, e, d, grid=(6, 6))
 
 
 class TestMesh:
