@@ -15,7 +15,6 @@ seed of the verification suites.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -58,8 +57,10 @@ class SystemExit2(Exception):
 _EXPR_TOKEN = re.compile(
     r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,])|$)")
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
-_CONSTANTS = {"pi": math.pi}
+# numpy scalars follow IEEE rules: a pole gives inf and sqrt of a negative
+# NaN, non-finite samples that the samplers drop, instead of an exception
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_CONSTANTS = {"pi": np.float64(np.pi)}
 
 
 class ExprError(ValueError):
@@ -147,7 +148,7 @@ class _Expr:
                 raise ExprError("missing closing parenthesis")
             return node
         if re.fullmatch(r"\d+\.\d*|\.\d+|\d+", tok):
-            val = float(tok)
+            val = np.float64(tok)
             return lambda u, v: val
         if tok in _FUNCTIONS:
             if self.take() != "(":
@@ -179,7 +180,7 @@ def eval_const(text) -> float:
 
 
 def parse_config(path: str) -> dict:
-    """Read the [surface]/[domain]/[grid] sections of a config file."""
+    """Read the [surface]/[domain] sections of a config file."""
     sections: dict[str, dict[str, str]] = {}
     current = None
     with open(path, encoding="utf-8") as fh:

@@ -29,6 +29,7 @@ from .hompoly import (
 )
 from .quadricpedal import paraboloid_dual_quadric, paraboloid_offset_chart
 from .ruledpedal import RuledChart
+from .sphereatlas import trig_s2
 from .surfkit import (
     Chart,
     Domain,
@@ -37,6 +38,7 @@ from .surfkit import (
     PolarSurface,
     envelope_surface,
     point_to_dual,
+    sample_grid,
 )
 
 QPT = HomPoly4.quadform(Space.POINT)
@@ -81,49 +83,13 @@ class GalleryEntry:
 
 def residual_report(surface, poly: HomPoly4, nu: int = 60, nv: int = 60) -> ResidualReport:
     """Normalized residuals of a chart against an implicit polynomial."""
-    dom = surface.domain
-    U, V = dom.grid(nu, nv)
-    tuples = []
-    for u, v in zip(U, V):
-        if surface.is_singular(u, v):
-            continue
-        try:
-            t = surface.htuple(u, v)
-        except Exception:
-            continue
-        if np.all(np.isfinite(t)):
-            tuples.append(t)
-    if not tuples:
+    T, valid = sample_grid(surface.htuple, surface.is_singular, surface.domain, nu, nv)
+    if not valid.any():
         raise EmptyGrid("no valid samples on the grid")
-    T = np.array(tuples)
     vals = np.abs(poly.eval_grid(T))
     scale = poly.coeff_norm() * np.max(np.abs(T), axis=1) ** poly.degree
     res = vals / scale
-    return ResidualReport(float(res.max()), float(res.mean()), len(tuples))
-
-
-# -- chart helpers -----------------------------------------------------------
-
-
-def _trig_chart(domain: Domain) -> Chart:
-    def f(u, v):
-        return np.array([math.cos(u) * math.cos(v),
-                         math.cos(v) * math.sin(u),
-                         math.sin(v)])
-
-    def fu(u, v):
-        return np.array([-math.sin(u) * math.cos(v),
-                         math.cos(v) * math.cos(u), 0.0])
-
-    def fv(u, v):
-        return np.array([-math.cos(u) * math.sin(v),
-                         -math.sin(u) * math.sin(v), math.cos(v)])
-
-    return Chart(f, fu, fv, domain)
-
-
-def _scalar_chart(domain: Domain, f, fu, fv) -> Chart:
-    return Chart(f, fu, fv, domain)
+    return ResidualReport(float(res.max()), float(res.mean()), len(T))
 
 
 # -- entry builders ----------------------------------------------------------
@@ -132,14 +98,14 @@ def _scalar_chart(domain: Domain, f, fu, fv) -> Chart:
 def _plane_paraboloid_parts():
     """Shared charts and polynomials of the plane/paraboloid correspondence."""
     dom = Domain(0.0, 2.0 * math.pi, 0.2, 1.35)
-    n = _trig_chart(dom)
+    n = trig_s2(dom)
 
     def e_chart(d):
-        return _scalar_chart(
-            dom,
+        return Chart(
             lambda u, v: 1.0 / math.sin(v) + d,
             lambda u, v: 0.0,
             lambda u, v: -math.cos(v) / math.sin(v) ** 2,
+            dom,
         )
 
     plane = parse_poly("x3 - x0")
@@ -211,14 +177,14 @@ def _build_paraboloid_offset() -> GalleryEntry:
 def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
     mf, Rf = Fraction(m), Fraction(R)
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
-    n = _trig_chart(dom)
+    n = trig_s2(dom)
 
     def e_chart(d):
-        return _scalar_chart(
-            dom,
+        return Chart(
             lambda u, v: float(m) * math.cos(u) * math.cos(v) + float(R) + d,
             lambda u, v: -float(m) * math.sin(u) * math.cos(v),
             lambda u, v: -float(m) * math.cos(u) * math.sin(v),
+            dom,
         )
 
     def dual_family(d):
@@ -265,12 +231,12 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
 def _build_sphere_bundle(m=2) -> GalleryEntry:
     mf = Fraction(m)
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
-    n = _trig_chart(dom)
-    r_chart = _scalar_chart(
-        dom,
+    n = trig_s2(dom)
+    r_chart = Chart(
         lambda u, v: float(m) * math.cos(u) * math.cos(v),
         lambda u, v: -float(m) * math.sin(u) * math.cos(v),
         lambda u, v: -float(m) * math.cos(u) * math.sin(v),
+        dom,
     )
     u0, u1 = HomPoly4.variable(Space.DUAL, 0), HomPoly4.variable(Space.DUAL, 1)
     fstar = u0 + u1 * mf
@@ -341,11 +307,11 @@ def _build_pluecker() -> GalleryEntry:
     )
 
     def e_chart(d):
-        return _scalar_chart(
-            ddom,
+        return Chart(
             lambda u, t: math.cos(t) * math.sin(2 * u) + d,
             lambda u, t: 2.0 * math.cos(t) * math.cos(2 * u),
             lambda u, t: -math.sin(t) * math.sin(2 * u),
+            ddom,
         )
 
     make_dual = lambda d: DualSurface(n, e_chart(d))
@@ -364,11 +330,11 @@ def _build_pluecker() -> GalleryEntry:
     )
 
     def r_a(d):
-        return _scalar_chart(
-            cdom,
+        return Chart(
             lambda u, v: math.sin(2 * v) / math.cos(u) + d,
             lambda u, v: math.sin(2 * v) * math.sin(u) / math.cos(u) ** 2,
             lambda u, v: 2.0 * math.cos(2 * v) / math.cos(u),
+            cdom,
         )
 
     make_conchoid = lambda d: PolarSurface(s_a, r_a(d))
@@ -426,7 +392,7 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
         return gbar ** 2 - (x0 * x3) ** 2 * QPT * (4 * af * af * d * d)
 
     dom = Domain(0.0, 2.0 * math.pi, 0.2, 1.35)
-    n = _trig_chart(dom)
+    n = trig_s2(dom)
     afl, cfl = float(a), float(c)
 
     def numer(s, t):
@@ -444,7 +410,7 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
             dn = -2 * math.cos(s) ** 2 * ct * st - 4 * afl * cfl * st * ct
             return -(dn * st - numer(s, t) * ct) / (2 * afl * st * st)
 
-        return _scalar_chart(dom, e, e_ds, e_dt)
+        return Chart(e, e_ds, e_dt, dom)
 
     make_dual = lambda d: DualSurface(n, e_chart(d))
     make_polar = lambda d: PolarSurface(n, e_chart(d))

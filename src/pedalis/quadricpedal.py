@@ -35,6 +35,7 @@ from .hompoly import (
     pedal_pullback,
     strip_exceptional,
 )
+from .sphereatlas import trig_s2
 from .surfkit import (
     Chart,
     Domain,
@@ -279,8 +280,8 @@ def paraboloid_offset_chart(a, b, c, d,
     """Unit-normal dual chart and polar pedal chart of a paraboloid offset.
 
     The base surface is z = (a x^2 + b y^2)/2 + c reparameterized so the
-    normal direction is the sphere chart m(s,t); the offset at distance d
-    shifts the support function.  Poles of the reparameterization sit at
+    normal direction is the sphere chart ``trig_s2``; the offset at distance
+    d shifts the support function.  Poles of the reparameterization sit at
     sin t = 0 and must stay outside the domain.
     """
     if a * b * c == 0:
@@ -293,21 +294,6 @@ def paraboloid_offset_chart(a, b, c, d,
         raise PoleInDomain("domain touches the sin t = 0 pole")
 
     af, bf, cf = float(a), float(b), float(c)
-
-    def m(s, t):
-        return np.array([math.cos(s) * math.cos(t),
-                         math.sin(s) * math.cos(t),
-                         math.sin(t)])
-
-    def m_ds(s, t):
-        return np.array([-math.sin(s) * math.cos(t),
-                         math.cos(s) * math.cos(t),
-                         0.0])
-
-    def m_dt(s, t):
-        return np.array([-math.cos(s) * math.sin(t),
-                         -math.sin(s) * math.sin(t),
-                         math.cos(t)])
 
     def _numer(s, t):
         ct2 = math.cos(t) ** 2
@@ -328,7 +314,7 @@ def paraboloid_offset_chart(a, b, c, d,
               - 4.0 * af * bf * cf * st * ct)
         return -(dn * st - _numer(s, t) * ct) / (2.0 * af * bf * st * st)
 
-    n_chart = Chart(m, m_ds, m_dt, domain)
+    n_chart = trig_s2(domain)
     e_chart = Chart(e, e_ds, e_dt, domain)
     dual = DualSurface(n_chart, e_chart)
     polar = PolarSurface(n_chart, e_chart)

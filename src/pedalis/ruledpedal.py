@@ -83,26 +83,28 @@ def footpoint_curve(R: RuledChart):
     return d
 
 
-def striction_parameter(R: RuledChart, u: float) -> float:
-    """Ruling parameter of the striction point on the line at u."""
+def _striction(R: RuledChart, u: float):
+    """(v_s, e, n1, n2) at u: striction parameter, ruling direction and the
+    normal components n1 = c' x e, n2 = e' x e."""
     e = R.direction(u)
     de = R.de(u)
+    n1 = np.cross(R.dc(u), e)
     n2 = np.cross(de, e)
     denom = n2 @ n2
-    scale = max((e @ e) * (de @ de), 1.0)
+    scale = max((e @ e) * float(de @ de), 1.0)
     if denom < 1e-20 * scale:
         raise CylindricalRuling(f"e' x e vanishes at u={u:.6g}")
-    n1 = np.cross(R.dc(u), e)
-    return -(n1 @ n2) / denom
+    return -(n1 @ n2) / denom, e, n1, n2
+
+
+def striction_parameter(R: RuledChart, u: float) -> float:
+    """Ruling parameter of the striction point on the line at u."""
+    return _striction(R, u)[0]
 
 
 def striction_curve(R: RuledChart):
     """Striction curve s(u) = c(u) + v_s(u) e(u)."""
-
-    def s(u):
-        return np.asarray(R.c(u), float) + striction_parameter(R, u) * R.direction(u)
-
-    return s
+    return lambda u: striction_frame(R, u)[0]
 
 
 @dataclass(frozen=True)
@@ -156,14 +158,7 @@ def striction_frame(R: RuledChart, u: float):
     s' x e = c' x e + v_s (e' x e); only first derivatives of the chart
     enter, so the frame is analytic whenever dc and de are.
     """
-    e = R.direction(u)
-    n1 = np.cross(R.dc(u), e)
-    n2 = np.cross(R.de(u), e)
-    denom = n2 @ n2
-    scale = max((e @ e) * float(R.de(u) @ R.de(u)), 1.0)
-    if denom < 1e-20 * scale:
-        raise CylindricalRuling(f"e' x e vanishes at u={u:.6g}")
-    vs = -(n1 @ n2) / denom
+    vs, e, n1, n2 = _striction(R, u)
     s = np.asarray(R.c(u), float) + vs * e
     return s, e, n1 + vs * n2, n2
 
@@ -174,14 +169,15 @@ def conic_family(R: RuledChart) -> ConicFamily:
     a1 = |s' x e|^2 and a2 = |e' x e|^2 encode |n|^2 = a1 + v^2 a2.
     """
 
-    def frame(u):
-        _, _, ns, n2 = striction_frame(R, u)
-        return ns, n2
+    def a1(u):
+        ns = striction_frame(R, u)[2]
+        return float(ns @ ns)
 
-    return ConicFamily(
-        a1=lambda u: float(frame(u)[0] @ frame(u)[0]),
-        a2=lambda u: float(frame(u)[1] @ frame(u)[1]),
-    )
+    def a2(u):
+        n2 = striction_frame(R, u)[3]
+        return float(n2 @ n2)
+
+    return ConicFamily(a1=a1, a2=a2)
 
 
 def conic_point_param(a1: float, a2: float, t: float) -> tuple[float, float, float]:
@@ -332,6 +328,8 @@ def inverse_pedal_ruled(R: RuledChart, u: float, v: float) -> np.ndarray:
         2.0 * (float(d @ ddot) + w * w * float(e @ edot)),
         2.0 * w * float(e @ e),
     ])
+    if not np.isfinite(M).all():
+        raise DegenerateSystem("inverse pedal system has a non-finite entry")
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateSystem(f"inverse pedal system condition {cond:.3g}")

@@ -22,9 +22,10 @@ from .errors import (
     DegenerateEnvelope,
     EmptyGrid,
     EmptyMesh,
+    GeometryError,
     NonUnitNormal,
 )
-from .projmaps import AffPlane, HPlane, alpha_affine
+from .projmaps import AffPlane, alpha_affine
 
 # Envelope solves with an estimated condition number above this are
 # treated as degenerate (developable / plane / point cases).
@@ -106,14 +107,45 @@ def constant_chart(value, domain: Domain = UNIT_SQUARE) -> Chart:
     return Chart(lambda u, v: val, lambda u, v: zero, lambda u, v: zero, domain)
 
 
+def sample_grid(value, singular, domain: Domain, nu: int, nv: int):
+    """Evaluate ``value(u, v)`` over ``domain.grid(nu, nv)``; (rows, valid).
+
+    The one drop rule of the kernel: a sample is dropped when ``singular``
+    flags it, when ``value`` raises a GeometryError, or when any entry of
+    its value is non-finite.  Any other exception propagates.  ``rows``
+    stacks the kept values in grid order and ``valid`` is the (nu*nv,)
+    mask of kept samples.
+    """
+    U, V = domain.grid(nu, nv)
+    rows, kept = [], []
+    # non-finite samples are dropped by contract, so their warnings are noise
+    with np.errstate(all="ignore"):
+        for k, (u, v) in enumerate(zip(U, V)):
+            if singular(u, v):
+                continue
+            try:
+                rows.append(value(u, v))
+            except GeometryError:
+                continue
+            kept.append(k)
+    rows = np.array(rows, dtype=float)
+    finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    valid = np.zeros(U.size, dtype=bool)
+    valid[np.array(kept, dtype=int)[finite]] = True
+    return rows[finite], valid
+
+
 def _probe_unit(n_chart: Chart, tol: float, samples: int = 5):
-    U, V = n_chart.domain.grid(samples, samples)
-    for u, v in zip(U, V):
-        if n_chart.is_singular(u, v):
-            continue
-        norm = np.linalg.norm(np.asarray(n_chart(u, v), dtype=float))
-        if abs(norm - 1.0) > tol:
-            raise NonUnitNormal(f"normal length {norm:.6g} at ({u:.3g},{v:.3g})")
+    dom = n_chart.domain
+    rows, valid = sample_grid(n_chart, n_chart.is_singular, dom, samples, samples)
+    if not valid.any():
+        return
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    if bad.size:
+        k = np.flatnonzero(valid)[bad[0]]
+        U, V = dom.grid(samples, samples)
+        raise NonUnitNormal(f"normal length {norms[bad[0]]:.6g} at ({U[k]:.3g},{V[k]:.3g})")
 
 
 class DualSurface:
@@ -126,10 +158,6 @@ class DualSurface:
 
     def plane(self, u, v) -> AffPlane:
         return AffPlane(np.asarray(self.n(u, v), float), float(self.e(u, v)))
-
-    def hplane(self, u, v) -> HPlane:
-        n = np.asarray(self.n(u, v), float)
-        return HPlane(np.concatenate(([-float(self.e(u, v))], n)))
 
     def htuple(self, u, v) -> np.ndarray:
         n = np.asarray(self.n(u, v), float)
@@ -225,13 +253,16 @@ def envelope_solve(F: DualSurface, u: float, v: float,
     """Envelope point of the plane family at (u,v).
 
     Solves n.x = e, n_u.x = e_u, n_v.x = e_v; a singular or ill-conditioned
-    matrix signals one of the degenerate cases (plane, developable, point).
+    matrix signals one of the degenerate cases (plane, developable, point),
+    and so does a non-finite entry, as at a pole of the chart.
     """
     M = np.vstack([
         np.asarray(F.n(u, v), float),
         np.asarray(F.n.du(u, v), float),
         np.asarray(F.n.dv(u, v), float),
     ])
+    if not np.isfinite(M).all():
+        raise DegenerateEnvelope("envelope system has a non-finite entry")
     rhs = np.array([float(F.e(u, v)), float(F.e.du(u, v)), float(F.e.dv(u, v))])
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > cond_limit:
@@ -325,22 +356,17 @@ def commutation_check(n_chart: Chart, e_chart: Chart, d: float,
     Primal: offset the plane family by d then map by the foot-point map,
     versus map first and push the radius by d.  Dual: map the shifted point
     back, versus offset the mapped plane family.  The charts are evaluated
-    once per grid point and both diagrams run over all samples at once.
-    Samples where a path hits an exceptional set are masked out; EmptyGrid
-    is raised when no sample reaches a comparison.
+    once per grid point by ``sample_grid`` and both diagrams run over all
+    samples at once.  Samples dropped by either chart, or where a path hits
+    an exceptional set, are masked out; EmptyGrid is raised when no sample
+    reaches a comparison.
     """
-    nu, nv = grid
-    U, V = n_chart.domain.grid(nu, nv)
-    normals, supports = [], []
-    for u, v in zip(U, V):
-        if n_chart.is_singular(u, v) or e_chart.is_singular(u, v):
-            continue
-        normals.append(np.asarray(n_chart(u, v), float))
-        supports.append(float(e_chart(u, v)))
-    if not normals:
-        raise EmptyGrid("every sample of the diagram grid is singular")
-    n = np.array(normals)
-    s = np.array(supports) + d
+    rows_n, valid_n = sample_grid(n_chart, n_chart.is_singular, n_chart.domain, *grid)
+    rows_e, valid_e = sample_grid(e_chart, e_chart.is_singular, n_chart.domain, *grid)
+    if not (valid_n & valid_e).any():
+        raise EmptyGrid("no valid sample on the diagram grid")
+    n = rows_n[valid_e[valid_n]]
+    s = rows_e[valid_n[valid_e]] + d
     planes = np.column_stack((-s, n))
     # primal diagram: alpha(offset) vs conchoid(alpha), via the quadratic
     # homogeneous map on one side; ideal planes and ideal feet drop out
@@ -370,47 +396,35 @@ def commutation_check(n_chart: Chart, e_chart: Chart, d: float,
 @dataclass
 class Mesh:
     vertices: np.ndarray  # (N, 3)
-    faces: list[tuple[int, int, int]]  # 0-based triangles
+    faces: np.ndarray  # (M, 3) int, 0-based triangles
 
 
 def sample_mesh(S, nu: int, nv: int) -> Mesh:
     """Grid-sample a point or polar surface into a triangle mesh.
 
-    Invalid samples (non-finite, or flagged singular) are dropped together
-    with their incident faces.
+    Samples dropped by ``sample_grid`` are dropped together with their
+    incident faces.  Each grid cell with four kept corners a, b, c, d
+    (counter-clockwise from (i, j)) gives the faces (a, b, c), (a, c, d),
+    cells ordered by i, then j.
     """
     if nu < 2 or nv < 2:
         raise ValueError("mesh grids need at least 2 samples per direction")
-    if isinstance(S, PolarSurface):
-        S = S.to_point_surface()
-    dom = S.domain
-    us = np.linspace(dom.umin, dom.umax, nu)
-    vs = np.linspace(dom.vmin, dom.vmax, nv)
-    index = -np.ones((nu, nv), dtype=int)
-    verts: list[np.ndarray] = []
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            if S.is_singular(u, v):
-                continue
-            try:
-                p = S.point(u, v)
-            except Exception:
-                continue
-            if not np.all(np.isfinite(p)):
-                continue
-            index[i, j] = len(verts)
-            verts.append(p)
-    if not verts:
+    verts, valid = sample_grid(S.point, S.is_singular, S.domain, nu, nv)
+    if not valid.any():
         raise EmptyMesh("no valid samples on the grid")
-    faces = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
-            if min(a, b, c, d) < 0:
-                continue
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return Mesh(np.array(verts), faces)
+    index = np.full(nu * nv, -1)
+    index[valid] = np.arange(len(verts))
+    index = index.reshape(nu, nv)
+    quads = np.stack((index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]),
+                     axis=-1).reshape(-1, 4)
+    quads = quads[(quads >= 0).all(axis=1)]
+    faces = np.stack((quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]), axis=1).reshape(-1, 3)
+    return Mesh(verts, faces)
+
+
+# rows per str.format batch in write_obj: whole-mesh .tolist() copies cost
+# memory, per-row numpy indexing costs time
+_OBJ_BLOCK = 4096
 
 
 def write_obj(mesh: Mesh, target) -> None:
@@ -422,10 +436,12 @@ def write_obj(mesh: Mesh, target) -> None:
     else:
         fh = target
     try:
-        for p in mesh.vertices:
-            fh.write(f"v {p[0]:.12g} {p[1]:.12g} {p[2]:.12g}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        for k in range(0, len(mesh.vertices), _OBJ_BLOCK):
+            fh.writelines(f"v {x:.12g} {y:.12g} {z:.12g}\n"
+                          for x, y, z in mesh.vertices[k:k + _OBJ_BLOCK].tolist())
+        for k in range(0, len(mesh.faces), _OBJ_BLOCK):
+            fh.writelines(f"f {a} {b} {c}\n"
+                          for a, b, c in (mesh.faces[k:k + _OBJ_BLOCK] + 1).tolist())
     finally:
         if close:
             fh.close()

@@ -1,9 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 from pedalis import verify
+from pedalis.cli import parse_expr
 from pedalis.gallery import get_entry
 from pedalis.surfkit import Chart, Domain, constant_chart
 
@@ -160,6 +162,33 @@ class TestSample:
                   "--grid", "4x4", "--out", str(tmp_path / "x.obj"))
         assert res.returncode == 3
 
+    def test_pole_on_domain_boundary_offset(self, tmp_path):
+        # r = 1/sin(v) is infinite on the v = 0 edge: those samples give a
+        # non-finite envelope system, which is degenerate and dropped
+        cfg = tmp_path / "pole.cfg"
+        cfg.write_text(
+            "[surface]\n"
+            "kind = polar\n"
+            "sx = cos(u)*cos(v)\n"
+            "sy = cos(v)*sin(u)\n"
+            "sz = sin(v)\n"
+            "r = 1/sin(v)\n"
+            "[domain]\n"
+            "umin = 0\numax = 2*pi\nvmin = 0\nvmax = 1.3\n")
+        res = run("sample", "--surface", str(cfg), "--construct", "offset:1/4",
+                  "--grid", "20x20", "--out", str(tmp_path / "x.obj"))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("vertices=")
+        assert "Warning" not in res.stderr
+
+    def test_two_by_two_grid(self, tmp_path):
+        out = tmp_path / "tiny.obj"
+        res = run("sample", "--surface", "pluecker", "--construct", "pedal",
+                  "--grid", "2x2", "--out", str(out))
+        assert res.returncode == 0
+        assert res.stdout.startswith("vertices=4 faces=2 ")
+        assert out.read_text().splitlines()[-2:] == ["f 1 3 4", "f 1 4 2"]
+
     def test_quadric_config_rejected_for_sample(self, tmp_path):
         cfg = tmp_path / "quad.cfg"
         cfg.write_text(
@@ -170,6 +199,15 @@ class TestSample:
         res = run("sample", "--surface", str(cfg), "--construct", "self",
                   "--grid", "4x4", "--out", str(tmp_path / "x.obj"))
         assert res.returncode == 1
+
+
+class TestExpressions:
+    def test_ieee_results_instead_of_exceptions(self):
+        # a pole gives inf and a negative root NaN: samples to drop, not errors
+        with np.errstate(all="ignore"):
+            assert parse_expr("1/sin(u)")(0.0, 0.0) == math.inf
+            assert math.isnan(parse_expr("sqrt(0 - 1 - u*u)")(0.0, 0.0))
+            assert math.isnan(parse_expr("(0 - 1)^0.5")(0.0, 0.0))
 
 
 class TestVerify:

@@ -110,6 +110,12 @@ class TestResidualSuite:
         with pytest.raises(EmptyGrid):
             residual_report(dead, parse_poly("x3 - x0"))
 
+    def test_chart_type_error_propagates(self):
+        broken = PointSurface(Chart(lambda u, v: np.array([u, v]) + None,
+                                    domain=Domain(0, 1, 0, 1)))
+        with pytest.raises(TypeError):
+            residual_report(broken, parse_poly("x3 - x0"))
+
 
 class TestDegreeData:
     @pytest.mark.parametrize("name", ALL_NAMES)

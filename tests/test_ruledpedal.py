@@ -5,6 +5,7 @@ import pytest
 
 from pedalis.errors import (
     CylindricalRuling,
+    DegenerateSystem,
     DevelopableSurface,
     LineThroughOrigin,
 )
@@ -267,6 +268,18 @@ class TestInversePedal:
                 # x - p runs along the cylinder ruling
                 assert np.linalg.norm(np.cross(x - p, cyl.axis)) < 1e-8 * max(
                     1.0, float(np.linalg.norm(x)))
+
+
+    def test_non_finite_system_degenerate(self):
+        # directrix with a pole at u = 0: the system matrix holds NaN there
+        R = RuledChart(
+            lambda u: np.array([1.0 / u, 1.0, 0.0]),
+            lambda u: np.array([0.0, 0.0, 1.0]),
+            dc=lambda u: np.array([-1.0 / u ** 2, 0.0, 0.0]),
+            de=lambda u: np.zeros(3),
+        )
+        with np.errstate(all="ignore"), pytest.raises(DegenerateSystem):
+            inverse_pedal_ruled(R, np.float64(0.0), 0.5)
 
 
 class TestParabolicCylinder:

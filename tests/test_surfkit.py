@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from pedalis.errors import DegenerateEnvelope, EmptyGrid, EmptyMesh, NonUnitNormal
+from pedalis.errors import (
+    DegenerateEnvelope,
+    EmptyGrid,
+    EmptyMesh,
+    NonUnitNormal,
+    OriginOnSurface,
+)
 from pedalis.gallery import get_entry, residual_report
 from pedalis.sphereatlas import trig_s2
 from pedalis.surfkit import (
@@ -118,6 +124,14 @@ class TestEnvelope:
         n, e = entry.ne_charts()
         x = envelope_solve(DualSurface(n, e), 0.0, 0.0)
         assert np.max(np.abs(x - [3, 0, 0])) < 1e-9
+
+    def test_non_finite_system_degenerate(self):
+        # a pole in the chart puts NaN in the system matrix; the solve must
+        # report a degenerate envelope rather than a failed SVD
+        n = Chart(lambda u, v: np.array([math.nan, 0.0, 1.0]), domain=UNIT_DOM)
+        F = DualSurface(n, constant_chart(1.0, UNIT_DOM))
+        with pytest.raises(DegenerateEnvelope):
+            envelope_solve(F, 0.5, 0.5)
 
     def test_constant_family_degenerate(self):
         F = DualSurface(constant_chart([0.0, 0.0, 1.0], SPHERE_DOM),
@@ -248,6 +262,51 @@ class TestMesh:
                                singular=lambda u, v: u < 0.25))
         mesh = sample_mesh(S, 4, 4)
         assert len(mesh.vertices) == 12
+
+    def test_chart_type_error_propagates(self):
+        # a programming error in a chart is not a dropped sample
+        S = PointSurface(Chart(lambda u, v: np.array([u, v]) + None, domain=UNIT_DOM))
+        with pytest.raises(TypeError):
+            sample_mesh(S, 4, 4)
+
+    def test_geometry_error_sample_dropped_with_faces(self):
+        third = 1.0 / 3.0
+
+        def f(u, v):
+            if abs(u - third) < 1e-12 and abs(v - third) < 1e-12:
+                raise OriginOnSurface("grid point (1, 1)")
+            return np.array([u, v, 0.0])
+
+        mesh = sample_mesh(PointSurface(Chart(f, domain=UNIT_DOM)), 4, 4)
+        assert len(mesh.vertices) == 15
+        assert not np.any(np.all(np.abs(mesh.vertices - [third, third, 0.0]) < 1e-12, axis=1))
+        # 9 cells, 4 of which touch the dropped point
+        assert mesh.faces.shape == (10, 3)
+
+    def test_faces_match_double_loop_on_grid_with_holes(self):
+        nu, nv = 7, 5
+        dom = Domain(0.0, 1.0, 0.0, 2.0)
+        hole = lambda u, v: math.sin(37.0 * u + 11.0 * v) > 0.6
+        S = PointSurface(Chart(lambda u, v: np.array([u, v, u * v]), domain=dom,
+                               singular=hole))
+        mesh = sample_mesh(S, nu, nv)
+        # reference: the per-cell double loop of the scalar mesher
+        index = -np.ones((nu, nv), dtype=int)
+        count = 0
+        for i, u in enumerate(np.linspace(dom.umin, dom.umax, nu)):
+            for j, v in enumerate(np.linspace(dom.vmin, dom.vmax, nv)):
+                if not hole(u, v):
+                    index[i, j] = count
+                    count += 1
+        faces = []
+        for i in range(nu - 1):
+            for j in range(nv - 1):
+                a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+                if min(a, b, c, d) >= 0:
+                    faces += [(a, b, c), (a, c, d)]
+        assert 0 < count < nu * nv and 0 < len(faces) < 2 * (nu - 1) * (nv - 1)
+        assert len(mesh.vertices) == count
+        assert mesh.faces.tolist() == [list(f) for f in faces]
 
     def test_obj_format(self):
         G = gamma(unit_sphere_normals(), constant_chart(1.0, SPHERE_DOM))
