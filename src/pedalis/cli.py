@@ -413,8 +413,7 @@ def _config_surface(kind, surface, construct, d):
         def offset_point(u, v):
             n = np.asarray(planes.n(u, v), float)
             nn = np.linalg.norm(n)
-            base = surfkit.envelope_solve(planes, u, v)
-            return base + d * n / nn
+            return points.point(u, v) + d * n / nn
 
         return PointSurface(Chart(offset_point, domain=planes.domain))
     raise ExprError(f"unknown construct {construct!r}")

@@ -232,17 +232,20 @@ def _build_sphere_bundle(m=2) -> GalleryEntry:
     mf = Fraction(m)
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
     n = trig_s2(dom)
-    r_chart = Chart(
-        lambda u, v: float(m) * math.cos(u) * math.cos(v),
-        lambda u, v: -float(m) * math.sin(u) * math.cos(v),
-        lambda u, v: -float(m) * math.cos(u) * math.sin(v),
-        dom,
-    )
+
+    def r_chart(d):
+        return Chart(
+            lambda u, v: float(m) * math.cos(u) * math.cos(v) + d,
+            lambda u, v: -float(m) * math.sin(u) * math.cos(v),
+            lambda u, v: -float(m) * math.cos(u) * math.sin(v),
+            dom,
+        )
+
     u0, u1 = HomPoly4.variable(Space.DUAL, 0), HomPoly4.variable(Space.DUAL, 1)
     fstar = u0 + u1 * mf
     x0, x1 = HomPoly4.variable(Space.POINT, 0), HomPoly4.variable(Space.POINT, 1)
     gbar = QPT - x0 * x1 * mf
-    make_polar = lambda d: PolarSurface(n, r_chart)
+    make_polar = lambda d: PolarSurface(n, r_chart(d))
     return GalleryEntry(
         name="sphere-bundle",
         primary="polar",

@@ -56,6 +56,46 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
 
 
+# -- term-dict arithmetic -------------------------------------------------
+# Exact arithmetic runs on plain {exponents: Fraction} dicts; a HomPoly4 is
+# built, and validated, once per result.
+
+_CONST: Exponents = (0, 0, 0, 0)
+
+
+def _add_terms(acc: dict, terms: dict, scale=1) -> dict:
+    """acc += scale * terms in place, dropping cancelled terms; returns acc."""
+    for e, c in terms.items():
+        v = acc.get(e, 0) + c * scale
+        if v:
+            acc[e] = v
+        else:
+            acc.pop(e, None)
+    return acc
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term dicts."""
+    out: dict[Exponents, Fraction] = {}
+    for (a0, a1, a2, a3), ca in a.items():
+        for (b0, b1, b2, b3), cb in b.items():
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _pow_terms(a: dict, n: int) -> dict:
+    """a**n by repeated squaring."""
+    result = {_CONST: Fraction(1)}
+    while n:
+        if n & 1:
+            result = _mul_terms(a, result)
+        n >>= 1
+        if n:
+            a = _mul_terms(a, a)
+    return result
+
+
 class HomPoly4:
     """Homogeneous polynomial in 4 variables with exact coefficients."""
 
@@ -89,10 +129,6 @@ class HomPoly4:
         return cls(space, {})
 
     @classmethod
-    def constant(cls, space: Space, c) -> "HomPoly4":
-        return cls(space, {(0, 0, 0, 0): c})
-
-    @classmethod
     def variable(cls, space: Space, index: int) -> "HomPoly4":
         exps = [0, 0, 0, 0]
         exps[index] = 1
@@ -117,13 +153,11 @@ class HomPoly4:
 
     def __add__(self, other: "HomPoly4") -> "HomPoly4":
         self._check_space(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return HomPoly4(self.space, terms)
+        return HomPoly4(self.space, _add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other: "HomPoly4") -> "HomPoly4":
-        return self + (-other)
+        self._check_space(other)
+        return HomPoly4(self.space, _add_terms(dict(self.terms), other.terms, -1))
 
     def __neg__(self) -> "HomPoly4":
         return HomPoly4(self.space, {e: -c for e, c in self.terms.items()})
@@ -131,12 +165,7 @@ class HomPoly4:
     def __mul__(self, other):
         if isinstance(other, HomPoly4):
             self._check_space(other)
-            terms: dict[Exponents, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-            return HomPoly4(self.space, terms)
+            return HomPoly4(self.space, _mul_terms(self.terms, other.terms))
         c = _as_fraction(other)
         return HomPoly4(self.space, {e: c * v for e, v in self.terms.items()})
 
@@ -145,10 +174,7 @@ class HomPoly4:
     def __pow__(self, n: int) -> "HomPoly4":
         if n < 0:
             raise ValueError("negative power")
-        result = HomPoly4.constant(self.space, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return HomPoly4(self.space, _pow_terms(self.terms, n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomPoly4):
@@ -228,8 +254,6 @@ class HomPoly4:
         self._check_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return HomPoly4.zero(self.space)
         dlead = divisor.leading_monomial()
         dcoeff = divisor.terms[dlead]
         rem = dict(self.terms)
@@ -241,13 +265,7 @@ class HomPoly4:
                 raise NotDivisible("exact division failed")
             qc = rem[lead] / dcoeff
             quot[q] = quot.get(q, Fraction(0)) + qc
-            for de, dc in divisor.terms.items():
-                e = (q[0] + de[0], q[1] + de[1], q[2] + de[2], q[3] + de[3])
-                v = rem.get(e, Fraction(0)) - qc * dc
-                if v == 0:
-                    rem.pop(e, None)
-                else:
-                    rem[e] = v
+            _add_terms(rem, _mul_terms({q: qc}, divisor.terms), -1)
         return HomPoly4(self.space, quot)
 
 
@@ -259,20 +277,15 @@ def _pullback(poly: HomPoly4, src: Space) -> HomPoly4:
     if poly.space is not src:
         raise SpaceMismatch(f"expected a {src.name} polynomial")
     dst = src.other
-    q = HomPoly4.quadform(dst)
-    qpow: dict[int, HomPoly4] = {0: HomPoly4.constant(dst, 1)}
-
-    def qp(n: int) -> HomPoly4:
-        if n not in qpow:
-            qpow[n] = qp(n - 1) * q
-        return qpow[n]
-
-    result = HomPoly4.zero(dst)
+    q = HomPoly4.quadform(dst).terms
+    qpow = [{_CONST: Fraction(1)}]
+    terms: dict[Exponents, Fraction] = {}
     for (e0, e1, e2, e3), c in poly.terms.items():
-        sign = -1 if e0 % 2 else 1
-        mono = HomPoly4(dst, {(e1 + e2 + e3, e1, e2, e3): c * sign})
-        result = result + mono * qp(e0)
-    return result
+        while len(qpow) <= e0:
+            qpow.append(_mul_terms(qpow[-1], q))
+        mono = {(e1 + e2 + e3, e1, e2, e3): -c if e0 % 2 else c}
+        _add_terms(terms, _mul_terms(mono, qpow[e0]))
+    return HomPoly4(dst, terms)
 
 
 def pedal_pullback(fstar: HomPoly4) -> HomPoly4:
@@ -343,26 +356,21 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
     if fstar.space is not Space.DUAL:
         raise SpaceMismatch("offset families are built from dual polynomials")
     d = _as_fraction(d)
-    n = fstar.degree
-    # shift coefficients: fstar(u0 + t, u) = sum_k shift[k] * t^k
-    shift: list[dict[Exponents, Fraction]] = [dict() for _ in range(n + 1)]
+    # t = d*sqrt(q) with t^2 = d^2*q; expand fstar(u0 + t, u) = even + t*odd
+    t2 = {e: d * d * c for e, c in HomPoly4.quadform(Space.DUAL).terms.items()}
+    t2pow = [{_CONST: Fraction(1)}]
+    even: dict[Exponents, Fraction] = {}
+    odd: dict[Exponents, Fraction] = {}
     for (e0, e1, e2, e3), c in fstar.terms.items():
         for k in range(e0 + 1):
-            exps = (e0 - k, e1, e2, e3)
-            shift[k][exps] = shift[k].get(exps, Fraction(0)) + c * math.comb(e0, k)
-    coeffs = [HomPoly4(Space.DUAL, t) for t in shift]
-    q = HomPoly4.quadform(Space.DUAL)
-    result = HomPoly4.zero(Space.DUAL)
-    for i in range(n + 1):
-        if coeffs[i].is_zero():
-            continue
-        for j in range(n + 1):
-            if (i + j) % 2 or coeffs[j].is_zero():
-                continue
-            sign = -1 if j % 2 else 1
-            term = coeffs[i] * coeffs[j] * (d ** (i + j) * sign)
-            result = result + term * q ** ((i + j) // 2)
-    return result
+            while len(t2pow) <= k // 2:
+                t2pow.append(_mul_terms(t2pow[-1], t2))
+            mono = {(e0 - k, e1, e2, e3): c * math.comb(e0, k)}
+            _add_terms(odd if k % 2 else even, _mul_terms(mono, t2pow[k // 2]))
+    # (even + t*odd) * (even - t*odd) = even^2 - t^2*odd^2
+    terms = _mul_terms(even, even)
+    _add_terms(terms, _mul_terms(t2, _mul_terms(odd, odd)), -1)
+    return HomPoly4(Space.DUAL, terms)
 
 
 # -- canonical text form --------------------------------------------------
@@ -398,8 +406,8 @@ class _PolyParser:
     """Recursive-descent parser for the polynomial text grammar.
 
     Accepts +, -, *, ^ with parentheses, integer and p/q constants and the
-    variables x0..x3 or u0..u3 (not mixed).  Division is only allowed by
-    constants.  The result must come out homogeneous.
+    variables x0..x3 or u0..u3 (not mixed).  Values are term dicts;
+    division is only allowed by nonzero constants.
     """
 
     def __init__(self, text: str):
@@ -430,22 +438,16 @@ class _PolyParser:
             raise ValueError(f"unexpected token {self.peek()!r}")
         return poly, self.space
 
-    def _blank(self):
-        # polynomial with no variables seen yet: keep as Fraction
-        return Fraction(0)
-
     def expr(self):
-        negate = False
+        terms: dict[Exponents, Fraction] = {}
+        sign = 1
         if self.peek() in ("+", "-"):
-            negate = self.take() == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = self._add(value, rhs if op == "+" else -rhs)
-        return value
+            sign = -1 if self.take() == "-" else 1
+        while True:
+            _add_terms(terms, self.term(), sign)
+            if self.peek() not in ("+", "-"):
+                return terms
+            sign = -1 if self.take() == "-" else 1
 
     def term(self):
         value = self.factor()
@@ -453,24 +455,27 @@ class _PolyParser:
             op = self.take()
             rhs = self.factor()
             if op == "*":
-                value = self._mul(value, rhs)
-            else:
-                if isinstance(rhs, HomPoly4):
-                    raise ValueError("division by a non-constant polynomial")
-                value = self._mul(value, Fraction(1) / rhs)
+                value = _mul_terms(value, rhs)
+                continue
+            if any(e != _CONST for e in rhs):
+                raise ValueError("division by a non-constant polynomial")
+            c = rhs.get(_CONST)
+            if not c:
+                raise ValueError("division by zero")
+            value = {e: v / c for e, v in value.items()}
         return value
 
     def factor(self):
         if self.peek() == "-":
             self.take()
-            return -self.factor()
+            return _add_terms({}, self.factor(), -1)
         base = self.atom()
         if self.peek() == "^":
             self.take()
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            base = base ** int(tok)
+            base = _pow_terms(base, int(tok))
         return base
 
     def atom(self):
@@ -483,47 +488,24 @@ class _PolyParser:
                 raise ValueError("missing closing parenthesis")
             return value
         if tok.isdigit():
-            return Fraction(int(tok))
+            return {_CONST: Fraction(int(tok))}
         if len(tok) == 2 and tok[0] in "xu" and tok[1] in "0123":
             sp = Space.POINT if tok[0] == "x" else Space.DUAL
             if self.space is None:
                 self.space = sp
             elif self.space is not sp:
                 raise ValueError("mixed point and dual variables")
-            return HomPoly4.variable(sp, int(tok[1]))
+            return HomPoly4.variable(sp, int(tok[1])).terms
         raise ValueError(f"unexpected token {tok!r}")
-
-    def _lift(self, v):
-        if isinstance(v, HomPoly4):
-            return v
-        if self.space is None:
-            raise ValueError("constant-only polynomial needs an explicit space")
-        return HomPoly4.constant(self.space, v)
-
-    def _add(self, a, b):
-        if isinstance(a, HomPoly4) or isinstance(b, HomPoly4):
-            return self._lift(a) + self._lift(b)
-        return a + b
-
-    def _mul(self, a, b):
-        if isinstance(a, HomPoly4) and isinstance(b, HomPoly4):
-            return a * b
-        if isinstance(a, HomPoly4):
-            return a * b
-        if isinstance(b, HomPoly4):
-            return b * a
-        return a * b
 
 
 def parse_poly(text: str, space: Space | None = None) -> HomPoly4:
     """Parse polynomial text; the variables used determine the space.
 
-    Raises ValueError for malformed input or inhomogeneous results.
+    Raises ValueError for malformed input, for division by anything but a
+    nonzero constant, and for a result that is not homogeneous.
     """
-    value, seen = _PolyParser(text).parse(space)
-    if not isinstance(value, HomPoly4):
-        sp = seen or space
-        if sp is None:
-            raise ValueError("constant polynomial needs an explicit space")
-        value = HomPoly4.constant(sp, value)
-    return value  # HomPoly4 constructor enforced homogeneity term by term
+    terms, seen = _PolyParser(text).parse(space)
+    if seen is None:
+        raise ValueError("constant polynomial needs an explicit space")
+    return HomPoly4(seen, terms)  # checks homogeneity of the result

@@ -31,6 +31,9 @@ from .projmaps import AffPlane, alpha_affine
 # treated as degenerate (developable / plane / point cases).
 COND_LIMIT = 1e12
 
+# Largest deviation of |n| from 1 that phi, gamma and offset_map accept.
+UNIT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -135,13 +138,13 @@ def sample_grid(value, singular, domain: Domain, nu: int, nv: int):
     return rows[finite], valid
 
 
-def _probe_unit(n_chart: Chart, tol: float, samples: int = 5):
+def _probe_unit(n_chart: Chart, samples: int = 5):
     dom = n_chart.domain
     rows, valid = sample_grid(n_chart, n_chart.is_singular, dom, samples, samples)
     if not valid.any():
-        return
+        raise EmptyGrid("no valid sample to probe the unit length on")
     norms = np.linalg.norm(rows, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
     if bad.size:
         k = np.flatnonzero(valid)[bad[0]]
         U, V = dom.grid(samples, samples)
@@ -212,15 +215,15 @@ class PolarSurface:
 # -- constructors and the offset / conchoid maps --------------------------
 
 
-def phi(n_chart: Chart, e_chart: Chart, tol: float = 1e-9) -> DualSurface:
+def phi(n_chart: Chart, e_chart: Chart) -> DualSurface:
     """Dual surface from a unit normal field and a support function."""
-    _probe_unit(n_chart, tol)
+    _probe_unit(n_chart)
     return DualSurface(n_chart, e_chart)
 
 
-def gamma(s_chart: Chart, r_chart: Chart, tol: float = 1e-9) -> PolarSurface:
+def gamma(s_chart: Chart, r_chart: Chart) -> PolarSurface:
     """Polar surface from a unit direction field and a radius function."""
-    _probe_unit(s_chart, tol)
+    _probe_unit(s_chart)
     return PolarSurface(s_chart, r_chart)
 
 
@@ -234,9 +237,9 @@ def _shift_chart(e: Chart, d: float) -> Chart:
     )
 
 
-def offset_map(F: DualSurface, d: float, tol: float = 1e-9) -> DualSurface:
+def offset_map(F: DualSurface, d: float) -> DualSurface:
     """Offset at distance d: same unit normals, supports e + d."""
-    _probe_unit(F.n, tol)
+    _probe_unit(F.n)
     return DualSurface(F.n, _shift_chart(F.e, d))
 
 
@@ -248,8 +251,7 @@ def conchoid_map(G: PolarSurface, d: float) -> PolarSurface:
 # -- envelope -------------------------------------------------------------
 
 
-def envelope_solve(F: DualSurface, u: float, v: float,
-                   cond_limit: float = COND_LIMIT) -> np.ndarray:
+def envelope_solve(F: DualSurface, u: float, v: float) -> np.ndarray:
     """Envelope point of the plane family at (u,v).
 
     Solves n.x = e, n_u.x = e_u, n_v.x = e_v; a singular or ill-conditioned
@@ -265,7 +267,7 @@ def envelope_solve(F: DualSurface, u: float, v: float,
         raise DegenerateEnvelope("envelope system has a non-finite entry")
     rhs = np.array([float(F.e(u, v)), float(F.e.du(u, v)), float(F.e.dv(u, v))])
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DegenerateEnvelope(f"envelope system condition {cond:.3g}")
     return np.linalg.solve(M, rhs)
 

@@ -50,6 +50,11 @@ class TestMap:
         res = run("map", "--op", "alpha", "--plane", "1,2,3")
         assert res.returncode == 1
 
+    def test_dehomogenize_ideal_point_exceptional(self):
+        res = run("map", "--op", "pi", "--plane", "0,1,0,0", "--dehomogenize")
+        assert res.returncode == 2
+        assert res.stderr.startswith("exceptional:")
+
 
 class TestImplicit:
     def test_pluecker_strip_report(self):
@@ -92,6 +97,12 @@ class TestImplicit:
     def test_wrong_space(self):
         res = run("implicit", "--direction", "pedal", "--poly", "x0^2")
         assert res.returncode == 1
+
+    def test_division_by_zero_is_an_input_error(self):
+        res = run("implicit", "--direction", "pedal", "--poly", "u0/0")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
 
 
 class TestSample:
@@ -163,8 +174,8 @@ class TestSample:
         assert res.returncode == 3
 
     def test_pole_on_domain_boundary_offset(self, tmp_path):
-        # r = 1/sin(v) is infinite on the v = 0 edge: those samples give a
-        # non-finite envelope system, which is degenerate and dropped
+        # r = 1/sin(v) is infinite on the v = 0 edge: those samples have a
+        # non-finite base point and are dropped
         cfg = tmp_path / "pole.cfg"
         cfg.write_text(
             "[surface]\n"
@@ -180,6 +191,41 @@ class TestSample:
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("vertices=")
         assert "Warning" not in res.stderr
+
+    def test_offset_of_polar_plane_keeps_every_sample(self, tmp_path):
+        # a plane has no envelope point, so the offset must start from the
+        # surface point itself
+        cfg = tmp_path / "plane.cfg"
+        cfg.write_text(
+            "[surface]\n"
+            "kind = polar\n"
+            "sx = cos(u)*cos(v)\n"
+            "sy = cos(v)*sin(u)\n"
+            "sz = sin(v)\n"
+            "r = 1/sin(v)\n"
+            "[domain]\n"
+            "umin = 0\numax = 2*pi\nvmin = 0.2\nvmax = 1.3\n")
+        out = tmp_path / "offset.obj"
+        res = run("sample", "--surface", str(cfg), "--construct", "offset:1/4",
+                  "--grid", "12x12", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("vertices=144 ")
+        zs = [float(l.split()[3]) for l in out.read_text().splitlines()
+              if l.startswith("v ")]
+        assert max(abs(z - 1.25) for z in zs) < 1e-12
+
+    def test_sphere_bundle_conchoid_shifts_radius(self, tmp_path):
+        out = tmp_path / "bundle.obj"
+        res = run("sample", "--surface", "sphere-bundle", "--construct", "conchoid:1/2",
+                  "--grid", "6x6", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        verts = np.array([[float(x) for x in l.split()[1:]]
+                          for l in out.read_text().splitlines() if l.startswith("v ")])
+        base = get_entry("sphere-bundle").make_polar(0.0)
+        expect = np.array([(float(base.r(u, v)) + 0.5) * np.asarray(base.s(u, v))
+                           for u, v in zip(*base.domain.grid(6, 6))])
+        assert verts.shape == expect.shape
+        assert np.max(np.abs(verts - expect)) < 1e-10
 
     def test_two_by_two_grid(self, tmp_path):
         out = tmp_path / "tiny.obj"

@@ -54,6 +54,16 @@ class TestPhiGamma:
         with pytest.raises(NonUnitNormal):
             phi(bad, constant_chart(1.0, SPHERE_DOM))
 
+    @pytest.mark.parametrize("build", [
+        lambda n: phi(n, constant_chart(1.0, SPHERE_DOM)),
+        lambda n: gamma(n, constant_chart(1.0, SPHERE_DOM)),
+        lambda n: offset_map(DualSurface(n, constant_chart(1.0, SPHERE_DOM)), 0.5),
+    ], ids=["phi", "gamma", "offset_map"])
+    def test_no_probe_sample_raises_empty_grid(self, build):
+        nan = Chart(lambda u, v: np.full(3, np.nan), domain=SPHERE_DOM)
+        with pytest.raises(EmptyGrid):
+            build(nan)
+
     def test_gamma_unit_sphere(self):
         G = gamma(unit_sphere_normals(), constant_chart(1.0, SPHERE_DOM))
         assert abs(np.linalg.norm(G.point(0.5, -0.2)) - 1.0) < 1e-12
