@@ -209,23 +209,21 @@ def _config_domain(sections) -> Domain:
     )
 
 
-def _vector_chart(sections, keys, domain) -> Chart:
+def _surface_value(sections, key) -> str:
+    """Text of one [surface] key; a missing key is an input error."""
     surf = sections["surface"]
-    fns = []
-    for key in keys:
-        if key not in surf:
-            raise ExprError(f"missing chart expression {key!r}")
-        fns.append(parse_expr(surf[key]))
-    fx, fy, fz = fns
+    if key not in surf:
+        raise ExprError(f"missing chart expression {key!r}")
+    return surf[key]
+
+
+def _vector_chart(sections, keys, domain) -> Chart:
+    fx, fy, fz = (parse_expr(_surface_value(sections, key)) for key in keys)
     return Chart(lambda u, v: np.array([fx(u, v), fy(u, v), fz(u, v)]), domain=domain)
 
 
 def _scalar_config_chart(sections, key, domain) -> Chart:
-    surf = sections["surface"]
-    if key not in surf:
-        raise ExprError(f"missing chart expression {key!r}")
-    fn = parse_expr(surf[key])
-    return Chart(lambda u, v: fn(u, v), domain=domain)
+    return Chart(parse_expr(_surface_value(sections, key)), domain=domain)
 
 
 def load_surface(sections):
@@ -243,18 +241,17 @@ def load_surface(sections):
             _vector_chart(sections, ("nx", "ny", "nz"), domain),
             _scalar_config_chart(sections, "e", domain))
     if kind == "ruled":
-        cx = [parse_expr(sections["surface"][k]) for k in ("cx", "cy", "cz")]
-        ex = [parse_expr(sections["surface"][k]) for k in ("ex", "ey", "ez")]
+        cx = [parse_expr(_surface_value(sections, k)) for k in ("cx", "cy", "cz")]
+        ex = [parse_expr(_surface_value(sections, k)) for k in ("ex", "ey", "ez")]
         ruled = ruledpedal.RuledChart(
             lambda u: np.array([f(u, 0.0) for f in cx]),
             lambda u: np.array([f(u, 0.0) for f in ex]),
             domain=domain,
         )
-        chart = Chart(lambda u, v: ruled.point(u, v), domain=domain)
-        return kind, PointSurface(chart)
+        return kind, PointSurface(Chart(ruled.point, domain=domain))
     if kind == "quadric":
         space = Space.POINT if sections["surface"].get("space", "dual") == "point" else Space.DUAL
-        rows = [r.strip() for r in sections["surface"]["matrix"].split(";")]
+        rows = [r.strip() for r in _surface_value(sections, "matrix").split(";")]
         A = [[Fraction(x) for x in row.split()] for row in rows]
         return kind, quadricpedal.QuadricForm(space, A)
     raise ExprError(f"unknown surface kind {kind!r}")
@@ -361,26 +358,25 @@ def _gallery_surface(entry, construct, d):
     if construct == "self":
         if entry.primary == "point" and entry.point_chart is not None:
             return entry.point_chart
-        if entry.primary == "polar" and entry.make_polar is not None:
-            return entry.make_polar(0.0)
-        if entry.primary == "dual" and entry.make_dual is not None:
-            return surfkit.envelope_surface(entry.make_dual(0.0))
+        if entry.primary == "polar" and entry.polar is not None:
+            return entry.polar
+        if entry.primary == "dual" and entry.dual is not None:
+            return surfkit.envelope_surface(entry.dual)
     elif construct == "pedal":
-        dual = entry.make_dual(0.0) if entry.make_dual is not None else (
+        dual = entry.dual if entry.dual is not None else (
             surfkit.tangent_planes(entry.point_chart) if entry.point_chart is not None else None)
         if dual is not None:
             return surfkit.dual_to_point(dual)
     elif construct == "inverse-pedal":
-        base = entry.point_chart or (entry.make_polar(0.0) if entry.make_polar else None)
+        base = entry.point_chart or entry.polar
         if base is not None:
             return surfkit.envelope_surface(surfkit.point_to_dual(base))
     elif construct == "offset":
-        dual = entry.make_dual(d) if entry.make_dual is not None else None
-        if dual is not None:
-            return surfkit.envelope_surface(dual)
+        if entry.dual is not None:
+            return surfkit.envelope_surface(surfkit.offset_map(entry.dual, d))
     elif construct == "conchoid":
-        if entry.make_polar is not None:
-            return entry.make_polar(d)
+        if entry.polar is not None:
+            return surfkit.conchoid_map(entry.polar, d)
     raise ExprError(f"gallery entry {entry.name!r} does not support construct {construct!r}")
 
 
@@ -395,7 +391,7 @@ def _config_surface(kind, surface, construct, d):
     if construct == "conchoid":
         if isinstance(points, PolarSurface):
             return surfkit.conchoid_map(points, d)
-        chart = points.f if isinstance(points, PointSurface) else None
+        chart = points.f
 
         def shifted(u, v):
             p = np.asarray(chart(u, v), float)
@@ -405,8 +401,7 @@ def _config_surface(kind, surface, construct, d):
         return PointSurface(Chart(shifted, domain=points.domain))
     if construct == "inverse-pedal":
         return surfkit.envelope_surface(surfkit.point_to_dual(points))
-    planes = surface if isinstance(surface, DualSurface) else surfkit.tangent_planes(
-        points.to_point_surface() if isinstance(points, PolarSurface) else points)
+    planes = surface if isinstance(surface, DualSurface) else surfkit.tangent_planes(points)
     if construct == "pedal":
         return surfkit.dual_to_point(planes)
     if construct == "offset":

@@ -36,7 +36,9 @@ from .surfkit import (
     DualSurface,
     PointSurface,
     PolarSurface,
+    conchoid_map,
     envelope_surface,
+    offset_map,
     point_to_dual,
     sample_grid,
 )
@@ -70,9 +72,8 @@ class GalleryEntry:
     expected: tuple[int, int, int, int] | None
     expected_poly: HomPoly4 | None  # polynomial the bookkeeping applies to
     residual_cases: tuple[ResidualCase, ...]
-    ne_charts: object | None  # () -> (n Chart, e Chart), unit normals
-    make_dual: object | None  # d -> DualSurface of tangent planes
-    make_polar: object | None  # d -> PolarSurface
+    dual: DualSurface | None  # tangent planes with unit normals, at d = 0
+    polar: PolarSurface | None  # polar chart at d = 0
     point_chart: PointSurface | None
     extras: dict | None = None
     # (source, expected stripped pullback image), aligned with the source space
@@ -80,10 +81,22 @@ class GalleryEntry:
     # which chart family represents the entry's base surface
     primary: str = "point"
 
+    def ne_charts(self) -> tuple[Chart, Chart]:
+        """Unit normal and support charts of the base plane family."""
+        return self.dual.n, self.dual.e
+
+    def make_dual(self, d: float) -> DualSurface:
+        """Plane family of the offset at distance d."""
+        return offset_map(self.dual, d)
+
+    def make_polar(self, d: float) -> PolarSurface:
+        """Polar chart of the conchoid at distance d."""
+        return conchoid_map(self.polar, d)
+
 
 def residual_report(surface, poly: HomPoly4, nu: int = 60, nv: int = 60) -> ResidualReport:
     """Normalized residuals of a chart against an implicit polynomial."""
-    T, valid = sample_grid(surface.htuple, surface.is_singular, surface.domain, nu, nv)
+    T, valid = sample_grid(surface.htuple, surface.domain, nu, nv)
     if not valid.any():
         raise EmptyGrid("no valid samples on the grid")
     vals = np.abs(poly.eval_grid(T))
@@ -99,15 +112,12 @@ def _plane_paraboloid_parts():
     """Shared charts and polynomials of the plane/paraboloid correspondence."""
     dom = Domain(0.0, 2.0 * math.pi, 0.2, 1.35)
     n = trig_s2(dom)
-
-    def e_chart(d):
-        return Chart(
-            lambda u, v: 1.0 / math.sin(v) + d,
-            lambda u, v: 0.0,
-            lambda u, v: -math.cos(v) / math.sin(v) ** 2,
-            dom,
-        )
-
+    e = Chart(
+        lambda u, v: 1.0 / math.sin(v),
+        lambda u, v: 0.0,
+        lambda u, v: -math.cos(v) / math.sin(v) ** 2,
+        dom,
+    )
     plane = parse_poly("x3 - x0")
     fstar = parse_poly("u1^2 + u2^2 + u3^2 + u0*u3")
 
@@ -123,16 +133,15 @@ def _plane_paraboloid_parts():
         base = QDU + HomPoly4.variable(Space.DUAL, 0) * u3
         return u3 ** 2 * QDU * d ** 2 - base ** 2
 
-    return dom, n, e_chart, plane, fstar, point_family, dual_family
+    return n, e, plane, fstar, point_family, dual_family
 
 
 def _build_plane_conchoid() -> GalleryEntry:
-    dom, n, e_chart, plane, fstar, point_family, dual_family = _plane_paraboloid_parts()
-    make_polar = lambda d: PolarSurface(n, e_chart(d))
-    make_dual = lambda d: DualSurface(n, e_chart(d))
-    cases = [ResidualCase("conchoid d=0 vs plane", make_polar(0.0), plane)]
+    n, e, plane, fstar, point_family, dual_family = _plane_paraboloid_parts()
+    polar = PolarSurface(n, e)
+    cases = [ResidualCase("conchoid d=0 vs plane", polar, plane)]
     for d in (0.7, 0.5, -0.3):
-        cases.append(ResidualCase(f"conchoid d={d}", make_polar(d), point_family(d)))
+        cases.append(ResidualCase(f"conchoid d={d}", conchoid_map(polar, d), point_family(d)))
     return GalleryEntry(
         name="plane-conchoid",
         primary="polar",
@@ -141,22 +150,21 @@ def _build_plane_conchoid() -> GalleryEntry:
         point_family=point_family, dual_family=dual_family,
         expected=(2, 1, 1, 1), expected_poly=fstar,
         residual_cases=tuple(cases),
-        ne_charts=lambda: (n, e_chart(0.0)),
-        make_dual=make_dual, make_polar=make_polar,
+        dual=DualSurface(n, e), polar=polar,
         point_chart=None,
         pullback_pair=(fstar, plane),
     )
 
 
 def _build_paraboloid_offset() -> GalleryEntry:
-    dom, n, e_chart, plane, fstar, point_family, dual_family = _plane_paraboloid_parts()
+    n, e, plane, fstar, point_family, dual_family = _plane_paraboloid_parts()
     paraboloid = parse_poly("x1^2 + x2^2 + 4*x0*x3 - 4*x0^2")
-    make_dual = lambda d: DualSurface(n, e_chart(d))
+    dual = DualSurface(n, e)
     cases = [
-        ResidualCase("dual d=0", make_dual(0.0), fstar),
-        ResidualCase("dual d=1/2", make_dual(0.5), dual_family(Fraction(1, 2))),
-        ResidualCase("dual d=1", make_dual(1.0), dual_family(1)),
-        ResidualCase("envelope vs paraboloid", envelope_surface(make_dual(0.0)), paraboloid),
+        ResidualCase("dual d=0", dual, fstar),
+        ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
+        ResidualCase("dual d=1", offset_map(dual, 1.0), dual_family(1)),
+        ResidualCase("envelope vs paraboloid", envelope_surface(dual), paraboloid),
     ]
     return GalleryEntry(
         name="paraboloid-offset",
@@ -166,9 +174,7 @@ def _build_paraboloid_offset() -> GalleryEntry:
         point_family=point_family, dual_family=dual_family,
         expected=(2, 1, 1, 1), expected_poly=fstar,
         residual_cases=tuple(cases),
-        ne_charts=lambda: (n, e_chart(0.0)),
-        make_dual=make_dual,
-        make_polar=lambda d: PolarSurface(n, e_chart(d)),
+        dual=dual, polar=PolarSurface(n, e),
         point_chart=None,
         pullback_pair=(fstar, plane),
     )
@@ -178,14 +184,12 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
     mf, Rf = Fraction(m), Fraction(R)
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
     n = trig_s2(dom)
-
-    def e_chart(d):
-        return Chart(
-            lambda u, v: float(m) * math.cos(u) * math.cos(v) + float(R) + d,
-            lambda u, v: -float(m) * math.sin(u) * math.cos(v),
-            lambda u, v: -float(m) * math.cos(u) * math.sin(v),
-            dom,
-        )
+    e = Chart(
+        lambda u, v: float(m) * math.cos(u) * math.cos(v) + float(R),
+        lambda u, v: -float(m) * math.sin(u) * math.cos(v),
+        lambda u, v: -float(m) * math.cos(u) * math.sin(v),
+        dom,
+    )
 
     def dual_family(d):
         d = Fraction(d)
@@ -203,15 +207,16 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
 
     fstar = dual_family(0)
     gbar = point_family(0)
-    make_dual = lambda d: DualSurface(n, e_chart(d))
-    make_polar = lambda d: PolarSurface(n, e_chart(d))
+    dual = DualSurface(n, e)
+    polar = PolarSurface(n, e)
     cases = [
-        ResidualCase("dual d=0", make_dual(0.0), fstar),
-        ResidualCase("dual d=1/2", make_dual(0.5), dual_family(Fraction(1, 2))),
-        ResidualCase("dual d=-0.3", make_dual(-0.3), dual_family(Fraction(-3, 10))),
-        ResidualCase("conchoid d=0", make_polar(0.0), gbar),
-        ResidualCase("conchoid d=1/2", make_polar(0.5), point_family(Fraction(1, 2))),
-        ResidualCase("conchoid d=-0.3", make_polar(-0.3), point_family(Fraction(-3, 10))),
+        ResidualCase("dual d=0", dual, fstar),
+        ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
+        ResidualCase("dual d=-0.3", offset_map(dual, -0.3), dual_family(Fraction(-3, 10))),
+        ResidualCase("conchoid d=0", polar, gbar),
+        ResidualCase("conchoid d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
+        ResidualCase("conchoid d=-0.3", conchoid_map(polar, -0.3),
+                     point_family(Fraction(-3, 10))),
     ]
     return GalleryEntry(
         name="sphere-offset",
@@ -221,8 +226,7 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
         point_family=point_family, dual_family=dual_family,
         expected=(2, 0, 0, 4), expected_poly=fstar,
         residual_cases=tuple(cases),
-        ne_charts=lambda: (n, e_chart(0.0)),
-        make_dual=make_dual, make_polar=make_polar,
+        dual=dual, polar=polar,
         point_chart=None,
         pullback_pair=(fstar, gbar),
     )
@@ -231,21 +235,17 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
 def _build_sphere_bundle(m=2) -> GalleryEntry:
     mf = Fraction(m)
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
-    n = trig_s2(dom)
-
-    def r_chart(d):
-        return Chart(
-            lambda u, v: float(m) * math.cos(u) * math.cos(v) + d,
-            lambda u, v: -float(m) * math.sin(u) * math.cos(v),
-            lambda u, v: -float(m) * math.cos(u) * math.sin(v),
-            dom,
-        )
+    polar = PolarSurface(trig_s2(dom), Chart(
+        lambda u, v: float(m) * math.cos(u) * math.cos(v),
+        lambda u, v: -float(m) * math.sin(u) * math.cos(v),
+        lambda u, v: -float(m) * math.cos(u) * math.sin(v),
+        dom,
+    ))
 
     u0, u1 = HomPoly4.variable(Space.DUAL, 0), HomPoly4.variable(Space.DUAL, 1)
     fstar = u0 + u1 * mf
     x0, x1 = HomPoly4.variable(Space.POINT, 0), HomPoly4.variable(Space.POINT, 1)
     gbar = QPT - x0 * x1 * mf
-    make_polar = lambda d: PolarSurface(n, r_chart(d))
     return GalleryEntry(
         name="sphere-bundle",
         primary="polar",
@@ -253,9 +253,8 @@ def _build_sphere_bundle(m=2) -> GalleryEntry:
         point_poly=gbar, dual_poly=fstar,
         point_family=None, dual_family=None,
         expected=(1, 0, 0, 2), expected_poly=fstar,
-        residual_cases=(ResidualCase("OM-sphere polar chart", make_polar(0.0), gbar),),
-        ne_charts=None,
-        make_dual=None, make_polar=make_polar,
+        residual_cases=(ResidualCase("OM-sphere polar chart", polar, gbar),),
+        dual=None, polar=polar,
         point_chart=None,
         pullback_pair=(fstar, gbar),
     )
@@ -308,17 +307,14 @@ def _build_pluecker() -> GalleryEntry:
                                math.cos(u) * math.cos(t), -math.sin(t)]),
         ddom,
     )
-
-    def e_chart(d):
-        return Chart(
-            lambda u, t: math.cos(t) * math.sin(2 * u) + d,
-            lambda u, t: 2.0 * math.cos(t) * math.cos(2 * u),
-            lambda u, t: -math.sin(t) * math.sin(2 * u),
-            ddom,
-        )
-
-    make_dual = lambda d: DualSurface(n, e_chart(d))
-    make_polar = lambda d: PolarSurface(n, e_chart(d))  # pedal conchoids
+    e = Chart(
+        lambda u, t: math.cos(t) * math.sin(2 * u),
+        lambda u, t: 2.0 * math.cos(t) * math.cos(2 * u),
+        lambda u, t: -math.sin(t) * math.sin(2 * u),
+        ddom,
+    )
+    dual = DualSurface(n, e)
+    polar = PolarSurface(n, e)  # its conchoids are the pedals of the offsets
 
     # conchoid family of the conoid itself (rational polar chart)
     cdom = Domain(-1.25, 1.25, 0.12, 1.43)
@@ -331,30 +327,27 @@ def _build_pluecker() -> GalleryEntry:
                                math.sin(u) * math.cos(v), 0.0]),
         cdom,
     )
-
-    def r_a(d):
-        return Chart(
-            lambda u, v: math.sin(2 * v) / math.cos(u) + d,
-            lambda u, v: math.sin(2 * v) * math.sin(u) / math.cos(u) ** 2,
-            lambda u, v: 2.0 * math.cos(2 * v) / math.cos(u),
-            cdom,
-        )
-
-    make_conchoid = lambda d: PolarSurface(s_a, r_a(d))
+    conoid_polar = PolarSurface(s_a, Chart(
+        lambda u, v: math.sin(2 * v) / math.cos(u),
+        lambda u, v: math.sin(2 * v) * math.sin(u) / math.cos(u) ** 2,
+        lambda u, v: 2.0 * math.cos(2 * v) / math.cos(u),
+        cdom,
+    ))
+    conoid_half = conchoid_map(conoid_polar, 0.5)
 
     cases = [
         ResidualCase("point chart vs conoid", point_chart, conoid),
-        ResidualCase("dual d=0", make_dual(0.0), fstar),
-        ResidualCase("dual d=1/2", make_dual(0.5), dual_family(Fraction(1, 2))),
-        ResidualCase("dual d=1", make_dual(1.0), dual_family(1)),
-        ResidualCase("pedal d=0", make_polar(0.0), gbar),
-        ResidualCase("pedal d=1/2", make_polar(0.5), point_family(Fraction(1, 2))),
-        ResidualCase("pedal d=1", make_polar(1.0), point_family(1)),
-        ResidualCase("conchoid d=0", make_conchoid(0.0), conoid),
-        ResidualCase("conchoid d=1/2", make_conchoid(0.5), conchoid_family(Fraction(1, 2))),
-        ResidualCase("conchoid d=1", make_conchoid(1.0), conchoid_family(1)),
-        ResidualCase("inverse-pedal dual d=0", point_to_dual(make_conchoid(0.0)), bstar),
-        ResidualCase("inverse-pedal dual d=1/2", point_to_dual(make_conchoid(0.5)),
+        ResidualCase("dual d=0", dual, fstar),
+        ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
+        ResidualCase("dual d=1", offset_map(dual, 1.0), dual_family(1)),
+        ResidualCase("pedal d=0", polar, gbar),
+        ResidualCase("pedal d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
+        ResidualCase("pedal d=1", conchoid_map(polar, 1.0), point_family(1)),
+        ResidualCase("conchoid d=0", conoid_polar, conoid),
+        ResidualCase("conchoid d=1/2", conoid_half, conchoid_family(Fraction(1, 2))),
+        ResidualCase("conchoid d=1", conchoid_map(conoid_polar, 1.0), conchoid_family(1)),
+        ResidualCase("inverse-pedal dual d=0", point_to_dual(conoid_polar), bstar),
+        ResidualCase("inverse-pedal dual d=1/2", point_to_dual(conoid_half),
                      bdual_family(Fraction(1, 2))),
     ]
     return GalleryEntry(
@@ -365,8 +358,7 @@ def _build_pluecker() -> GalleryEntry:
         point_family=point_family, dual_family=dual_family,
         expected=(3, 2, 0, 4), expected_poly=fstar,
         residual_cases=tuple(cases),
-        ne_charts=lambda: (n, e_chart(0.0)),
-        make_dual=make_dual, make_polar=make_polar,
+        dual=dual, polar=polar,
         point_chart=point_chart,
         pullback_pair=(fstar, gbar),
         extras={
@@ -374,7 +366,6 @@ def _build_pluecker() -> GalleryEntry:
             "conchoid_family": conchoid_family,
             "bstar": bstar,
             "bdual_family": bdual_family,
-            "make_conchoid": make_conchoid,
         },
     )
 
@@ -401,27 +392,25 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
     def numer(s, t):
         return math.cos(s) ** 2 * math.cos(t) ** 2 - 2 * afl * cfl * math.sin(t) ** 2
 
-    def e_chart(d):
-        def e(s, t):
-            return -numer(s, t) / (2 * afl * math.sin(t)) + d
+    def e(s, t):
+        return -numer(s, t) / (2 * afl * math.sin(t))
 
-        def e_ds(s, t):
-            return math.sin(2 * s) * math.cos(t) ** 2 / (2 * afl * math.sin(t))
+    def e_ds(s, t):
+        return math.sin(2 * s) * math.cos(t) ** 2 / (2 * afl * math.sin(t))
 
-        def e_dt(s, t):
-            st, ct = math.sin(t), math.cos(t)
-            dn = -2 * math.cos(s) ** 2 * ct * st - 4 * afl * cfl * st * ct
-            return -(dn * st - numer(s, t) * ct) / (2 * afl * st * st)
+    def e_dt(s, t):
+        st, ct = math.sin(t), math.cos(t)
+        dn = -2 * math.cos(s) ** 2 * ct * st - 4 * afl * cfl * st * ct
+        return -(dn * st - numer(s, t) * ct) / (2 * afl * st * st)
 
-        return Chart(e, e_ds, e_dt, dom)
-
-    make_dual = lambda d: DualSurface(n, e_chart(d))
-    make_polar = lambda d: PolarSurface(n, e_chart(d))
+    e_chart = Chart(e, e_ds, e_dt, dom)
+    dual = DualSurface(n, e_chart)
+    polar = PolarSurface(n, e_chart)
     cases = [
-        ResidualCase("dual d=0", make_dual(0.0), fstar),
-        ResidualCase("dual d=1/2", make_dual(0.5), dual_family(Fraction(1, 2))),
-        ResidualCase("pedal d=0", make_polar(0.0), gbar),
-        ResidualCase("pedal d=1/2", make_polar(0.5), point_family(Fraction(1, 2))),
+        ResidualCase("dual d=0", dual, fstar),
+        ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
+        ResidualCase("pedal d=0", polar, gbar),
+        ResidualCase("pedal d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
     ]
     return GalleryEntry(
         name="parabola-cyclide",
@@ -431,8 +420,7 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
         point_family=point_family, dual_family=dual_family,
         expected=(2, 1, 0, 3), expected_poly=fstar,
         residual_cases=tuple(cases),
-        ne_charts=lambda: (n, e_chart(0.0)),
-        make_dual=make_dual, make_polar=make_polar,
+        dual=dual, polar=polar,
         point_chart=None,
         pullback_pair=(fstar, gbar),
     )
@@ -450,11 +438,9 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
     def point_family(d):
         return strip_exceptional(pedal_pullback(dual_family(d))).reduced
 
-    def charts(d):
-        return paraboloid_offset_chart(a, b, c, d)
-
-    make_dual = lambda d: charts(d).dual
-    make_polar = lambda d: charts(d).polar
+    charts = paraboloid_offset_chart(a, b, c, 0.0)
+    dual = charts.dual
+    polar = charts.polar
     pdom = Domain(-1.5, 1.5, -1.5, 1.5)
     afl, bfl, cfl = float(a), float(b), float(c)
     point_chart = PointSurface(Chart(
@@ -467,12 +453,12 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
     point_implicit = (x1 ** 2 * Fraction(a) + x2 ** 2 * Fraction(b)
                       + x0 ** 2 * (2 * Fraction(c)) - x0 * x3 * 2)
     cases = [
-        ResidualCase("dual d=0", make_dual(0.0), fstar),
-        ResidualCase("dual d=1/2", make_dual(0.5), dual_family(Fraction(1, 2))),
-        ResidualCase("pedal d=0", make_polar(0.0), gbar),
-        ResidualCase("pedal d=1/2", make_polar(0.5), point_family(Fraction(1, 2))),
+        ResidualCase("dual d=0", dual, fstar),
+        ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
+        ResidualCase("pedal d=0", polar, gbar),
+        ResidualCase("pedal d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
         ResidualCase("point chart vs paraboloid", point_chart, point_implicit),
-        ResidualCase("envelope vs paraboloid", envelope_surface(make_dual(0.0)), point_implicit),
+        ResidualCase("envelope vs paraboloid", envelope_surface(dual), point_implicit),
     ]
     return GalleryEntry(
         name="paraboloid-pedal",
@@ -482,8 +468,7 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
         point_family=point_family, dual_family=dual_family,
         expected=(2, 1, 0, 3), expected_poly=fstar,
         residual_cases=tuple(cases),
-        ne_charts=lambda: (charts(0.0).dual.n, charts(0.0).dual.e),
-        make_dual=make_dual, make_polar=make_polar,
+        dual=dual, polar=polar,
         point_chart=point_chart,
         pullback_pair=(fstar, gbar),
         extras={"point_implicit": point_implicit},
@@ -523,9 +508,7 @@ def _build_sphere_inverse_pedal(m=2, r=1) -> GalleryEntry:
         point_family=None, dual_family=None,
         expected=(2, 0, 1, 2), expected_poly=gsphere,
         residual_cases=tuple(cases),
-        ne_charts=None,
-        make_dual=None,
-        make_polar=None,
+        dual=None, polar=None,
         point_chart=sphere_chart,
         pullback_pair=(gsphere, result.dual),
         extras={"result": result},
@@ -576,17 +559,13 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
         w = den / (2.0 * t)
         return vec, w
 
-    def make_polar(d):
-        return PolarSurface(
-            Chart(lambda u, t: polar_parts(u, t)[0], domain=tdom),
-            Chart(lambda u, t: polar_parts(u, t)[1] + d, domain=tdom),
-        )
-
+    polar = PolarSurface(Chart(lambda u, t: polar_parts(u, t)[0], domain=tdom),
+                         Chart(lambda u, t: polar_parts(u, t)[1], domain=tdom))
     planes = point_to_dual(ruled_points)
     cases = [
         ResidualCase("ruled chart vs cylinder", ruled_points, gcyl),
         ResidualCase("image planes vs quartic", planes, fstar),
-        ResidualCase("rational polar chart", make_polar(0.0), gcyl),
+        ResidualCase("rational polar chart", polar, gcyl),
     ]
     return GalleryEntry(
         name="quadratic-cylinder",
@@ -596,9 +575,7 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
         point_family=None, dual_family=None,
         expected=(2, 0, 0, 4), expected_poly=gcyl,
         residual_cases=tuple(cases),
-        ne_charts=None,
-        make_dual=None,
-        make_polar=make_polar,
+        dual=None, polar=polar,
         point_chart=ruled_points,
         pullback_pair=(gcyl, fstar),
         extras={

@@ -84,6 +84,27 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _square_terms(a: dict) -> dict:
+    """a*a, equal to _mul_terms(a, a) in value and term order.
+
+    Each product of two distinct terms is computed once and doubled; the
+    pairs run in the order in which _mul_terms first meets them.  The
+    products are integers over the common denominator of the coefficients.
+    """
+    den = math.lcm(*(c.denominator for c in a.values()))
+    items = [(e, c.numerator * (den // c.denominator)) for e, c in a.items()]
+    out: dict[Exponents, int] = {}
+    for i, ((a0, a1, a2, a3), ca) in enumerate(items):
+        e = (2 * a0, 2 * a1, 2 * a2, 2 * a3)
+        out[e] = out.get(e, 0) + ca * ca
+        twice = 2 * ca
+        for (b0, b1, b2, b3), cb in items[i + 1:]:
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            out[e] = out.get(e, 0) + twice * cb
+    den *= den
+    return {e: Fraction(c, den) for e, c in out.items() if c}
+
+
 def _pow_terms(a: dict, n: int) -> dict:
     """a**n by repeated squaring."""
     result = {_CONST: Fraction(1)}
@@ -92,7 +113,7 @@ def _pow_terms(a: dict, n: int) -> dict:
             result = _mul_terms(a, result)
         n >>= 1
         if n:
-            a = _mul_terms(a, a)
+            a = _square_terms(a)
     return result
 
 
@@ -368,8 +389,8 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
             mono = {(e0 - k, e1, e2, e3): c * math.comb(e0, k)}
             _add_terms(odd if k % 2 else even, _mul_terms(mono, t2pow[k // 2]))
     # (even + t*odd) * (even - t*odd) = even^2 - t^2*odd^2
-    terms = _mul_terms(even, even)
-    _add_terms(terms, _mul_terms(t2, _mul_terms(odd, odd)), -1)
+    terms = _square_terms(even)
+    _add_terms(terms, _mul_terms(t2, _square_terms(odd)), -1)
     return HomPoly4(Space.DUAL, terms)
 
 

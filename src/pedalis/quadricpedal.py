@@ -472,12 +472,10 @@ def bisector_from_inverse_pedal(G: PointSurface) -> PointSurface:
 
     guarded_surface = PointSurface(Chart(
         guarded, g.du if g.has_analytic_partials else None,
-        g.dv if g.has_analytic_partials else None, g.domain,
-        singular=lambda u, v: G.is_singular(u, v)))
+        g.dv if g.has_analytic_partials else None, g.domain))
     F = point_to_dual(guarded_surface)
 
     def f(u, v):
         return 0.5 * envelope_solve(F, u, v)
 
-    return PointSurface(Chart(f, domain=g.domain,
-                              singular=lambda u, v: G.is_singular(u, v)))
+    return PointSurface(Chart(f, domain=g.domain))

@@ -24,27 +24,32 @@ from .errors import (
     OriginOnSurface,
     ZeroDirection,
 )
-from .surfkit import Chart, Domain, DualSurface, PolarSurface
+from .surfkit import Chart, Domain, DualSurface, PolarSurface, _guarded_solve
 
 _EPS = 1e-12
+
+# central-difference step for the curve derivatives of ruled charts
+_H = 1e-6
+
+
+def _derive(fn, u):
+    return (np.asarray(fn(u + _H), float) - np.asarray(fn(u - _H), float)) / (2 * _H)
 
 
 class RuledChart:
     """Ruling chart c(u) + v e(u) with derivative access.
 
     Analytic derivatives of the directrix and direction are used when
-    given, otherwise central differences with step h.
+    given, otherwise central differences with step ``_H``.
     """
 
     def __init__(self, c, e, dc=None, de=None,
-                 domain: Domain = Domain(0.0, 1.0, -1.0, 1.0),
-                 h: float = 1e-6):
+                 domain: Domain = Domain(0.0, 1.0, -1.0, 1.0)):
         self.c = c
         self.e = e
         self._dc = dc
         self._de = de
         self.domain = domain
-        self.h = h
 
     def point(self, u, v) -> np.ndarray:
         return np.asarray(self.c(u), float) + v * np.asarray(self.e(u), float)
@@ -58,18 +63,12 @@ class RuledChart:
     def dc(self, u) -> np.ndarray:
         if self._dc is not None:
             return np.asarray(self._dc(u), float)
-        h = self.h
-        return (np.asarray(self.c(u + h), float) - np.asarray(self.c(u - h), float)) / (2 * h)
+        return _derive(self.c, u)
 
     def de(self, u) -> np.ndarray:
         if self._de is not None:
             return np.asarray(self._de(u), float)
-        h = self.h
-        return (np.asarray(self.e(u + h), float) - np.asarray(self.e(u - h), float)) / (2 * h)
-
-
-def _derive(fn, u, h):
-    return (np.asarray(fn(u + h), float) - np.asarray(fn(u - h), float)) / (2 * h)
+        return _derive(self.e, u)
 
 
 def footpoint_curve(R: RuledChart):
@@ -220,18 +219,18 @@ class RuledOffsetSurface(DualSurface):
             n = ns + v * n2
             return f, n, w
 
-        def n_chart(u, t):
+        def plane_normal(u, t):
             return assemble(u, t)[1]
 
-        def e_chart(u, t):
+        def support(u, t):
             f, n, w = assemble(u, t)
             return float(f @ n) + d * w
 
         self._assemble = assemble
         self._conic = conic
         super().__init__(
-            Chart(n_chart, domain=domain),
-            Chart(e_chart, domain=domain),
+            Chart(plane_normal, domain=domain),
+            Chart(support, domain=domain),
         )
 
     def conic_coords(self, u, t) -> tuple[float, float, float]:
@@ -298,7 +297,7 @@ def _footpoint_frame(R: RuledChart, u: float):
     """Foot-point directrix d(u), its derivative, e(u) and e'(u)."""
     dfun = footpoint_curve(R)
     d = dfun(u)
-    ddot = _derive(dfun, u, R.h)
+    ddot = _derive(dfun, u)
     return d, ddot, R.direction(u), R.de(u)
 
 
@@ -328,12 +327,7 @@ def inverse_pedal_ruled(R: RuledChart, u: float, v: float) -> np.ndarray:
         2.0 * (float(d @ ddot) + w * w * float(e @ edot)),
         2.0 * w * float(e @ e),
     ])
-    if not np.isfinite(M).all():
-        raise DegenerateSystem("inverse pedal system has a non-finite entry")
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateSystem(f"inverse pedal system condition {cond:.3g}")
-    return np.linalg.solve(M, rhs)
+    return _guarded_solve(M, rhs, DegenerateSystem, "inverse pedal")
 
 
 @dataclass(frozen=True)

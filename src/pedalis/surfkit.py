@@ -3,8 +3,8 @@
 A surface enters the kernel in one of three representations:
 
 * ``DualSurface``   -- chart of tangent planes (n(u,v), e(u,v)),
-* ``PolarSurface``  -- polar chart r(u,v)*s(u,v) with unit s,
-* ``PointSurface``  -- plain point chart f(u,v).
+* ``PointSurface``  -- plain point chart f(u,v),
+* ``PolarSurface``  -- a point surface given as r(u,v)*s(u,v) with unit s.
 
 The foot-point map exchanges dual and point/polar charts pointwise; the
 envelope solver recovers point charts from plane charts by solving the
@@ -27,8 +27,9 @@ from .errors import (
 )
 from .projmaps import AffPlane, alpha_affine
 
-# Envelope solves with an estimated condition number above this are
-# treated as degenerate (developable / plane / point cases).
+# 3x3 solves (envelope, inverse pedal of ruled charts) with an estimated
+# condition number above this are treated as degenerate (developable /
+# plane / point cases).
 COND_LIMIT = 1e12
 
 # Largest deviation of |n| from 1 that phi, gamma and offset_map accept.
@@ -67,17 +68,15 @@ class Chart:
     """Smooth map (u,v) -> scalar or vector with derivative access.
 
     Analytic partials are used when given; otherwise central differences
-    with step ``fd_step`` (default 1e-6 times the domain span).  ``singular``
-    optionally flags parameter values to be dropped by samplers.
+    with step ``fd_step`` (default 1e-6 times the domain span).
     """
 
     def __init__(self, f, du=None, dv=None, domain: Domain = UNIT_SQUARE,
-                 fd_step: float | None = None, singular=None):
+                 fd_step: float | None = None):
         self._f = f
         self._du = du
         self._dv = dv
         self.domain = domain
-        self._singular = singular
         span = max(domain.uspan, domain.vspan, 1e-6)
         self._h = fd_step if fd_step is not None else 1e-6 * span
 
@@ -100,9 +99,6 @@ class Chart:
         h = self._h
         return (np.asarray(self._f(u, v + h)) - np.asarray(self._f(u, v - h))) / (2 * h)
 
-    def is_singular(self, u: float, v: float) -> bool:
-        return bool(self._singular(u, v)) if self._singular is not None else False
-
 
 def constant_chart(value, domain: Domain = UNIT_SQUARE) -> Chart:
     val = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
@@ -110,12 +106,12 @@ def constant_chart(value, domain: Domain = UNIT_SQUARE) -> Chart:
     return Chart(lambda u, v: val, lambda u, v: zero, lambda u, v: zero, domain)
 
 
-def sample_grid(value, singular, domain: Domain, nu: int, nv: int):
+def sample_grid(value, domain: Domain, nu: int, nv: int):
     """Evaluate ``value(u, v)`` over ``domain.grid(nu, nv)``; (rows, valid).
 
-    The one drop rule of the kernel: a sample is dropped when ``singular``
-    flags it, when ``value`` raises a GeometryError, or when any entry of
-    its value is non-finite.  Any other exception propagates.  ``rows``
+    The one drop rule of the kernel: a sample is dropped when ``value``
+    raises a GeometryError or when any entry of its value is non-finite,
+    and for no other reason.  Any other exception propagates.  ``rows``
     stacks the kept values in grid order and ``valid`` is the (nu*nv,)
     mask of kept samples.
     """
@@ -124,8 +120,6 @@ def sample_grid(value, singular, domain: Domain, nu: int, nv: int):
     # non-finite samples are dropped by contract, so their warnings are noise
     with np.errstate(all="ignore"):
         for k, (u, v) in enumerate(zip(U, V)):
-            if singular(u, v):
-                continue
             try:
                 rows.append(value(u, v))
             except GeometryError:
@@ -140,7 +134,7 @@ def sample_grid(value, singular, domain: Domain, nu: int, nv: int):
 
 def _probe_unit(n_chart: Chart, samples: int = 5):
     dom = n_chart.domain
-    rows, valid = sample_grid(n_chart, n_chart.is_singular, dom, samples, samples)
+    rows, valid = sample_grid(n_chart, dom, samples, samples)
     if not valid.any():
         raise EmptyGrid("no valid sample to probe the unit length on")
     norms = np.linalg.norm(rows, axis=1)
@@ -166,9 +160,6 @@ class DualSurface:
         n = np.asarray(self.n(u, v), float)
         return np.concatenate(([-float(self.e(u, v))], n))
 
-    def is_singular(self, u, v) -> bool:
-        return self.n.is_singular(u, v) or self.e.is_singular(u, v)
-
 
 class PointSurface:
     """Plain point chart f(u,v)."""
@@ -183,33 +174,20 @@ class PointSurface:
     def htuple(self, u, v) -> np.ndarray:
         return np.concatenate(([1.0], self.point(u, v)))
 
-    def is_singular(self, u, v) -> bool:
-        return self.f.is_singular(u, v)
 
+class PolarSurface(PointSurface):
+    """Point surface r(u,v)*s(u,v) with s on the unit sphere.
 
-class PolarSurface:
-    """Polar chart r(u,v)*s(u,v); s stays on the unit sphere."""
+    The point chart ``f`` has no analytic partials: it is differenced.
+    """
 
     def __init__(self, s: Chart, r: Chart):
         self.s = s
         self.r = r
-        self.domain = s.domain
+        super().__init__(Chart(self.point, domain=s.domain))
 
     def point(self, u, v) -> np.ndarray:
         return float(self.r(u, v)) * np.asarray(self.s(u, v), dtype=float)
-
-    def htuple(self, u, v) -> np.ndarray:
-        return np.concatenate(([1.0], self.point(u, v)))
-
-    def to_point_surface(self) -> PointSurface:
-        return PointSurface(Chart(
-            lambda u, v: self.point(u, v),
-            domain=self.domain,
-            singular=lambda u, v: self.is_singular(u, v),
-        ))
-
-    def is_singular(self, u, v) -> bool:
-        return self.s.is_singular(u, v) or self.r.is_singular(u, v)
 
 
 # -- constructors and the offset / conchoid maps --------------------------
@@ -228,13 +206,9 @@ def gamma(s_chart: Chart, r_chart: Chart) -> PolarSurface:
 
 
 def _shift_chart(e: Chart, d: float) -> Chart:
-    return Chart(
-        lambda u, v: float(e(u, v)) + d,
-        (lambda u, v: e.du(u, v)),
-        (lambda u, v: e.dv(u, v)),
-        e.domain,
-        singular=e.is_singular,
-    )
+    """The chart e + d; its partials are those of e."""
+    f = e._f
+    return Chart(lambda u, v: float(f(u, v)) + d, e.du, e.dv, e.domain)
 
 
 def offset_map(F: DualSurface, d: float) -> DualSurface:
@@ -263,22 +237,25 @@ def envelope_solve(F: DualSurface, u: float, v: float) -> np.ndarray:
         np.asarray(F.n.du(u, v), float),
         np.asarray(F.n.dv(u, v), float),
     ])
-    if not np.isfinite(M).all():
-        raise DegenerateEnvelope("envelope system has a non-finite entry")
     rhs = np.array([float(F.e(u, v)), float(F.e.du(u, v)), float(F.e.dv(u, v))])
+    return _guarded_solve(M, rhs, DegenerateEnvelope, "envelope")
+
+
+def _guarded_solve(M: np.ndarray, rhs: np.ndarray, error: type[GeometryError],
+                   what: str) -> np.ndarray:
+    """Solve the 3x3 system M x = rhs, raising ``error`` when M has a
+    non-finite entry or a condition number above COND_LIMIT."""
+    if not np.isfinite(M).all():
+        raise error(f"{what} system has a non-finite entry")
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateEnvelope(f"envelope system condition {cond:.3g}")
+        raise error(f"{what} system condition {cond:.3g}")
     return np.linalg.solve(M, rhs)
 
 
 def envelope_surface(F: DualSurface) -> PointSurface:
     """Point chart of the envelope of a dual surface."""
-    return PointSurface(Chart(
-        lambda u, v: envelope_solve(F, u, v),
-        domain=F.domain,
-        singular=lambda u, v: F.is_singular(u, v),
-    ))
+    return PointSurface(Chart(lambda u, v: envelope_solve(F, u, v), domain=F.domain))
 
 
 # -- foot-point map on charts ----------------------------------------------
@@ -288,18 +265,15 @@ def dual_to_point(F: DualSurface) -> PointSurface:
     """Pedal chart: the foot-point map applied to each tangent plane."""
     def f(u, v):
         return alpha_affine(F.plane(u, v))
-    return PointSurface(Chart(f, domain=F.domain,
-                              singular=lambda u, v: F.is_singular(u, v)))
+    return PointSurface(Chart(f, domain=F.domain))
 
 
-def point_to_dual(G: PointSurface | PolarSurface) -> DualSurface:
+def point_to_dual(G: PointSurface) -> DualSurface:
     """Inverse pedal chart: plane x.g = g.g through each point.
 
     The resulting plane chart has analytic partials whenever the point
     chart does (n = g, e = g.g need only first derivatives of g).
     """
-    if isinstance(G, PolarSurface):
-        G = G.to_point_surface()
     g = G.f
 
     def n(u, v):
@@ -315,11 +289,7 @@ def point_to_dual(G: PointSurface | PolarSurface) -> DualSurface:
         n_dv = g.dv
         e_du = lambda u, v: 2.0 * float(np.asarray(g(u, v), float) @ np.asarray(g.du(u, v), float))
         e_dv = lambda u, v: 2.0 * float(np.asarray(g(u, v), float) @ np.asarray(g.dv(u, v), float))
-    sing = lambda u, v: G.is_singular(u, v)
-    return DualSurface(
-        Chart(n, n_du, n_dv, g.domain, singular=sing),
-        Chart(e, e_du, e_dv, g.domain, singular=sing),
-    )
+    return DualSurface(Chart(n, n_du, n_dv, g.domain), Chart(e, e_du, e_dv, g.domain))
 
 
 def tangent_planes(G: PointSurface) -> DualSurface:
@@ -341,11 +311,8 @@ def tangent_planes(G: PointSurface) -> DualSurface:
     h = 1e-6 * max(g.domain.uspan, g.domain.vspan, 1e-6)
     if not g.has_analytic_partials:
         h = 5e-4 * max(g.domain.uspan, g.domain.vspan, 1e-6)
-    sing = lambda u, v: G.is_singular(u, v)
-    return DualSurface(
-        Chart(n, domain=g.domain, fd_step=h, singular=sing),
-        Chart(e, domain=g.domain, fd_step=h, singular=sing),
-    )
+    return DualSurface(Chart(n, domain=g.domain, fd_step=h),
+                       Chart(e, domain=g.domain, fd_step=h))
 
 
 # -- commuting diagrams -----------------------------------------------------
@@ -363,8 +330,8 @@ def commutation_check(n_chart: Chart, e_chart: Chart, d: float,
     an exceptional set, are masked out; EmptyGrid is raised when no sample
     reaches a comparison.
     """
-    rows_n, valid_n = sample_grid(n_chart, n_chart.is_singular, n_chart.domain, *grid)
-    rows_e, valid_e = sample_grid(e_chart, e_chart.is_singular, n_chart.domain, *grid)
+    rows_n, valid_n = sample_grid(n_chart, n_chart.domain, *grid)
+    rows_e, valid_e = sample_grid(e_chart, n_chart.domain, *grid)
     if not (valid_n & valid_e).any():
         raise EmptyGrid("no valid sample on the diagram grid")
     n = rows_n[valid_e[valid_n]]
@@ -411,7 +378,7 @@ def sample_mesh(S, nu: int, nv: int) -> Mesh:
     """
     if nu < 2 or nv < 2:
         raise ValueError("mesh grids need at least 2 samples per direction")
-    verts, valid = sample_grid(S.point, S.is_singular, S.domain, nu, nv)
+    verts, valid = sample_grid(S.point, S.domain, nu, nv)
     if not valid.any():
         raise EmptyMesh("no valid samples on the grid")
     index = np.full(nu * nv, -1)

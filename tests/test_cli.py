@@ -246,6 +246,23 @@ class TestSample:
                   "--grid", "4x4", "--out", str(tmp_path / "x.obj"))
         assert res.returncode == 1
 
+    def test_ruled_config_missing_key_is_an_input_error(self, tmp_path):
+        cfg = tmp_path / "ruled.cfg"
+        cfg.write_text("[surface]\nkind = ruled\ncx = cos(u)\ncy = sin(u)\n")
+        res = run("sample", "--surface", str(cfg), "--grid", "4x4",
+                  "--out", str(tmp_path / "x.obj"))
+        assert res.returncode == 1
+        assert res.stderr == "error: missing chart expression 'cz'\n"
+
+    def test_quadric_config_missing_matrix_is_an_input_error(self, tmp_path):
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text("[surface]\nkind = quadric\nspace = dual\n")
+        for args in (("sample", "--surface", str(cfg), "--out", str(tmp_path / "x.obj")),
+                     ("implicit", "--direction", "pedal", "--surface", str(cfg))):
+            res = run(*args)
+            assert res.returncode == 1, args
+            assert res.stderr == "error: missing chart expression 'matrix'\n", args
+
 
 class TestExpressions:
     def test_ieee_results_instead_of_exceptions(self):
@@ -303,8 +320,7 @@ class TestVerify:
 
         class Singular:
             def ne_charts(self):
-                n = Chart(lambda u, v: np.array([0.0, 0.0, 1.0]), domain=dom,
-                          singular=lambda u, v: True)
+                n = Chart(lambda u, v: np.array([0.0, 0.0, math.nan]), domain=dom)
                 return n, constant_chart(1.0, dom)
 
         monkeypatch.setattr(verify.gallery, "get_entry", lambda name: Singular())

@@ -104,9 +104,8 @@ class TestResidualSuite:
         assert rep.max > 1e-3
 
     def test_empty_grid(self):
-        dead = PointSurface(Chart(lambda u, v: np.array([1.0, 0.0, 0.0]),
-                                  domain=Domain(0, 1, 0, 1),
-                                  singular=lambda u, v: True))
+        dead = PointSurface(Chart(lambda u, v: np.array([1.0, 0.0, np.inf]),
+                                  domain=Domain(0, 1, 0, 1)))
         with pytest.raises(EmptyGrid):
             residual_report(dead, parse_poly("x3 - x0"))
 
@@ -115,6 +114,26 @@ class TestResidualSuite:
                                     domain=Domain(0, 1, 0, 1)))
         with pytest.raises(TypeError):
             residual_report(broken, parse_poly("x3 - x0"))
+
+
+class TestShiftedCharts:
+    @pytest.mark.parametrize("name", list_entries())
+    def test_offsets_and_conchoids_shift_the_base(self, name):
+        entry = get_entry(name)
+        dom = (entry.dual or entry.polar or entry.point_chart).domain
+        u = 0.3 * dom.umin + 0.7 * dom.umax
+        v = 0.6 * dom.vmin + 0.4 * dom.vmax
+        for d in (-0.3, 0.5):
+            if entry.dual is not None:
+                F = entry.make_dual(d)
+                assert F.n is entry.dual.n
+                assert F.e(u, v) == entry.dual.e(u, v) + d
+                assert F.e.du(u, v) == entry.dual.e.du(u, v)
+                assert F.e.dv(u, v) == entry.dual.e.dv(u, v)
+            if entry.polar is not None:
+                G = entry.make_polar(d)
+                assert G.s is entry.polar.s
+                assert G.r(u, v) == entry.polar.r(u, v) + d
 
 
 class TestDegreeData:

@@ -79,6 +79,18 @@ class TestPhiGamma:
         G = gamma(unit_sphere_normals(), constant_chart(0.0, SPHERE_DOM))
         assert np.all(G.point(0.7, 0.1) == 0.0)
 
+    def test_polar_surface_is_a_point_surface(self):
+        r = Chart(lambda u, v: 2.0 + math.cos(u) * math.sin(v), domain=SPHERE_DOM)
+        G = gamma(unit_sphere_normals(), r)
+        assert isinstance(G, PointSurface) and not G.f.has_analytic_partials
+        plain = PointSurface(Chart(G.point, domain=SPHERE_DOM))
+        F, P = point_to_dual(G), point_to_dual(plain)
+        for u, v in [(0.3, 0.2), (1.7, -0.9)]:
+            assert np.array_equal(G.f(u, v), G.point(u, v))
+            assert np.array_equal(G.htuple(u, v), np.concatenate(([1.0], G.point(u, v))))
+            assert F.e(u, v) == P.e(u, v)
+            assert np.array_equal(F.n.du(u, v), P.n.du(u, v))
+
 
 class TestOffsetConchoidMaps:
     def test_offset_identity_at_zero(self):
@@ -227,8 +239,7 @@ class TestCommutation:
                 assert commutation_check(n, e, d, grid=(15, 15)) < 1e-9, (name, d)
 
     @pytest.mark.parametrize("n", [
-        Chart(lambda u, v: np.array([0.0, 0.0, 1.0]), domain=UNIT_DOM,
-              singular=lambda u, v: True),
+        Chart(lambda u, v: np.array([0.0, 0.0, math.nan]), domain=UNIT_DOM),
         # zero normal: every offset plane R(-(e+d),0,0,0) is the ideal plane
         constant_chart([0.0, 0.0, 0.0], UNIT_DOM),
     ], ids=["everywhere-singular", "zero-normal"])
@@ -268,8 +279,8 @@ class TestMesh:
 
     def test_singular_samples_dropped(self):
         dom = Domain(0.0, 1.0, 0.0, 1.0)
-        S = PointSurface(Chart(lambda u, v: np.array([u, v, 0.0]), domain=dom,
-                               singular=lambda u, v: u < 0.25))
+        S = PointSurface(Chart(lambda u, v: np.array([u, v, math.inf if u < 0.25 else 0.0]),
+                               domain=dom))
         mesh = sample_mesh(S, 4, 4)
         assert len(mesh.vertices) == 12
 
@@ -297,8 +308,8 @@ class TestMesh:
         nu, nv = 7, 5
         dom = Domain(0.0, 1.0, 0.0, 2.0)
         hole = lambda u, v: math.sin(37.0 * u + 11.0 * v) > 0.6
-        S = PointSurface(Chart(lambda u, v: np.array([u, v, u * v]), domain=dom,
-                               singular=hole))
+        S = PointSurface(Chart(lambda u, v: np.array([u, v, math.nan if hole(u, v) else u * v]),
+                               domain=dom))
         mesh = sample_mesh(S, nu, nv)
         # reference: the per-cell double loop of the scalar mesher
         index = -np.ones((nu, nv), dtype=int)
