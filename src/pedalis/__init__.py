@@ -37,6 +37,7 @@ from .surfkit import (
     PolarSurface,
     commutation_check,
     conchoid_map,
+    construct,
     dual_to_point,
     envelope_solve,
     envelope_surface,

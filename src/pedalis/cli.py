@@ -44,12 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
-
-
-class SystemExit2(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+        raise ExprError(message)
 
 
 # -- expression grammar for config charts -------------------------------------
@@ -202,11 +197,14 @@ def parse_config(path: str) -> dict:
 
 
 def _config_domain(sections) -> Domain:
-    dom = sections.get("domain", {})
-    return Domain(
-        eval_const(dom.get("umin", "0")), eval_const(dom.get("umax", "1")),
-        eval_const(dom.get("vmin", "0")), eval_const(dom.get("vmax", "1")),
-    )
+    dom = {"umin": "0", "umax": "1", "vmin": "0", "vmax": "1", **sections.get("domain", {})}
+    # a bound like 1/0 is an input error, reported below, not a warning
+    with np.errstate(all="ignore"):
+        bounds = {key: eval_const(dom[key]) for key in ("umin", "umax", "vmin", "vmax")}
+    for key, value in bounds.items():
+        if not np.isfinite(value):
+            raise ExprError(f"domain bound {key} = {dom[key]!r} is not finite")
+    return Domain(**bounds)
 
 
 def _surface_value(sections, key) -> str:
@@ -354,66 +352,6 @@ def cmd_implicit(args) -> int:
 # -- sample subcommand ---------------------------------------------------------------
 
 
-def _gallery_surface(entry, construct, d):
-    if construct == "self":
-        if entry.primary == "point" and entry.point_chart is not None:
-            return entry.point_chart
-        if entry.primary == "polar" and entry.polar is not None:
-            return entry.polar
-        if entry.primary == "dual" and entry.dual is not None:
-            return surfkit.envelope_surface(entry.dual)
-    elif construct == "pedal":
-        dual = entry.dual if entry.dual is not None else (
-            surfkit.tangent_planes(entry.point_chart) if entry.point_chart is not None else None)
-        if dual is not None:
-            return surfkit.dual_to_point(dual)
-    elif construct == "inverse-pedal":
-        base = entry.point_chart or entry.polar
-        if base is not None:
-            return surfkit.envelope_surface(surfkit.point_to_dual(base))
-    elif construct == "offset":
-        if entry.dual is not None:
-            return surfkit.envelope_surface(surfkit.offset_map(entry.dual, d))
-    elif construct == "conchoid":
-        if entry.polar is not None:
-            return surfkit.conchoid_map(entry.polar, d)
-    raise ExprError(f"gallery entry {entry.name!r} does not support construct {construct!r}")
-
-
-def _config_surface(kind, surface, construct, d):
-    if kind == "quadric":
-        raise ExprError("quadric configs feed the implicit command, not sample")
-    if construct == "self":
-        if isinstance(surface, DualSurface):
-            return surfkit.envelope_surface(surface)
-        return surface
-    points = surfkit.envelope_surface(surface) if isinstance(surface, DualSurface) else surface
-    if construct == "conchoid":
-        if isinstance(points, PolarSurface):
-            return surfkit.conchoid_map(points, d)
-        chart = points.f
-
-        def shifted(u, v):
-            p = np.asarray(chart(u, v), float)
-            nrm = np.linalg.norm(p)
-            return p * (1.0 + d / nrm)
-
-        return PointSurface(Chart(shifted, domain=points.domain))
-    if construct == "inverse-pedal":
-        return surfkit.envelope_surface(surfkit.point_to_dual(points))
-    planes = surface if isinstance(surface, DualSurface) else surfkit.tangent_planes(points)
-    if construct == "pedal":
-        return surfkit.dual_to_point(planes)
-    if construct == "offset":
-        def offset_point(u, v):
-            n = np.asarray(planes.n(u, v), float)
-            nn = np.linalg.norm(n)
-            return points.point(u, v) + d * n / nn
-
-        return PointSurface(Chart(offset_point, domain=planes.domain))
-    raise ExprError(f"unknown construct {construct!r}")
-
-
 def cmd_sample(args) -> int:
     m = re.fullmatch(r"(\d+)x(\d+)", args.grid)
     if not m:
@@ -421,18 +359,22 @@ def cmd_sample(args) -> int:
     nu, nv = int(m.group(1)), int(m.group(2))
     if nu < 2 or nv < 2:
         raise ExprError("grid needs at least 2 samples per direction")
-    construct = args.construct
-    d = 0.0
-    if ":" in construct:
-        construct, dtxt = construct.split(":", 1)
-        d = float(Fraction(dtxt))
-    if construct not in ("self", "pedal", "inverse-pedal", "offset", "conchoid"):
+    construct, colon, dtxt = args.construct.partition(":")
+    if construct not in surfkit.CONSTRUCTS:
         raise ExprError(f"unknown construct {args.construct!r}")
+    if colon and construct not in ("offset", "conchoid"):
+        raise ExprError(f"construct {construct!r} takes no distance")
+    try:
+        d = float(Fraction(dtxt)) if colon else 0.0
+    except (ZeroDivisionError, OverflowError):
+        raise ExprError(f"distance {dtxt!r} is not a finite number")
     if args.surface in gallery.list_entries():
-        surface = _gallery_surface(gallery.get_entry(args.surface), construct, d)
+        surface = gallery.get_entry(args.surface).construct(construct, d)
     elif os.path.exists(args.surface):
         kind, surf = load_surface(parse_config(args.surface))
-        surface = _config_surface(kind, surf, construct, d)
+        if kind == "quadric":
+            raise ExprError("quadric configs feed the implicit command, not sample")
+        surface = surfkit.construct(surf, construct, d)
     else:
         raise ExprError(f"unknown surface {args.surface!r} (gallery name or config path)")
     try:
@@ -529,9 +471,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ExprError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

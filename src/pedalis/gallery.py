@@ -37,6 +37,7 @@ from .surfkit import (
     PointSurface,
     PolarSurface,
     conchoid_map,
+    construct,
     envelope_surface,
     offset_map,
     point_to_dual,
@@ -92,6 +93,26 @@ class GalleryEntry:
     def make_polar(self, d: float) -> PolarSurface:
         """Polar chart of the conchoid at distance d."""
         return conchoid_map(self.polar, d)
+
+    def construct(self, name: str, d: float = 0.0) -> PointSurface:
+        """``surfkit.construct`` on its member: ``self`` on the primary one,
+        ``pedal`` on F (``dual``, else the point chart), ``inverse-pedal`` on
+        the point chart (else ``polar``); ``offset`` and ``conchoid`` are
+        ``self`` of ``make_dual(d)`` and ``make_polar(d)``."""
+        base = None
+        if name == "self":
+            base = getattr(self, "point_chart" if self.primary == "point" else self.primary)
+        elif name == "pedal":
+            base = self.dual if self.dual is not None else self.point_chart
+        elif name == "inverse-pedal":
+            base = self.point_chart if self.point_chart is not None else self.polar
+        elif name == "offset" and self.dual is not None:
+            base, name = self.make_dual(d), "self"
+        elif name == "conchoid" and self.polar is not None:
+            base, name = self.make_polar(d), "self"
+        if base is None:
+            raise ValueError(f"gallery entry {self.name!r} does not support construct {name!r}")
+        return construct(base, name, d)
 
 
 def residual_report(surface, poly: HomPoly4, nu: int = 60, nv: int = 60) -> ResidualReport:
@@ -438,9 +459,8 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
     def point_family(d):
         return strip_exceptional(pedal_pullback(dual_family(d))).reduced
 
-    charts = paraboloid_offset_chart(a, b, c, 0.0)
-    dual = charts.dual
-    polar = charts.polar
+    dual = paraboloid_offset_chart(a, b, c)
+    polar = PolarSurface(dual.n, dual.e)
     pdom = Domain(-1.5, 1.5, -1.5, 1.5)
     afl, bfl, cfl = float(a), float(b), float(c)
     point_chart = PointSurface(Chart(

@@ -41,7 +41,6 @@ from .surfkit import (
     Domain,
     DualSurface,
     PointSurface,
-    PolarSurface,
     envelope_solve,
     point_to_dual,
 )
@@ -120,9 +119,6 @@ class QuadricForm:
             [b2 / 2, 0, a2, 0],
             [b3 / 2, 0, 0, a3],
         ])
-
-    def has_normalized_shape(self) -> bool:
-        return all(self.A[i][j] == 0 for i in range(1, 4) for j in range(i + 1, 4))
 
     def eval(self, tup):
         vec = np.asarray(tup, dtype=float)
@@ -269,20 +265,13 @@ def focal_degeneracy_check(a, b, c):
 # -- rational offset charts of paraboloids -----------------------------------
 
 
-@dataclass(frozen=True)
-class ParaboloidOffsetCharts:
-    dual: DualSurface
-    polar: PolarSurface
+def paraboloid_offset_chart(a, b, c, domain: Domain | None = None) -> DualSurface:
+    """Unit-normal dual chart of a paraboloid, the base of its offsets.
 
-
-def paraboloid_offset_chart(a, b, c, d,
-                            domain: Domain | None = None) -> ParaboloidOffsetCharts:
-    """Unit-normal dual chart and polar pedal chart of a paraboloid offset.
-
-    The base surface is z = (a x^2 + b y^2)/2 + c reparameterized so the
-    normal direction is the sphere chart ``trig_s2``; the offset at distance
-    d shifts the support function.  Poles of the reparameterization sit at
-    sin t = 0 and must stay outside the domain.
+    The surface is z = (a x^2 + b y^2)/2 + c reparameterized so the normal
+    direction is the sphere chart ``trig_s2``; ``PolarSurface(F.n, F.e)`` is
+    its polar pedal chart.  Poles of the reparameterization sit at sin t = 0
+    and must stay outside the domain.
     """
     if a * b * c == 0:
         raise ValueError("paraboloid parameters must all be nonzero")
@@ -302,7 +291,7 @@ def paraboloid_offset_chart(a, b, c, d,
                 - 2.0 * af * bf * cf * math.sin(t) ** 2)
 
     def e(s, t):
-        return -_numer(s, t) / (2.0 * af * bf * math.sin(t)) + d
+        return -_numer(s, t) / (2.0 * af * bf * math.sin(t))
 
     def e_ds(s, t):
         dn = (af - bf) * math.sin(2.0 * s) * math.cos(t) ** 2
@@ -316,9 +305,7 @@ def paraboloid_offset_chart(a, b, c, d,
 
     n_chart = trig_s2(domain)
     e_chart = Chart(e, e_ds, e_dt, domain)
-    dual = DualSurface(n_chart, e_chart)
-    polar = PolarSurface(n_chart, e_chart)
-    return ParaboloidOffsetCharts(dual, polar)
+    return DualSurface(n_chart, e_chart)
 
 
 # -- pentaspherical lift ------------------------------------------------------

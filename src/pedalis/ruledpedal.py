@@ -206,10 +206,6 @@ class RuledOffsetSurface(DualSurface):
         self.ruled = R
         self.d = d
 
-        def conic(u, t):
-            _, _, ns, n2 = striction_frame(R, u)
-            return conic_point_param(float(ns @ ns), float(n2 @ n2), t)
-
         def assemble(u, t):
             su, e, ns, n2 = striction_frame(R, u)
             y0, y1, y2 = conic_point_param(float(ns @ ns), float(n2 @ n2), t)
@@ -227,25 +223,17 @@ class RuledOffsetSurface(DualSurface):
             return float(f @ n) + d * w
 
         self._assemble = assemble
-        self._conic = conic
         super().__init__(
             Chart(plane_normal, domain=domain),
             Chart(support, domain=domain),
         )
 
     def conic_coords(self, u, t) -> tuple[float, float, float]:
-        return self._conic(u, t)
+        _, _, ns, n2 = striction_frame(self.ruled, u)
+        return conic_point_param(float(ns @ ns), float(n2 @ n2), t)
 
     def normal(self, u, t) -> np.ndarray:
         return self._assemble(u, t)[1]
-
-    def rational_norm(self, u, t) -> float:
-        """|n(u,t)| as the rational witness y0/y1."""
-        return self._assemble(u, t)[2]
-
-    def base_point(self, u, t) -> np.ndarray:
-        """Contact point on the base ruled surface."""
-        return self._assemble(u, t)[0]
 
 
 def _check_skew(R: RuledChart, probes: int = 100):
@@ -273,12 +261,11 @@ def rational_offset_ruled(R: RuledChart, d: float,
     return RuledOffsetSurface(R, d, domain)
 
 
-def polar_pedal_of_ruled(R: RuledChart, d: float,
-                         domain: Domain | None = None) -> PolarSurface:
-    """Polar chart of the conchoid family of the pedal surface.
+def polar_pedal_of_ruled(R: RuledChart, domain: Domain | None = None) -> PolarSurface:
+    """Polar chart of the pedal surface, the base of its conchoids.
 
-    g_d(u,t) = (f.n/|n| + d) n/|n| with the rational normal length of
-    ``rational_offset_ruled``.
+    g(u,t) = (f.n/|n|) n/|n| with the rational normal length of
+    ``rational_offset_ruled``; ``conchoid_map`` gives the conchoid g_d.
     """
     F = rational_offset_ruled(R, 0.0, domain)
 
@@ -288,7 +275,7 @@ def polar_pedal_of_ruled(R: RuledChart, d: float,
 
     def r(u, t):
         f, n, w = F._assemble(u, t)
-        return float(f @ n) / w + d
+        return float(f @ n) / w
 
     return PolarSurface(Chart(s, domain=F.domain), Chart(r, domain=F.domain))
 

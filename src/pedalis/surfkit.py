@@ -222,6 +222,26 @@ def conchoid_map(G: PolarSurface, d: float) -> PolarSurface:
     return PolarSurface(G.s, _shift_chart(G.r, d))
 
 
+def point_conchoid(G: PointSurface, d: float) -> PointSurface:
+    """Conchoid at distance d of a point chart: p*(1 + d/|p|)."""
+    g = G.f
+
+    def f(u, v):
+        p = np.asarray(g(u, v), float)
+        return p * (1.0 + d / np.linalg.norm(p))
+
+    return PointSurface(Chart(f, domain=G.domain))
+
+
+def point_offset(G: PointSurface, F: DualSurface, d: float) -> PointSurface:
+    """Offset at distance d along normals of any length: p + d*n/|n|."""
+    def f(u, v):
+        n = np.asarray(F.n(u, v), float)
+        return G.point(u, v) + d * n / np.linalg.norm(n)
+
+    return PointSurface(Chart(f, domain=F.domain))
+
+
 # -- envelope -------------------------------------------------------------
 
 
@@ -258,7 +278,7 @@ def envelope_surface(F: DualSurface) -> PointSurface:
     return PointSurface(Chart(lambda u, v: envelope_solve(F, u, v), domain=F.domain))
 
 
-# -- foot-point map on charts ----------------------------------------------
+# -- foot-point map on charts and the constructs --------------------------
 
 
 def dual_to_point(F: DualSurface) -> PointSurface:
@@ -313,6 +333,32 @@ def tangent_planes(G: PointSurface) -> DualSurface:
         h = 5e-4 * max(g.domain.uspan, g.domain.vspan, 1e-6)
     return DualSurface(Chart(n, domain=g.domain, fd_step=h),
                        Chart(e, domain=g.domain, fd_step=h))
+
+
+CONSTRUCTS = ("self", "pedal", "inverse-pedal", "offset", "conchoid")
+
+
+def construct(S, name: str, d: float = 0.0) -> PointSurface:
+    """Point surface of one of ``CONSTRUCTS`` on a dual, point or polar S.
+
+    A dual S gives its envelope as points and its own normals to offsets;
+    only a polar S takes ``conchoid_map``, other conchoids the point form.
+    """
+    points = envelope_surface(S) if isinstance(S, DualSurface) else S
+    if name == "self":
+        return points
+    if name == "conchoid":
+        if isinstance(points, PolarSurface):
+            return conchoid_map(points, d)
+        return point_conchoid(points, d)
+    if name == "inverse-pedal":
+        return envelope_surface(point_to_dual(points))
+    planes = S if isinstance(S, DualSurface) else tangent_planes(points)
+    if name == "pedal":
+        return dual_to_point(planes)
+    if name == "offset":
+        return point_offset(points, planes, d)
+    raise ValueError(f"unknown construct {name!r}")
 
 
 # -- commuting diagrams -----------------------------------------------------

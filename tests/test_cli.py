@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from pedalis import verify
 from pedalis.cli import parse_expr
 from pedalis.gallery import get_entry
@@ -262,6 +263,58 @@ class TestSample:
             res = run(*args)
             assert res.returncode == 1, args
             assert res.stderr == "error: missing chart expression 'matrix'\n", args
+
+
+    @pytest.mark.parametrize("construct", ["conchoid:1/0", "offset:1e400", "self:1/2", "pedal:3"])
+    def test_bad_distance_is_an_input_error(self, tmp_path, construct):
+        res = run("sample", "--surface", "plane-conchoid", "--construct", construct,
+                  "--grid", "4x4", "--out", str(tmp_path / "x.obj"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:"), res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_non_finite_domain_bound_is_an_input_error(self, tmp_path):
+        cfg = tmp_path / "pole.cfg"
+        cfg.write_text("[surface]\nkind = point\nfx = u\nfy = v\nfz = 0\n"
+                       "[domain]\nvmax = 1/0\n")
+        res = run("sample", "--surface", str(cfg), "--grid", "4x4",
+                  "--out", str(tmp_path / "x.obj"))
+        assert res.returncode == 1
+        assert res.stderr == "error: domain bound vmax = '1/0' is not finite\n"
+
+    @pytest.mark.parametrize("construct",
+                             ["self", "pedal", "inverse-pedal", "offset:1/2", "conchoid:1/2"])
+    def test_dual_config_under_every_construct(self, tmp_path, construct):
+        # planes n.x = e with |n| = 2 around the sphere of center m = (2,0,0)
+        # and radius 1: envelope points m + n/|n|
+        cfg = tmp_path / "dual.cfg"
+        cfg.write_text(
+            "[surface]\n"
+            "kind = dual\n"
+            "nx = 2*cos(u)*cos(v)\n"
+            "ny = 2*cos(v)*sin(u)\n"
+            "nz = 2*sin(v)\n"
+            "e = 2*(2*cos(u)*cos(v) + 1)\n"
+            "[domain]\n"
+            "umin = 0\numax = 2*pi\nvmin = -1.2\nvmax = 1.2\n")
+        out = tmp_path / "dual.obj"
+        res = run("sample", "--surface", str(cfg), "--construct", construct,
+                  "--grid", "10x10", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("vertices=100 ")
+        verts = np.array([[float(x) for x in l.split()[1:]]
+                          for l in out.read_text().splitlines() if l.startswith("v ")])
+        U, V = Domain(0.0, 2 * math.pi, -1.2, 1.2).grid(10, 10)
+        unit = np.column_stack((np.cos(U) * np.cos(V), np.cos(V) * np.sin(U), np.sin(V)))
+        points = np.array([2.0, 0.0, 0.0]) + unit
+        expect = {
+            "self": points,
+            "pedal": (2 * unit[:, :1] + 1) * unit,
+            "offset:1/2": points + 0.5 * unit,
+            "conchoid:1/2": points * (1 + 0.5 / np.linalg.norm(points, axis=1))[:, None],
+        }.get(construct)
+        if expect is not None:
+            assert np.max(np.abs(verts - expect)) < 1e-6
 
 
 class TestExpressions:

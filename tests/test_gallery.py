@@ -13,9 +13,18 @@ from pedalis.hompoly import (
     pedal_pullback,
     strip_exceptional,
 )
-from pedalis.surfkit import Chart, Domain, PointSurface
+from pedalis.surfkit import CONSTRUCTS, Chart, Domain, PointSurface
 
 ALL_NAMES = list_entries()
+
+# (entry, construct) pairs whose entry lacks the member the construct acts on
+UNSUPPORTED = {
+    ("quadratic-cylinder", "offset"),
+    ("sphere-bundle", "offset"),
+    ("sphere-bundle", "pedal"),
+    ("sphere-inverse-pedal", "conchoid"),
+    ("sphere-inverse-pedal", "offset"),
+}
 
 
 class TestRegistry:
@@ -134,6 +143,24 @@ class TestShiftedCharts:
                 G = entry.make_polar(d)
                 assert G.s is entry.polar.s
                 assert G.r(u, v) == entry.polar.r(u, v) + d
+
+
+class TestConstruct:
+    @pytest.mark.parametrize("construct", CONSTRUCTS)
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_support_table(self, name, construct):
+        entry = get_entry(name)
+        if (name, construct) in UNSUPPORTED:
+            with pytest.raises(ValueError, match="does not support construct"):
+                entry.construct(construct, 0.5)
+        else:
+            assert isinstance(entry.construct(construct, 0.5), PointSurface)
+
+    def test_pedal_acts_on_the_plane_family(self):
+        # the pedal of F is G; the pedal of the primary polar chart G is not
+        entry = get_entry("parabola-cyclide")
+        rep = residual_report(entry.construct("pedal"), entry.point_poly, 30, 30)
+        assert rep.max < 1e-8
 
 
 class TestDegreeData:

@@ -41,7 +41,15 @@ from pedalis.quadricpedal import (
     sphere_inverse_pedal_affine,
     sphere_point_quadric,
 )
-from pedalis.surfkit import Chart, Domain, PointSurface, envelope_solve, point_to_dual
+from pedalis.surfkit import (
+    Chart,
+    Domain,
+    PointSurface,
+    PolarSurface,
+    conchoid_map,
+    envelope_solve,
+    point_to_dual,
+)
 
 
 class TestQuadricForm:
@@ -145,15 +153,15 @@ class TestParabolaPedal:
 
 class TestParaboloidOffsetChart:
     def test_vertex_plane(self):
-        charts = paraboloid_offset_chart(1, 1, 1, 0.0)
-        m = np.asarray(charts.dual.n(0.0, 0.5 * math.pi))
+        F = paraboloid_offset_chart(1, 1, 1)
+        m = np.asarray(F.n(0.0, 0.5 * math.pi))
         assert np.allclose(m, [0, 0, 1])
-        assert abs(charts.dual.e(0.0, 0.5 * math.pi) - 1.0) < 1e-12
+        assert abs(F.e(0.0, 0.5 * math.pi) - 1.0) < 1e-12
 
     def test_envelope_reproduces_paraboloid(self):
         entry = get_entry("paraboloid-pedal")
         poly = entry.extras["point_implicit"]
-        F = paraboloid_offset_chart(1, 1, 1, 0.0).dual
+        F = paraboloid_offset_chart(1, 1, 1)
         for s in np.linspace(0, 2 * math.pi, 8):
             for t in np.linspace(0.3, 1.3, 8):
                 x = envelope_solve(F, s, t)
@@ -162,13 +170,14 @@ class TestParaboloidOffsetChart:
 
     def test_polar_chart_satisfies_derived_family(self):
         entry = get_entry("paraboloid-pedal")
-        G = paraboloid_offset_chart(1, 1, 1, 0.5).polar
+        F = paraboloid_offset_chart(1, 1, 1)
+        G = conchoid_map(PolarSurface(F.n, F.e), 0.5)
         rep = residual_report(G, entry.point_family(Fraction(1, 2)), 40, 40)
         assert rep.max < 1e-8
 
     def test_pole_rejected(self):
         with pytest.raises(PoleInDomain):
-            paraboloid_offset_chart(1, 1, 1, 0.0, domain=Domain(0, 6.28, -0.2, 1.0))
+            paraboloid_offset_chart(1, 1, 1, domain=Domain(0, 6.28, -0.2, 1.0))
 
 
 class TestPentaspherical:

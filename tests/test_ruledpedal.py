@@ -22,9 +22,10 @@ from pedalis.ruledpedal import (
     polar_pedal_of_ruled,
     rational_offset_ruled,
     striction_curve,
+    striction_frame,
     striction_parameter,
 )
-from pedalis.surfkit import Domain, envelope_solve, point_to_dual
+from pedalis.surfkit import Domain, conchoid_map, envelope_solve, point_to_dual
 
 
 def pluecker_chart(domain=Domain(0.1, 1.2, 0.15, 0.85)):
@@ -175,11 +176,15 @@ class TestRationalOffset:
                 assert abs(float(np.linalg.norm(n)) * y1 - y0) < 1e-9
 
     def test_envelope_reproduces_base_chart(self):
-        F = rational_offset_ruled(pluecker_chart(), 0.0)
+        R = pluecker_chart()
+        F = rational_offset_ruled(R, 0.0)
         for u in np.linspace(0.15, 1.15, 8):
+            s, e, _, _ = striction_frame(R, u)
             for t in np.linspace(0.2, 0.8, 8):
+                # contact point: v = y2/y1 along the ruling from the striction point
+                _, y1, y2 = F.conic_coords(u, t)
                 x = envelope_solve(F, u, t)
-                assert np.max(np.abs(x - F.base_point(u, t))) < 1e-7
+                assert np.max(np.abs(x - (s + y2 / y1 * e))) < 1e-7
 
     def test_offset_dual_residual(self):
         entry = get_entry("pluecker")
@@ -203,14 +208,14 @@ class TestRationalOffset:
 class TestPolarPedal:
     def test_pedal_residuals(self):
         entry = get_entry("pluecker")
-        G0 = polar_pedal_of_ruled(pluecker_chart(), 0.0)
+        G0 = polar_pedal_of_ruled(pluecker_chart())
         assert residual_report(G0, entry.point_poly, 30, 30).max < 1e-8
-        G = polar_pedal_of_ruled(pluecker_chart(), 0.5)
+        G = conchoid_map(G0, 0.5)
         assert residual_report(G, entry.point_family(0.5), 30, 30).max < 1e-8
 
     def test_pedal_points_in_carrier_planes(self):
         R = pluecker_chart()
-        G = polar_pedal_of_ruled(R, 0.0)
+        G = polar_pedal_of_ruled(R)
         for u in np.linspace(0.15, 1.15, 9):
             e = R.direction(u)
             for t in np.linspace(0.2, 0.8, 9):
