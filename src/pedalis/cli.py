@@ -27,7 +27,7 @@ from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit, ver
 from .errors import EmptyMesh, GeometryError
 from .hompoly import Space, parse_poly, strip_exceptional
 from .projmaps import HPlane, HPoint
-from .surfkit import Chart, Domain, DualSurface, PointSurface, PolarSurface
+from .surfkit import Chart, Domain, DualSurface, PointSurface, PolarSurface, vector_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,6 +55,10 @@ _EXPR_TOKEN = re.compile(
 # numpy scalars follow IEEE rules: a pole gives inf and sqrt of a negative
 # NaN, non-finite samples that the samplers drop, instead of an exception
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+# ``^`` is numpy's scalar power, libm ``pow``, applied to each sample.  On
+# arrays ``**`` squares as x * x and uses a vectorized pow otherwise, which
+# round other last bits, so a sample would differ alone and in a grid.
+_power = np.frompyfunc(lambda a, b: np.float64(a) ** np.float64(b), 2, 1)
 _CONSTANTS = {"pi": np.float64(np.pi)}
 
 
@@ -130,7 +134,7 @@ class _Expr:
         if self.peek() == "^":
             self.take()
             exp = self.unary()  # right associative
-            return lambda u, v: base(u, v) ** exp(u, v)
+            return lambda u, v: _power(base(u, v), exp(u, v)).astype(float)
         return base
 
     def atom(self):
@@ -215,13 +219,15 @@ def _surface_value(sections, key) -> str:
     return surf[key]
 
 
+# a constant expression gives a scalar; the charts broadcast it over the samples
 def _vector_chart(sections, keys, domain) -> Chart:
     fx, fy, fz = (parse_expr(_surface_value(sections, key)) for key in keys)
-    return Chart(lambda u, v: np.array([fx(u, v), fy(u, v), fz(u, v)]), domain=domain)
+    return Chart(lambda u, v: vector_rows(u, fx(u, v), fy(u, v), fz(u, v)), domain=domain)
 
 
 def _scalar_config_chart(sections, key, domain) -> Chart:
-    return Chart(parse_expr(_surface_value(sections, key)), domain=domain)
+    f = parse_expr(_surface_value(sections, key))
+    return Chart(lambda u, v: np.broadcast_to(f(u, v), np.shape(u)), domain=domain)
 
 
 def load_surface(sections):
@@ -242,8 +248,8 @@ def load_surface(sections):
         cx = [parse_expr(_surface_value(sections, k)) for k in ("cx", "cy", "cz")]
         ex = [parse_expr(_surface_value(sections, k)) for k in ("ex", "ey", "ez")]
         ruled = ruledpedal.RuledChart(
-            lambda u: np.array([f(u, 0.0) for f in cx]),
-            lambda u: np.array([f(u, 0.0) for f in ex]),
+            lambda u: vector_rows(u, *(f(u, 0.0) for f in cx)),
+            lambda u: vector_rows(u, *(f(u, 0.0) for f in ex)),
             domain=domain,
         )
         return kind, PointSurface(Chart(ruled.point, domain=domain))

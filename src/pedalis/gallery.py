@@ -42,6 +42,7 @@ from .surfkit import (
     offset_map,
     point_to_dual,
     sample_grid,
+    vector_rows,
 )
 
 QPT = HomPoly4.quadform(Space.POINT)
@@ -134,9 +135,9 @@ def _plane_paraboloid_parts():
     dom = Domain(0.0, 2.0 * math.pi, 0.2, 1.35)
     n = trig_s2(dom)
     e = Chart(
-        lambda u, v: 1.0 / math.sin(v),
-        lambda u, v: 0.0,
-        lambda u, v: -math.cos(v) / math.sin(v) ** 2,
+        lambda u, v: 1.0 / np.sin(v),
+        lambda u, v: np.zeros(np.shape(u)),
+        lambda u, v: -np.cos(v) / (np.sin(v) * np.sin(v)),
         dom,
     )
     plane = parse_poly("x3 - x0")
@@ -206,9 +207,9 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
     n = trig_s2(dom)
     e = Chart(
-        lambda u, v: float(m) * math.cos(u) * math.cos(v) + float(R),
-        lambda u, v: -float(m) * math.sin(u) * math.cos(v),
-        lambda u, v: -float(m) * math.cos(u) * math.sin(v),
+        lambda u, v: float(m) * np.cos(u) * np.cos(v) + float(R),
+        lambda u, v: -float(m) * np.sin(u) * np.cos(v),
+        lambda u, v: -float(m) * np.cos(u) * np.sin(v),
         dom,
     )
 
@@ -257,9 +258,9 @@ def _build_sphere_bundle(m=2) -> GalleryEntry:
     mf = Fraction(m)
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
     polar = PolarSurface(trig_s2(dom), Chart(
-        lambda u, v: float(m) * math.cos(u) * math.cos(v),
-        lambda u, v: -float(m) * math.sin(u) * math.cos(v),
-        lambda u, v: -float(m) * math.cos(u) * math.sin(v),
+        lambda u, v: float(m) * np.cos(u) * np.cos(v),
+        lambda u, v: -float(m) * np.sin(u) * np.cos(v),
+        lambda u, v: -float(m) * np.cos(u) * np.sin(v),
         dom,
     ))
 
@@ -285,9 +286,9 @@ def _build_pluecker() -> GalleryEntry:
     # point chart of the conoid
     pdom = Domain(0.0, 2.0 * math.pi, -1.5, 1.5)
     point_chart = PointSurface(Chart(
-        lambda u, v: np.array([v * math.cos(u), v * math.sin(u), math.sin(2 * u)]),
-        lambda u, v: np.array([-v * math.sin(u), v * math.cos(u), 2 * math.cos(2 * u)]),
-        lambda u, v: np.array([math.cos(u), math.sin(u), 0.0]),
+        lambda u, v: np.stack((v * np.cos(u), v * np.sin(u), np.sin(2 * u)), axis=-1),
+        lambda u, v: np.stack((-v * np.sin(u), v * np.cos(u), 2 * np.cos(2 * u)), axis=-1),
+        lambda u, v: vector_rows(u, np.cos(u), np.sin(u), 0.0),
         pdom,
     ))
 
@@ -320,18 +321,17 @@ def _build_pluecker() -> GalleryEntry:
     # dual chart with already-rational unit normal
     ddom = Domain(0.0, 2.0 * math.pi, 0.15, 1.4)
     n = Chart(
-        lambda u, t: np.array([-math.sin(u) * math.sin(t),
-                               math.cos(u) * math.sin(t), math.cos(t)]),
-        lambda u, t: np.array([-math.cos(u) * math.sin(t),
-                               -math.sin(u) * math.sin(t), 0.0]),
-        lambda u, t: np.array([-math.sin(u) * math.cos(t),
-                               math.cos(u) * math.cos(t), -math.sin(t)]),
+        lambda u, t: np.stack((-np.sin(u) * np.sin(t),
+                               np.cos(u) * np.sin(t), np.cos(t)), axis=-1),
+        lambda u, t: vector_rows(u, -np.cos(u) * np.sin(t), -np.sin(u) * np.sin(t), 0.0),
+        lambda u, t: np.stack((-np.sin(u) * np.cos(t),
+                               np.cos(u) * np.cos(t), -np.sin(t)), axis=-1),
         ddom,
     )
     e = Chart(
-        lambda u, t: math.cos(t) * math.sin(2 * u),
-        lambda u, t: 2.0 * math.cos(t) * math.cos(2 * u),
-        lambda u, t: -math.sin(t) * math.sin(2 * u),
+        lambda u, t: np.cos(t) * np.sin(2 * u),
+        lambda u, t: 2.0 * np.cos(t) * np.cos(2 * u),
+        lambda u, t: -np.sin(t) * np.sin(2 * u),
         ddom,
     )
     dual = DualSurface(n, e)
@@ -340,18 +340,17 @@ def _build_pluecker() -> GalleryEntry:
     # conchoid family of the conoid itself (rational polar chart)
     cdom = Domain(-1.25, 1.25, 0.12, 1.43)
     s_a = Chart(
-        lambda u, v: np.array([math.sin(u) * math.cos(v),
-                               math.sin(u) * math.sin(v), math.cos(u)]),
-        lambda u, v: np.array([math.cos(u) * math.cos(v),
-                               math.cos(u) * math.sin(v), -math.sin(u)]),
-        lambda u, v: np.array([-math.sin(u) * math.sin(v),
-                               math.sin(u) * math.cos(v), 0.0]),
+        lambda u, v: np.stack((np.sin(u) * np.cos(v),
+                               np.sin(u) * np.sin(v), np.cos(u)), axis=-1),
+        lambda u, v: np.stack((np.cos(u) * np.cos(v),
+                               np.cos(u) * np.sin(v), -np.sin(u)), axis=-1),
+        lambda u, v: vector_rows(u, -np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), 0.0),
         cdom,
     )
     conoid_polar = PolarSurface(s_a, Chart(
-        lambda u, v: math.sin(2 * v) / math.cos(u),
-        lambda u, v: math.sin(2 * v) * math.sin(u) / math.cos(u) ** 2,
-        lambda u, v: 2.0 * math.cos(2 * v) / math.cos(u),
+        lambda u, v: np.sin(2 * v) / np.cos(u),
+        lambda u, v: np.sin(2 * v) * np.sin(u) / (np.cos(u) * np.cos(u)),
+        lambda u, v: 2.0 * np.cos(2 * v) / np.cos(u),
         cdom,
     ))
     conoid_half = conchoid_map(conoid_polar, 0.5)
@@ -411,17 +410,19 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
     afl, cfl = float(a), float(c)
 
     def numer(s, t):
-        return math.cos(s) ** 2 * math.cos(t) ** 2 - 2 * afl * cfl * math.sin(t) ** 2
+        cs, ct, st = np.cos(s), np.cos(t), np.sin(t)
+        return (cs * cs) * (ct * ct) - 2 * afl * cfl * (st * st)
 
     def e(s, t):
-        return -numer(s, t) / (2 * afl * math.sin(t))
+        return -numer(s, t) / (2 * afl * np.sin(t))
 
     def e_ds(s, t):
-        return math.sin(2 * s) * math.cos(t) ** 2 / (2 * afl * math.sin(t))
+        ct = np.cos(t)
+        return np.sin(2 * s) * (ct * ct) / (2 * afl * np.sin(t))
 
     def e_dt(s, t):
-        st, ct = math.sin(t), math.cos(t)
-        dn = -2 * math.cos(s) ** 2 * ct * st - 4 * afl * cfl * st * ct
+        cs, st, ct = np.cos(s), np.sin(t), np.cos(t)
+        dn = -2 * (cs * cs) * ct * st - 4 * afl * cfl * st * ct
         return -(dn * st - numer(s, t) * ct) / (2 * afl * st * st)
 
     e_chart = Chart(e, e_ds, e_dt, dom)
@@ -464,9 +465,9 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
     pdom = Domain(-1.5, 1.5, -1.5, 1.5)
     afl, bfl, cfl = float(a), float(b), float(c)
     point_chart = PointSurface(Chart(
-        lambda u, v: np.array([u, v, (afl * u * u + bfl * v * v) / 2.0 + cfl]),
-        lambda u, v: np.array([1.0, 0.0, afl * u]),
-        lambda u, v: np.array([0.0, 1.0, bfl * v]),
+        lambda u, v: np.stack((u, v, (afl * u * u + bfl * v * v) / 2.0 + cfl), axis=-1),
+        lambda u, v: vector_rows(u, 1.0, 0.0, afl * u),
+        lambda u, v: vector_rows(u, 0.0, 1.0, bfl * v),
         pdom,
     ))
     x0, x1, x2, x3 = (HomPoly4.variable(Space.POINT, i) for i in range(4))
@@ -504,14 +505,14 @@ def _build_sphere_inverse_pedal(m=2, r=1) -> GalleryEntry:
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
     mfl, rfl = float(m), float(r)
     sphere_chart = PointSurface(Chart(
-        lambda u, v: np.array([mfl + rfl * math.cos(u) * math.cos(v),
-                               rfl * math.cos(v) * math.sin(u),
-                               rfl * math.sin(v)]),
-        lambda u, v: np.array([-rfl * math.sin(u) * math.cos(v),
-                               rfl * math.cos(v) * math.cos(u), 0.0]),
-        lambda u, v: np.array([-rfl * math.cos(u) * math.sin(v),
-                               -rfl * math.sin(u) * math.sin(v),
-                               rfl * math.cos(v)]),
+        lambda u, v: np.stack((mfl + rfl * np.cos(u) * np.cos(v),
+                               rfl * np.cos(v) * np.sin(u),
+                               rfl * np.sin(v)), axis=-1),
+        lambda u, v: vector_rows(u, -rfl * np.sin(u) * np.cos(v),
+                                 rfl * np.cos(v) * np.cos(u), 0.0),
+        lambda u, v: np.stack((-rfl * np.cos(u) * np.sin(v),
+                               -rfl * np.sin(u) * np.sin(v),
+                               rfl * np.cos(v)), axis=-1),
         dom,
     ))
     planes = point_to_dual(sphere_chart)
@@ -547,35 +548,36 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
     afl, bfl = float(a), float(b)
     rdom = Domain(0.0, 2.0 * math.pi, -2.0, 2.0)
     ruled = RuledChart(
-        lambda u: np.array([afl * math.cos(u), bfl * math.sin(u), 0.0]),
-        lambda u: np.array([0.0, 0.0, 1.0]),
-        dc=lambda u: np.array([-afl * math.sin(u), bfl * math.cos(u), 0.0]),
-        de=lambda u: np.array([0.0, 0.0, 0.0]),
+        lambda u: vector_rows(u, afl * np.cos(u), bfl * np.sin(u), 0.0),
+        lambda u: vector_rows(u, 0.0, 0.0, 1.0),
+        dc=lambda u: vector_rows(u, -afl * np.sin(u), bfl * np.cos(u), 0.0),
+        de=lambda u: vector_rows(u, 0.0, 0.0, 0.0),
         domain=rdom,
     )
     ruled_points = PointSurface(Chart(
         lambda u, v: ruled.point(u, v),
-        lambda u, v: np.array([-afl * math.sin(u), bfl * math.cos(u), 0.0]),
-        lambda u, v: np.array([0.0, 0.0, 1.0]),
+        lambda u, v: vector_rows(u, -afl * np.sin(u), bfl * np.cos(u), 0.0),
+        lambda u, v: vector_rows(u, 0.0, 0.0, 1.0),
         rdom,
     ))
 
     def closed_form(u, v):
-        cu, su = math.cos(u), math.sin(u)
-        return np.array([
+        cu, su = np.cos(u), np.sin(u)
+        return vector_rows(
+            u,
             -(cu / afl) * ((afl ** 2 - bfl ** 2) * cu * cu + bfl ** 2 - 2 * afl ** 2 + v * v),
             -(su / bfl) * ((afl ** 2 - bfl ** 2) * cu * cu - bfl ** 2 + v * v),
             2.0 * v,
-        ])
+        )
 
     # rational polar chart of the cylinder: foot-point curve (a cos u, b sin u, 0)
     tdom = Domain(0.0, 2.0 * math.pi, 0.2, 1.4)
 
     def polar_parts(u, t):
-        d1, d2 = afl * math.cos(u), bfl * math.sin(u)
+        d1, d2 = afl * np.cos(u), bfl * np.sin(u)
         D2 = d1 * d1 + d2 * d2
         den = 1.0 + D2 * t * t
-        vec = np.array([2 * t * d1, 2 * t * d2, 1.0 - D2 * t * t]) / den
+        vec = np.stack((2 * t * d1, 2 * t * d2, 1.0 - D2 * t * t), axis=-1) / den[..., None]
         w = den / (2.0 * t)
         return vec, w
 

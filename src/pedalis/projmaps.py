@@ -22,6 +22,24 @@ from .errors import (
 EPS_EXCEPTIONAL = 1e-12
 
 
+def rowdot(a, b):
+    """Dot products of the last axes of a and b, row by row.
+
+    The stacked matmul rounds each row exactly as ``a @ b`` does on one
+    pair of vectors; ``einsum`` and ``sum`` round differently.
+    """
+    return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def exceptional_normal(n):
+    """Whether the plane normal n is non-finite or numerically zero, row by row.
+
+    A plane with such a normal has no affine form and no foot point.
+    """
+    n = np.asarray(n, dtype=float)
+    return ~np.isfinite(n).all(axis=-1) | (np.sqrt(rowdot(n, n)) < EPS_EXCEPTIONAL)
+
+
 def canonical_rows(rows) -> np.ndarray:
     """Canonical representatives of the rows of an (N, 4) array.
 
@@ -124,7 +142,7 @@ class AffPlane:
         n = np.asarray(normal, dtype=float)
         if n.shape != (3,):
             raise ValueError("plane normal needs 3 components")
-        if not np.all(np.isfinite(n)) or np.linalg.norm(n) < EPS_EXCEPTIONAL:
+        if exceptional_normal(n):
             raise ExceptionalPlane("plane normal is (numerically) zero")
         self.normal = n
         self.offset = float(offset)
@@ -164,13 +182,15 @@ def projective_eq(a, b, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(ca - cb)) <= tol)
 
 
-def alpha_affine(plane: AffPlane) -> np.ndarray:
-    """Foot of the perpendicular from the origin O onto the plane.
+def alpha_affine(n, e) -> np.ndarray:
+    """Foot (e/(n.n)) n of the perpendicular from O onto the plane n.x = e.
 
-    Planes through O legally map to O; only a vanishing normal is an error.
+    Takes one plane or rows of normals and offsets.  Planes through O
+    legally map to O; a plane whose normal is exceptional_normal has no
+    foot point (AffPlane rejects it, and callers drop or reject such rows).
     """
-    n, e = plane.normal, plane.offset
-    return (e / (n @ n)) * n
+    n = np.asarray(n, dtype=float)
+    return (np.asarray(e, dtype=float) / rowdot(n, n))[..., None] * n
 
 
 def alpha_star_affine(p) -> AffPlane:

@@ -36,11 +36,13 @@ from .hompoly import (
     strip_exceptional,
 )
 from .sphereatlas import trig_s2
+from .projmaps import rowdot
 from .surfkit import (
     Chart,
     Domain,
     DualSurface,
     PointSurface,
+    drop,
     envelope_solve,
     point_to_dual,
 )
@@ -285,21 +287,21 @@ def paraboloid_offset_chart(a, b, c, domain: Domain | None = None) -> DualSurfac
     af, bf, cf = float(a), float(b), float(c)
 
     def _numer(s, t):
-        ct2 = math.cos(t) ** 2
-        return (bf * math.cos(s) ** 2 * ct2
-                + af * math.sin(s) ** 2 * ct2
-                - 2.0 * af * bf * cf * math.sin(t) ** 2)
+        cs, ss, ct, st = np.cos(s), np.sin(s), np.cos(t), np.sin(t)
+        ct2 = ct * ct
+        return bf * (cs * cs) * ct2 + af * (ss * ss) * ct2 - 2.0 * af * bf * cf * (st * st)
 
     def e(s, t):
-        return -_numer(s, t) / (2.0 * af * bf * math.sin(t))
+        return -_numer(s, t) / (2.0 * af * bf * np.sin(t))
 
     def e_ds(s, t):
-        dn = (af - bf) * math.sin(2.0 * s) * math.cos(t) ** 2
-        return -dn / (2.0 * af * bf * math.sin(t))
+        ct = np.cos(t)
+        dn = (af - bf) * np.sin(2.0 * s) * (ct * ct)
+        return -dn / (2.0 * af * bf * np.sin(t))
 
     def e_dt(s, t):
-        st, ct = math.sin(t), math.cos(t)
-        dn = (-2.0 * ct * st * (bf * math.cos(s) ** 2 + af * math.sin(s) ** 2)
+        cs, ss, st, ct = np.cos(s), np.sin(s), np.sin(t), np.cos(t)
+        dn = (-2.0 * ct * st * (bf * (cs * cs) + af * (ss * ss))
               - 4.0 * af * bf * cf * st * ct)
         return -(dn * st - _numer(s, t) * ct) / (2.0 * af * bf * st * st)
 
@@ -322,18 +324,22 @@ class PentasphericalForm:
         return _exact_rank(self.B)
 
     def eval(self, y):
+        """The form at y: exact on rationals, one value per row of a float array."""
+        y = np.asarray(y)
+        B = [[float(b) for b in row] for row in self.B] if y.dtype.kind == "f" else self.B
         out = 0
         for i in range(5):
             for j in range(5):
-                out += self.B[i][j] * y[i] * y[j]
+                out += B[i][j] * y[..., i] * y[..., j]
         return out
 
 
 def pentaspherical_point(x) -> np.ndarray:
-    """Lift of an affine point to the Moebius quadric y0^2 = y1^2+..+y4^2."""
+    """Lift of affine points (rows of x) to the Moebius quadric y0^2 = y1^2+..+y4^2."""
     x = np.asarray(x, dtype=float)
-    s = float(x @ x)
-    return np.array([(1.0 + s) / 2.0, x[0], x[1], x[2], (s - 1.0) / 2.0])
+    s = rowdot(x, x)
+    return np.stack(((1.0 + s) / 2.0, x[..., 0], x[..., 1], x[..., 2], (s - 1.0) / 2.0),
+                    axis=-1)
 
 
 def _split_cyclide(G: HomPoly4):
@@ -453,9 +459,8 @@ def bisector_from_inverse_pedal(G: PointSurface) -> PointSurface:
 
     def guarded(u, v):
         p = np.asarray(g(u, v), float)
-        if np.linalg.norm(p) < 1e-12:
-            raise OriginOnSurface("surface touches the reference point")
-        return p
+        return drop(np.sqrt(rowdot(p, p)) < 1e-12, p, OriginOnSurface,
+                    "surface touches the reference point", u, v)
 
     guarded_surface = PointSurface(Chart(
         guarded, g.du if g.has_analytic_partials else None,

@@ -7,6 +7,9 @@ of conics in (v, |n|); a rational point on each conic yields charts whose
 normal length is rational in the curve parameter.  The same square-root
 removal applied to |g|^2 = d(u)^2 + v^2 e(u)^2 gives polar charts of the
 ruled surface itself, used for the inverse pedal direction.
+
+Curve functions c(u), e(u) and the charts built here follow the array
+protocol of ``surfkit``: a 1-D array of N parameters gives (N, 3) rows.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from .errors import (
     OriginOnSurface,
     ZeroDirection,
 )
-from .surfkit import Chart, Domain, DualSurface, PolarSurface, _guarded_solve
+from .projmaps import rowdot
+from .surfkit import (
+    Chart,
+    Domain,
+    DualSurface,
+    PolarSurface,
+    _guarded_solve,
+    drop,
+)
 
 _EPS = 1e-12
 
@@ -52,13 +63,13 @@ class RuledChart:
         self.domain = domain
 
     def point(self, u, v) -> np.ndarray:
+        v = np.asarray(v, float)[..., None]
         return np.asarray(self.c(u), float) + v * np.asarray(self.e(u), float)
 
     def direction(self, u) -> np.ndarray:
         e = np.asarray(self.e(u), float)
-        if np.linalg.norm(e) < _EPS:
-            raise ZeroDirection(f"ruling direction vanishes at u={u:.6g}")
-        return e
+        return drop(np.sqrt(rowdot(e, e)) < _EPS, e, ZeroDirection,
+                    "ruling direction vanishes", u)
 
     def dc(self, u) -> np.ndarray:
         if self._dc is not None:
@@ -77,7 +88,7 @@ def footpoint_curve(R: RuledChart):
     def d(u):
         c = np.asarray(R.c(u), float)
         e = R.direction(u)
-        return c - ((c @ e) / (e @ e)) * e
+        return c - (rowdot(c, e) / rowdot(e, e))[..., None] * e
 
     return d
 
@@ -89,11 +100,9 @@ def _striction(R: RuledChart, u: float):
     de = R.de(u)
     n1 = np.cross(R.dc(u), e)
     n2 = np.cross(de, e)
-    denom = n2 @ n2
-    scale = max((e @ e) * float(de @ de), 1.0)
-    if denom < 1e-20 * scale:
-        raise CylindricalRuling(f"e' x e vanishes at u={u:.6g}")
-    return -(n1 @ n2) / denom, e, n1, n2
+    scale = np.maximum(rowdot(e, e) * rowdot(de, de), 1.0)
+    n2 = drop(rowdot(n2, n2) < 1e-20 * scale, n2, CylindricalRuling, "e' x e vanishes", u)
+    return -rowdot(n1, n2) / rowdot(n2, n2), e, n1, n2
 
 
 def striction_parameter(R: RuledChart, u: float) -> float:
@@ -158,6 +167,7 @@ def striction_frame(R: RuledChart, u: float):
     enter, so the frame is analytic whenever dc and de are.
     """
     vs, e, n1, n2 = _striction(R, u)
+    vs = vs[..., None]
     s = np.asarray(R.c(u), float) + vs * e
     return s, e, n1 + vs * n2, n2
 
@@ -170,11 +180,11 @@ def conic_family(R: RuledChart) -> ConicFamily:
 
     def a1(u):
         ns = striction_frame(R, u)[2]
-        return float(ns @ ns)
+        return rowdot(ns, ns)
 
     def a2(u):
         n2 = striction_frame(R, u)[3]
-        return float(n2 @ n2)
+        return rowdot(n2, n2)
 
     return ConicFamily(a1=a1, a2=a2)
 
@@ -186,11 +196,12 @@ def conic_point_param(a1: float, a2: float, t: float) -> tuple[float, float, flo
 
         y(t) = (sqrt(a1) (a2 + t^2), a2 - t^2, 2 sqrt(a1) t),
 
-    which satisfies the conic identically in t.
+    which satisfies the conic identically in t.  Arrays give one point per
+    entry; NaN coefficients give NaN points.
     """
-    if a1 <= 0 or a2 <= 0:
+    if np.any(a1 <= 0) or np.any(a2 <= 0):
         raise ValueError("conic coefficients must be positive")
-    s = math.sqrt(a1)
+    s = np.sqrt(a1)
     return s * (a2 + t * t), a2 - t * t, 2.0 * s * t
 
 
@@ -198,42 +209,33 @@ class RuledOffsetSurface(DualSurface):
     """Dual chart (u,t) of the offset family of a skew ruled surface.
 
     The t-parameter runs over the per-u conic that removes the square root
-    from the normal length; ``conic_coords`` exposes the witnesses
-    (y0, y1, y2) with |n(u,t)| * y1 = y0 on the domain where y1 > 0.
+    from the normal length; ``assemble`` gives the witnesses (y0, y1, y2)
+    with |n(u,t)| * y1 = y0 on the domain where y1 > 0.
     """
 
     def __init__(self, R: RuledChart, d: float, domain: Domain):
         self.ruled = R
         self.d = d
 
-        def assemble(u, t):
-            su, e, ns, n2 = striction_frame(R, u)
-            y0, y1, y2 = conic_point_param(float(ns @ ns), float(n2 @ n2), t)
-            v = y2 / y1
-            w = y0 / y1
-            f = su + v * e
-            n = ns + v * n2
-            return f, n, w
-
         def plane_normal(u, t):
-            return assemble(u, t)[1]
+            return self.assemble(u, t)[1]
 
         def support(u, t):
-            f, n, w = assemble(u, t)
-            return float(f @ n) + d * w
+            f, n, (y0, y1, _) = self.assemble(u, t)
+            return rowdot(f, n) + d * (y0 / y1)
 
-        self._assemble = assemble
         super().__init__(
             Chart(plane_normal, domain=domain),
             Chart(support, domain=domain),
         )
 
-    def conic_coords(self, u, t) -> tuple[float, float, float]:
-        _, _, ns, n2 = striction_frame(self.ruled, u)
-        return conic_point_param(float(ns @ ns), float(n2 @ n2), t)
-
-    def normal(self, u, t) -> np.ndarray:
-        return self._assemble(u, t)[1]
+    def assemble(self, u, t):
+        """(f, n, (y0, y1, y2)) at (u, t) from one striction frame: the
+        contact point, the plane normal and the conic witnesses."""
+        su, e, ns, n2 = striction_frame(self.ruled, u)
+        y = conic_point_param(rowdot(ns, ns), rowdot(n2, n2), t)
+        v = (y[2] / y[1])[..., None]
+        return su + v * e, ns + v * n2, y
 
 
 def _check_skew(R: RuledChart, probes: int = 100):
@@ -270,12 +272,12 @@ def polar_pedal_of_ruled(R: RuledChart, domain: Domain | None = None) -> PolarSu
     F = rational_offset_ruled(R, 0.0, domain)
 
     def s(u, t):
-        f, n, w = F._assemble(u, t)
-        return n / w
+        _, n, (y0, y1, _) = F.assemble(u, t)
+        return n / (y0 / y1)[..., None]
 
     def r(u, t):
-        f, n, w = F._assemble(u, t)
-        return float(f @ n) / w
+        f, n, (y0, y1, _) = F.assemble(u, t)
+        return rowdot(f, n) / (y0 / y1)
 
     return PolarSurface(Chart(s, domain=F.domain), Chart(r, domain=F.domain))
 
@@ -288,33 +290,33 @@ def _footpoint_frame(R: RuledChart, u: float):
     return d, ddot, R.direction(u), R.de(u)
 
 
-def inverse_pedal_ruled(R: RuledChart, u: float, v: float) -> np.ndarray:
-    """Point of the inverse pedal surface of a ruled point chart.
+def inverse_pedal_ruled(R: RuledChart, u, v) -> np.ndarray:
+    """Points of the inverse pedal surface of a ruled point chart.
 
     Solves the plane through g = d + v' e with normal O g together with its
     two derivative planes; v is measured along the chart's own directrix
-    and is shifted internally to the foot-point directrix.
+    and is shifted internally to the foot-point directrix.  Samples where
+    the chart passes through O (OriginOnSurface) or the system is singular
+    (DegenerateSystem) are NaN rows; a single sample raises instead.
     """
     c = np.asarray(R.c(u), float)
     e = R.direction(u)
     d, ddot, _, edot = _footpoint_frame(R, u)
     # shift of the ruling parameter from c-based to footpoint-based
-    vshift = float((c @ e) / (e @ e))
+    vshift = rowdot(c, e) / rowdot(e, e)
     w = v + vshift
-    g = d + w * e
-    if np.linalg.norm(g) < _EPS:
-        raise OriginOnSurface(f"chart passes through O at ({u:.6g},{v:.6g})")
-    M = np.vstack([
-        d + w * e,
-        ddot + w * edot,
-        e,
-    ])
-    rhs = np.array([
-        float(d @ d) + w * w * float(e @ e),
-        2.0 * (float(d @ ddot) + w * w * float(e @ edot)),
-        2.0 * w * float(e @ e),
-    ])
-    return _guarded_solve(M, rhs, DegenerateSystem, "inverse pedal")
+    g = d + w[..., None] * e
+    w = drop(np.sqrt(rowdot(g, g)) < _EPS, w, OriginOnSurface,
+             "chart passes through O", u, v)
+    ww = w[..., None]
+    M = np.stack((d + ww * e, ddot + ww * edot, e), axis=-2)
+    rhs = np.stack((
+        rowdot(d, d) + w * w * rowdot(e, e),
+        2.0 * (rowdot(d, ddot) + w * w * rowdot(e, edot)),
+        2.0 * w * rowdot(e, e),
+    ), axis=-1)
+    X, valid = _guarded_solve(M, rhs)
+    return drop(~valid, X, DegenerateSystem, "degenerate inverse pedal system", u, v)
 
 
 @dataclass(frozen=True)
@@ -359,17 +361,16 @@ def polar_norm_reparam(R: RuledChart, domain: Domain | None = None) -> PolarSurf
 
     def parts(u, t):
         d = dfun(u)
-        if np.linalg.norm(d) < _EPS:
-            raise LineThroughOrigin(f"ruling through O at u={u:.6g}")
+        d = drop(np.sqrt(rowdot(d, d)) < _EPS, d, LineThroughOrigin, "ruling through O", u)
         e = R.direction(u)
-        y0, y1, y2 = conic_point_param(float(e @ e), float(d @ d), t)
+        y0, y1, y2 = conic_point_param(rowdot(e, e), rowdot(d, d), t)
         v = y1 / y2
         w = y0 / y2
-        return d + v * e, w
+        return d + v[..., None] * e, w
 
     def s(u, t):
         g, w = parts(u, t)
-        return g / w
+        return g / w[..., None]
 
     def r(u, t):
         return parts(u, t)[1]

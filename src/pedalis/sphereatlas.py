@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CommonZero
-from .surfkit import Chart, Domain
+from .surfkit import Chart, Domain, drop, vector_rows
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,16 @@ def quadruple_components(a, b, c, d):
 
 
 def universal_s2(q: RationalQuadruple) -> Chart:
-    """Unit-vector chart (A,B,C)/D from a quadruple without common zero."""
+    """Unit-vector chart (A,B,C)/D from a quadruple without common zero.
+
+    Samples where D < 1e-12 are a CommonZero.
+    """
 
     def f(u, v):
         A, B, C, D = quadruple_components(*q(u, v))
-        if D < 1e-12:
-            raise CommonZero(f"quadruple vanishes at ({u:.6g},{v:.6g})")
-        return np.array([A, B, C], dtype=float) / float(D)
+        D = np.broadcast_to(np.asarray(D, dtype=float), np.shape(u))
+        D = drop(D < 1e-12, D, CommonZero, "quadruple vanishes", u, v)
+        return vector_rows(u, A, B, C) / D[..., None]
 
     return Chart(f, domain=q.domain)
 
@@ -65,19 +68,13 @@ def trig_s2(domain: Domain | None = None) -> Chart:
         domain = Domain(0.0, 2.0 * math.pi, -0.5 * math.pi, 0.5 * math.pi)
 
     def f(u, v):
-        return np.array([math.cos(u) * math.cos(v),
-                         math.cos(v) * math.sin(u),
-                         math.sin(v)])
+        return np.stack((np.cos(u) * np.cos(v), np.cos(v) * np.sin(u), np.sin(v)), axis=-1)
 
     def fu(u, v):
-        return np.array([-math.sin(u) * math.cos(v),
-                         math.cos(v) * math.cos(u),
-                         0.0])
+        return vector_rows(u, -np.sin(u) * np.cos(v), np.cos(v) * np.cos(u), 0.0)
 
     def fv(u, v):
-        return np.array([-math.cos(u) * math.sin(v),
-                         -math.sin(u) * math.sin(v),
-                         math.cos(v)])
+        return np.stack((-np.cos(u) * np.sin(v), -np.sin(u) * np.sin(v), np.cos(v)), axis=-1)
 
     return Chart(f, fu, fv, domain)
 

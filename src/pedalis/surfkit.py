@@ -1,6 +1,8 @@
 """Surface charts, the envelope solver and the offset/conchoid pipelines.
 
-A surface enters the kernel in one of three representations:
+Every chart is evaluated on arrays: ``f(U, V)`` takes two 1-D arrays of N
+parameters and returns (N,) or (N, 3) rows, and on two floats it returns
+one sample.  A surface enters the kernel in one of three representations:
 
 * ``DualSurface``   -- chart of tangent planes (n(u,v), e(u,v)),
 * ``PointSurface``  -- plain point chart f(u,v),
@@ -22,10 +24,11 @@ from .errors import (
     DegenerateEnvelope,
     EmptyGrid,
     EmptyMesh,
+    ExceptionalPlane,
     GeometryError,
     NonUnitNormal,
 )
-from .projmaps import AffPlane, alpha_affine
+from .projmaps import AffPlane, alpha_affine, exceptional_normal, rowdot
 
 # 3x3 solves (envelope, inverse pedal of ruled charts) with an estimated
 # condition number above this are treated as degenerate (developable /
@@ -34,6 +37,32 @@ COND_LIMIT = 1e12
 
 # Largest deviation of |n| from 1 that phi, gamma and offset_map accept.
 UNIT_TOL = 1e-9
+
+# Samples per chart call in sample_grid and rows per str.format batch in
+# write_obj: whole-grid arrays cost memory, small blocks cost calls.
+BLOCK_ROWS = 4096
+
+
+def vector_rows(u, *values):
+    """(..., k) rows of k per-sample values; constants broadcast over u."""
+    return np.stack(np.broadcast_arrays(*values, u)[:-1], axis=-1, dtype=float)
+
+
+def drop(bad, values, error: type[GeometryError], what: str, *at):
+    """``values`` with NaN rows where ``bad`` holds, so the grid drops them.
+
+    This is the batched form of raising ``error``: for a single sample
+    (0-d ``bad``) it raises ``error`` instead.  Callers pass the input of
+    the step that would fail, so a dropped row stays NaN without warnings.
+    """
+    if np.ndim(bad) == 0:
+        if bad:
+            raise error(f"{what} at ({', '.join(f'{x:.6g}' for x in at)})")
+        return values
+    if not bad.any():
+        return values
+    return np.where(bad.reshape(bad.shape + (1,) * (np.ndim(values) - bad.ndim)),
+                    np.nan, values)
 
 
 @dataclass(frozen=True)
@@ -67,6 +96,7 @@ UNIT_SQUARE = Domain(0.0, 1.0, 0.0, 1.0)
 class Chart:
     """Smooth map (u,v) -> scalar or vector with derivative access.
 
+    ``f``, ``du`` and ``dv`` follow the array protocol of the module.
     Analytic partials are used when given; otherwise central differences
     with step ``fd_step`` (default 1e-6 times the domain span).
     """
@@ -101,35 +131,34 @@ class Chart:
 
 
 def constant_chart(value, domain: Domain = UNIT_SQUARE) -> Chart:
-    val = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
-    zero = np.zeros_like(val) if np.ndim(val) else 0.0
-    return Chart(lambda u, v: val, lambda u, v: zero, lambda u, v: zero, domain)
+    val = np.asarray(value, dtype=float)
+    zero = np.zeros_like(val)
+
+    def rows(of):
+        return lambda u, v: np.broadcast_to(of, np.shape(u) + of.shape)
+
+    return Chart(rows(val), rows(zero), rows(zero), domain)
 
 
 def sample_grid(value, domain: Domain, nu: int, nv: int):
-    """Evaluate ``value(u, v)`` over ``domain.grid(nu, nv)``; (rows, valid).
+    """Evaluate ``value(U, V)`` over ``domain.grid(nu, nv)``; (rows, valid).
 
-    The one drop rule of the kernel: a sample is dropped when ``value``
-    raises a GeometryError or when any entry of its value is non-finite,
-    and for no other reason.  Any other exception propagates.  ``rows``
-    stacks the kept values in grid order and ``valid`` is the (nu*nv,)
-    mask of kept samples.
+    ``value`` is called once per block of at most BLOCK_ROWS samples.  The
+    one drop rule of the kernel: a sample is dropped when any entry of its
+    row is non-finite, and for no other reason; exceptions propagate.
+    ``rows`` stacks the kept rows in grid order and ``valid`` is the
+    (nu*nv,) mask of kept samples.
     """
     U, V = domain.grid(nu, nv)
-    rows, kept = [], []
     # non-finite samples are dropped by contract, so their warnings are noise
     with np.errstate(all="ignore"):
-        for k, (u, v) in enumerate(zip(U, V)):
-            try:
-                rows.append(value(u, v))
-            except GeometryError:
-                continue
-            kept.append(k)
-    rows = np.array(rows, dtype=float)
-    finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
-    valid = np.zeros(U.size, dtype=bool)
-    valid[np.array(kept, dtype=int)[finite]] = True
-    return rows[finite], valid
+        rows = np.concatenate([
+            np.asarray(value(U[k:k + BLOCK_ROWS], V[k:k + BLOCK_ROWS]), dtype=float)
+            for k in range(0, U.size, BLOCK_ROWS)])
+    if len(rows) != U.size:
+        raise ValueError(f"chart gave {len(rows)} rows for {U.size} samples")
+    valid = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    return rows[valid], valid
 
 
 def _probe_unit(n_chart: Chart, samples: int = 5):
@@ -157,8 +186,8 @@ class DualSurface:
         return AffPlane(np.asarray(self.n(u, v), float), float(self.e(u, v)))
 
     def htuple(self, u, v) -> np.ndarray:
-        n = np.asarray(self.n(u, v), float)
-        return np.concatenate(([-float(self.e(u, v))], n))
+        e = np.asarray(self.e(u, v), float)
+        return np.concatenate((-e[..., None], np.asarray(self.n(u, v), float)), axis=-1)
 
 
 class PointSurface:
@@ -172,7 +201,8 @@ class PointSurface:
         return np.asarray(self.f(u, v), dtype=float)
 
     def htuple(self, u, v) -> np.ndarray:
-        return np.concatenate(([1.0], self.point(u, v)))
+        p = self.point(u, v)
+        return np.concatenate((np.ones(p.shape[:-1] + (1,)), p), axis=-1)
 
 
 class PolarSurface(PointSurface):
@@ -187,7 +217,8 @@ class PolarSurface(PointSurface):
         super().__init__(Chart(self.point, domain=s.domain))
 
     def point(self, u, v) -> np.ndarray:
-        return float(self.r(u, v)) * np.asarray(self.s(u, v), dtype=float)
+        r = np.asarray(self.r(u, v), dtype=float)
+        return r[..., None] * np.asarray(self.s(u, v), dtype=float)
 
 
 # -- constructors and the offset / conchoid maps --------------------------
@@ -208,7 +239,7 @@ def gamma(s_chart: Chart, r_chart: Chart) -> PolarSurface:
 def _shift_chart(e: Chart, d: float) -> Chart:
     """The chart e + d; its partials are those of e."""
     f = e._f
-    return Chart(lambda u, v: float(f(u, v)) + d, e.du, e.dv, e.domain)
+    return Chart(lambda u, v: np.asarray(f(u, v), float) + d, e.du, e.dv, e.domain)
 
 
 def offset_map(F: DualSurface, d: float) -> DualSurface:
@@ -228,7 +259,7 @@ def point_conchoid(G: PointSurface, d: float) -> PointSurface:
 
     def f(u, v):
         p = np.asarray(g(u, v), float)
-        return p * (1.0 + d / np.linalg.norm(p))
+        return p * (1.0 + d / np.sqrt(rowdot(p, p)))[..., None]
 
     return PointSurface(Chart(f, domain=G.domain))
 
@@ -237,7 +268,7 @@ def point_offset(G: PointSurface, F: DualSurface, d: float) -> PointSurface:
     """Offset at distance d along normals of any length: p + d*n/|n|."""
     def f(u, v):
         n = np.asarray(F.n(u, v), float)
-        return G.point(u, v) + d * n / np.linalg.norm(n)
+        return G.point(u, v) + d * n / np.sqrt(rowdot(n, n))[..., None]
 
     return PointSurface(Chart(f, domain=F.domain))
 
@@ -245,32 +276,33 @@ def point_offset(G: PointSurface, F: DualSurface, d: float) -> PointSurface:
 # -- envelope -------------------------------------------------------------
 
 
-def envelope_solve(F: DualSurface, u: float, v: float) -> np.ndarray:
-    """Envelope point of the plane family at (u,v).
+def envelope_solve(F: DualSurface, u, v) -> np.ndarray:
+    """Envelope points of the plane family at (u,v), NaN where degenerate.
 
     Solves n.x = e, n_u.x = e_u, n_v.x = e_v; a singular or ill-conditioned
     matrix signals one of the degenerate cases (plane, developable, point),
-    and so does a non-finite entry, as at a pole of the chart.
+    and so does a non-finite entry, as at a pole of the chart.  A single
+    sample raises DegenerateEnvelope there.
     """
-    M = np.vstack([
-        np.asarray(F.n(u, v), float),
-        np.asarray(F.n.du(u, v), float),
-        np.asarray(F.n.dv(u, v), float),
-    ])
-    rhs = np.array([float(F.e(u, v)), float(F.e.du(u, v)), float(F.e.dv(u, v))])
-    return _guarded_solve(M, rhs, DegenerateEnvelope, "envelope")
+    M = np.stack((F.n(u, v), F.n.du(u, v), F.n.dv(u, v)), axis=-2, dtype=float)
+    rhs = np.stack((F.e(u, v), F.e.du(u, v), F.e.dv(u, v)), axis=-1, dtype=float)
+    X, valid = _guarded_solve(M, rhs)
+    return drop(~valid, X, DegenerateEnvelope, "degenerate envelope system", u, v)
 
 
-def _guarded_solve(M: np.ndarray, rhs: np.ndarray, error: type[GeometryError],
-                   what: str) -> np.ndarray:
-    """Solve the 3x3 system M x = rhs, raising ``error`` when M has a
-    non-finite entry or a condition number above COND_LIMIT."""
-    if not np.isfinite(M).all():
-        raise error(f"{what} system has a non-finite entry")
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise error(f"{what} system condition {cond:.3g}")
-    return np.linalg.solve(M, rhs)
+def _guarded_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the 3x3 systems M x = rhs over the leading axes; (X, valid).
+
+    A system with a non-finite entry or a condition number above
+    COND_LIMIT is not solved: its row of X is NaN and ``valid`` is False.
+    """
+    shape = rhs.shape[:-1]
+    M, rhs = M.reshape(-1, 3, 3), rhs.reshape(-1, 3)
+    valid = np.isfinite(M).all(axis=(1, 2))
+    valid[valid] = np.linalg.cond(M[valid]) <= COND_LIMIT
+    X = np.full(rhs.shape, np.nan)
+    X[valid] = np.linalg.solve(M[valid], rhs[valid][..., None])[..., 0]
+    return X.reshape(shape + (3,)), valid.reshape(shape)
 
 
 def envelope_surface(F: DualSurface) -> PointSurface:
@@ -282,9 +314,15 @@ def envelope_surface(F: DualSurface) -> PointSurface:
 
 
 def dual_to_point(F: DualSurface) -> PointSurface:
-    """Pedal chart: the foot-point map applied to each tangent plane."""
+    """Pedal chart: the foot point alpha_affine of each tangent plane.
+
+    A plane whose normal is exceptional_normal is an ExceptionalPlane.
+    """
     def f(u, v):
-        return alpha_affine(F.plane(u, v))
+        n = np.asarray(F.n(u, v), float)
+        e = drop(exceptional_normal(n), np.asarray(F.e(u, v), float), ExceptionalPlane,
+                 "plane normal is (numerically) zero", u, v)
+        return alpha_affine(n, e)
     return PointSurface(Chart(f, domain=F.domain))
 
 
@@ -301,14 +339,14 @@ def point_to_dual(G: PointSurface) -> DualSurface:
 
     def e(u, v):
         p = np.asarray(g(u, v), float)
-        return float(p @ p)
+        return rowdot(p, p)
 
     n_du = n_dv = e_du = e_dv = None
     if g.has_analytic_partials:
         n_du = g.du
         n_dv = g.dv
-        e_du = lambda u, v: 2.0 * float(np.asarray(g(u, v), float) @ np.asarray(g.du(u, v), float))
-        e_dv = lambda u, v: 2.0 * float(np.asarray(g(u, v), float) @ np.asarray(g.dv(u, v), float))
+        e_du = lambda u, v: 2.0 * rowdot(g(u, v), g.du(u, v))
+        e_dv = lambda u, v: 2.0 * rowdot(g(u, v), g.dv(u, v))
     return DualSurface(Chart(n, n_du, n_dv, g.domain), Chart(e, e_du, e_dv, g.domain))
 
 
@@ -324,7 +362,7 @@ def tangent_planes(G: PointSurface) -> DualSurface:
         return np.cross(np.asarray(g.du(u, v), float), np.asarray(g.dv(u, v), float))
 
     def e(u, v):
-        return float(np.asarray(g(u, v), float) @ n(u, v))
+        return rowdot(np.asarray(g(u, v), float), n(u, v))
 
     # second derivatives of g are not available: difference the n-chart,
     # with a larger step when g itself is differenced
@@ -437,11 +475,6 @@ def sample_mesh(S, nu: int, nv: int) -> Mesh:
     return Mesh(verts, faces)
 
 
-# rows per str.format batch in write_obj: whole-mesh .tolist() copies cost
-# memory, per-row numpy indexing costs time
-_OBJ_BLOCK = 4096
-
-
 def write_obj(mesh: Mesh, target) -> None:
     """Write a mesh as Wavefront OBJ (v/f records, 1-based, triangles)."""
     close = False
@@ -451,12 +484,12 @@ def write_obj(mesh: Mesh, target) -> None:
     else:
         fh = target
     try:
-        for k in range(0, len(mesh.vertices), _OBJ_BLOCK):
+        for k in range(0, len(mesh.vertices), BLOCK_ROWS):
             fh.writelines(f"v {x:.12g} {y:.12g} {z:.12g}\n"
-                          for x, y, z in mesh.vertices[k:k + _OBJ_BLOCK].tolist())
-        for k in range(0, len(mesh.faces), _OBJ_BLOCK):
+                          for x, y, z in mesh.vertices[k:k + BLOCK_ROWS].tolist())
+        for k in range(0, len(mesh.faces), BLOCK_ROWS):
             fh.writelines(f"f {a} {b} {c}\n"
-                          for a, b, c in (mesh.faces[k:k + _OBJ_BLOCK] + 1).tolist())
+                          for a, b, c in (mesh.faces[k:k + BLOCK_ROWS] + 1).tolist())
     finally:
         if close:
             fh.close()

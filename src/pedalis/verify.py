@@ -16,7 +16,8 @@ import numpy as np
 from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit
 from .errors import EmptyGrid, ExceptionalElement
 from .hompoly import Space, degree_bookkeeping, parse_poly, strip_exceptional
-from .surfkit import Chart, Domain, PointSurface
+from .projmaps import rowdot
+from .surfkit import Chart, Domain, PointSurface, vector_rows
 
 
 def random_tuples(rng, count: int) -> np.ndarray:
@@ -136,13 +137,9 @@ def _check_extras(rng, samples):
     results.append(("envelope_paraboloid", {"max_residual": rep.max}, rep.max < 1e-8))
     # inverse pedal of the quadratic cylinder against the closed form
     qc = gallery.get_entry("quadratic-cylinder")
-    ruled = qc.extras["ruled"]
-    closed = qc.extras["closed_form"]
-    worst = 0.0
-    for u in np.linspace(0.0, 2.0 * math.pi, 40):
-        for v in np.linspace(-2.0, 2.0, 40):
-            got = ruledpedal.inverse_pedal_ruled(ruled, u, v)
-            worst = max(worst, float(np.max(np.abs(got - closed(u, v)))))
+    U, V = Domain(0.0, 2.0 * math.pi, -2.0, 2.0).grid(40, 40)
+    got = ruledpedal.inverse_pedal_ruled(qc.extras["ruled"], U, V)
+    worst = float(np.max(np.abs(got - qc.extras["closed_form"](U, V))))
     results.append(("envelope_quadratic_cylinder", {"max_dev": worst}, worst < 1e-7))
     # exact degeneracies
     focal = quadricpedal.focal_degeneracy_check(1, 1, Fraction(-1, 4))
@@ -166,51 +163,40 @@ def _check_extras(rng, samples):
     # pentaspherical lift round trip
     cyclide = quadricpedal.pedal_of_quadric(quadricpedal.sphere_dual_quadric(2, 1))
     form = quadricpedal.pentaspherical_lift(cyclide)
-    worst = 0.0
-    for _ in range(1000):
-        x = rng.uniform(-2.0, 2.0, size=3)
-        y = quadricpedal.pentaspherical_point(x)
-        lhs = float(form.eval(y))
-        rhs = float(cyclide.eval(np.concatenate(([1.0], x))))
-        scale = max(1.0, abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
+    x = rng.uniform(-2.0, 2.0, size=(1000, 3))
+    lhs = form.eval(quadricpedal.pentaspherical_point(x))
+    rhs = np.array([float(cyclide.eval(np.concatenate(([1.0], row)))) for row in x])
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
     results.append(("pentaspherical_lift", {"max_dev": worst}, worst < 1e-9))
     # rational-norm identities for ruled offsets
     plu = ruledpedal.RuledChart(
-        lambda u: np.array([0.0, 0.0, math.sin(2 * u)]),
-        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-        dc=lambda u: np.array([0.0, 0.0, 2 * math.cos(2 * u)]),
-        de=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
+        lambda u: vector_rows(u, 0.0, 0.0, np.sin(2 * u)),
+        lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
+        dc=lambda u: vector_rows(u, 0.0, 0.0, 2 * np.cos(2 * u)),
+        de=lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
         domain=Domain(0.1, 1.2, 0.15, 0.85),
     )
     F = ruledpedal.rational_offset_ruled(plu, 0.5)
-    worst = 0.0
-    for u in np.linspace(0.12, 1.18, 25):
-        for t in np.linspace(0.2, 0.8, 25):
-            y0, y1, _ = F.conic_coords(u, t)
-            n = F.normal(u, t)
-            worst = max(worst, abs(float(np.linalg.norm(n)) * y1 - y0))
+    U, T = Domain(0.12, 1.18, 0.2, 0.8).grid(25, 25)
+    _, n, (y0, y1, _) = F.assemble(U, T)
+    worst = float(np.max(np.abs(np.sqrt(rowdot(n, n)) * y1 - y0)))
     results.append(("ratnorm_ruled", {"max_dev": worst}, worst < 1e-9))
-    worst = 0.0
-    for u in np.linspace(0.0, 2.0 * math.pi, 30):
-        for t in np.linspace(0.2, 1.4, 30):
-            r = 2.0 * math.cos(2 * u) * math.cos(t) / math.sin(t)
-            w = 2.0 * math.cos(2 * u) / math.sin(t)
-            worst = max(worst, abs(w * w - (4.0 * math.cos(2 * u) ** 2 + r * r)))
+    U, T = Domain(0.0, 2.0 * math.pi, 0.2, 1.4).grid(30, 30)
+    c2u = np.cos(2 * U)
+    r = 2.0 * c2u * np.cos(T) / np.sin(T)
+    w = 2.0 * c2u / np.sin(T)
+    worst = float(np.max(np.abs(w * w - (4.0 * (c2u * c2u) + r * r))))
     results.append(("ratnorm_pluecker", {"max_dev": worst}, worst < 1e-10))
     # bisector of O and the plane z=1
     plane_chart = PointSurface(Chart(
-        lambda u, v: np.array([u, v, 1.0]),
-        lambda u, v: np.array([1.0, 0.0, 0.0]),
-        lambda u, v: np.array([0.0, 1.0, 0.0]),
+        lambda u, v: vector_rows(u, u, v, 1.0),
+        lambda u, v: vector_rows(u, 1.0, 0.0, 0.0),
+        lambda u, v: vector_rows(u, 0.0, 1.0, 0.0),
         Domain(-2.0, 2.0, -2.0, 2.0),
     ))
-    bis = quadricpedal.bisector_from_inverse_pedal(plane_chart)
-    worst = 0.0
-    for u in np.linspace(-2.0, 2.0, 40):
-        for v in np.linspace(-2.0, 2.0, 40):
-            p = bis.point(u, v)
-            worst = max(worst, abs(float(np.linalg.norm(p)) - abs(p[2] - 1.0)))
+    U, V = plane_chart.domain.grid(40, 40)
+    p = quadricpedal.bisector_from_inverse_pedal(plane_chart).point(U, V)
+    worst = float(np.max(np.abs(np.sqrt(rowdot(p, p)) - np.abs(p[:, 2] - 1.0))))
     results.append(("bisector_plane", {"max_dev": worst}, worst < 1e-7))
     return results
 

@@ -243,8 +243,7 @@ def test_criterion_10_rational_norms():
     worst_ruled = 0.0
     for u in np.linspace(0.12, 1.18, 30):
         for t in np.linspace(0.2, 0.8, 30):
-            y0, y1, _ = F.conic_coords(u, t)
-            n = F.normal(u, t)
+            _, n, (y0, y1, _) = F.assemble(u, t)
             worst_ruled = max(worst_ruled, abs(float(np.linalg.norm(n)) * y1 - y0))
     worst_closed = 0.0
     for u in np.linspace(0.0, 2.0 * math.pi, 40):

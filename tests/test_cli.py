@@ -8,7 +8,7 @@ import pytest
 from pedalis import verify
 from pedalis.cli import parse_expr
 from pedalis.gallery import get_entry
-from pedalis.surfkit import Chart, Domain, constant_chart
+from pedalis.surfkit import Domain, constant_chart
 
 CMD = [sys.executable, "-m", "pedalis"]
 
@@ -373,7 +373,7 @@ class TestVerify:
 
         class Singular:
             def ne_charts(self):
-                n = Chart(lambda u, v: np.array([0.0, 0.0, math.nan]), domain=dom)
+                n = constant_chart([0.0, 0.0, math.nan], dom)
                 return n, constant_chart(1.0, dom)
 
         monkeypatch.setattr(verify.gallery, "get_entry", lambda name: Singular())

@@ -13,7 +13,7 @@ from pedalis.hompoly import (
     pedal_pullback,
     strip_exceptional,
 )
-from pedalis.surfkit import CONSTRUCTS, Chart, Domain, PointSurface
+from pedalis.surfkit import CONSTRUCTS, Chart, Domain, PointSurface, constant_chart
 
 ALL_NAMES = list_entries()
 
@@ -113,8 +113,7 @@ class TestResidualSuite:
         assert rep.max > 1e-3
 
     def test_empty_grid(self):
-        dead = PointSurface(Chart(lambda u, v: np.array([1.0, 0.0, np.inf]),
-                                  domain=Domain(0, 1, 0, 1)))
+        dead = PointSurface(constant_chart([1.0, 0.0, np.inf], Domain(0, 1, 0, 1)))
         with pytest.raises(EmptyGrid):
             residual_report(dead, parse_poly("x3 - x0"))
 

@@ -17,6 +17,7 @@ from pedalis.projmaps import (
     alpha_star_rows,
     canonical,
     canonical_rows,
+    exceptional_normal,
     inversion_sigma,
     pi_rows,
     pi_star_rows,
@@ -44,16 +45,16 @@ def random_hplane(rng):
 
 class TestAlphaAffine:
     def test_foot_on_horizontal_plane(self):
-        p = alpha_affine(AffPlane([0, 0, 1], 1.0))
+        p = alpha_affine([0, 0, 1], 1.0)
         assert np.allclose(p, [0, 0, 1])
 
     def test_scale_invariance(self):
-        p = alpha_affine(AffPlane([0, 0, 2], 2.0))
+        p = alpha_affine([0, 0, 2], 2.0)
         assert np.allclose(p, [0, 0, 1])
 
     def test_diagonal_plane(self):
         # orthogonal projection of O onto x + y = 2
-        p = alpha_affine(AffPlane([1, 1, 0], 2.0))
+        p = alpha_affine([1, 1, 0], 2.0)
         assert np.allclose(p, [1, 1, 0])
 
     def test_vanishing_normal_rejected(self):
@@ -61,8 +62,28 @@ class TestAlphaAffine:
             AffPlane([0, 0, 0], 1.0)
 
     def test_plane_through_origin_maps_to_origin(self):
-        p = alpha_affine(AffPlane([0.3, -0.7, 0.2], 0.0))
+        p = alpha_affine([0.3, -0.7, 0.2], 0.0)
         assert np.all(p == 0.0)
+
+    def test_rows_match_single_planes(self):
+        rng = np.random.default_rng(7)
+        n, e = rng.uniform(-2, 2, (200, 3)), rng.uniform(-2, 2, 200)
+        rows = alpha_affine(n, e)
+        assert rows.shape == (200, 3)
+        # bit for bit the single-plane formula (e/(n.n)) n
+        single = np.array([(b / (a @ a)) * a for a, b in zip(n, e)])
+        assert rows.tobytes() == single.tobytes()
+
+    def test_exceptional_normal_rows(self):
+        normals = [[0, 0, 0], [1e-13, 0, 0], [np.inf, 0, 0], [np.nan, 1, 0],
+                   [0, 0, 1e-6], [0.3, -0.7, 0.2]]
+        assert exceptional_normal(normals).tolist() == [True, True, True, True, False, False]
+        for n, bad in zip(normals, exceptional_normal(normals)):
+            if bad:
+                with pytest.raises(ExceptionalPlane):
+                    AffPlane(n, 1.0)
+            else:
+                AffPlane(n, 1.0)
 
 
 class TestAlphaStarAffine:
@@ -121,7 +142,7 @@ class TestAlphaZ:
             if np.linalg.norm(n) < 0.1:
                 continue
             pl = AffPlane(n, RNG.uniform(-1, 1))
-            assert np.allclose(alpha_z(pl, [0, 0, 0]), alpha_affine(pl))
+            assert np.allclose(alpha_z(pl, [0, 0, 0]), alpha_affine(pl.normal, pl.offset))
 
     def test_off_origin_reference(self):
         assert np.allclose(alpha_z(AffPlane([0, 0, 1], 1.0), [0, 0, 3]), [0, 0, 1])
@@ -205,7 +226,7 @@ class TestProperties:
             if abs(e) < 1e-9:
                 assert projective_eq(X, HPoint([1, 0, 0, 0]), 1e-9)
             else:
-                assert np.max(np.abs(X.dehomogenize() - alpha_affine(pl))) < 1e-9
+                assert np.max(np.abs(X.dehomogenize() - alpha_affine(pl.normal, pl.offset))) < 1e-9
 
 
 # -- row-wise maps against the per-tuple formulas ------------------------------

@@ -25,35 +25,35 @@ from pedalis.ruledpedal import (
     striction_frame,
     striction_parameter,
 )
-from pedalis.surfkit import Domain, conchoid_map, envelope_solve, point_to_dual
+from pedalis.surfkit import Domain, conchoid_map, envelope_solve, point_to_dual, vector_rows
 
 
 def pluecker_chart(domain=Domain(0.1, 1.2, 0.15, 0.85)):
     return RuledChart(
-        lambda u: np.array([0.0, 0.0, math.sin(2 * u)]),
-        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-        dc=lambda u: np.array([0.0, 0.0, 2 * math.cos(2 * u)]),
-        de=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
+        lambda u: vector_rows(u, 0.0, 0.0, np.sin(2 * u)),
+        lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
+        dc=lambda u: vector_rows(u, 0.0, 0.0, 2 * np.cos(2 * u)),
+        de=lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
         domain=domain,
     )
 
 
 def helicoid_chart():
     return RuledChart(
-        lambda u: np.array([0.0, 0.0, u]),
-        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-        dc=lambda u: np.array([0.0, 0.0, 1.0]),
-        de=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
+        lambda u: vector_rows(u, 0.0, 0.0, u),
+        lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
+        dc=lambda u: vector_rows(u, 0.0, 0.0, 1.0),
+        de=lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
         domain=Domain(0.0, 2 * math.pi, -1.0, 1.0),
     )
 
 
 def cylinder_chart(a=2.0, b=1.0):
     return RuledChart(
-        lambda u: np.array([a * math.cos(u), b * math.sin(u), 0.0]),
-        lambda u: np.array([0.0, 0.0, 1.0]),
-        dc=lambda u: np.array([-a * math.sin(u), b * math.cos(u), 0.0]),
-        de=lambda u: np.array([0.0, 0.0, 0.0]),
+        lambda u: vector_rows(u, a * np.cos(u), b * np.sin(u), 0.0),
+        lambda u: vector_rows(u, 0.0, 0.0, 1.0),
+        dc=lambda u: vector_rows(u, -a * np.sin(u), b * np.cos(u), 0.0),
+        de=lambda u: vector_rows(u, 0.0, 0.0, 0.0),
         domain=Domain(0.0, 2 * math.pi, -2.0, 2.0),
     )
 
@@ -171,8 +171,7 @@ class TestRationalOffset:
         F = rational_offset_ruled(pluecker_chart(), 0.5)
         for u in np.linspace(0.12, 1.18, 12):
             for t in np.linspace(0.2, 0.8, 12):
-                y0, y1, _ = F.conic_coords(u, t)
-                n = F.normal(u, t)
+                _, n, (y0, y1, _) = F.assemble(u, t)
                 assert abs(float(np.linalg.norm(n)) * y1 - y0) < 1e-9
 
     def test_envelope_reproduces_base_chart(self):
@@ -182,7 +181,7 @@ class TestRationalOffset:
             s, e, _, _ = striction_frame(R, u)
             for t in np.linspace(0.2, 0.8, 8):
                 # contact point: v = y2/y1 along the ruling from the striction point
-                _, y1, y2 = F.conic_coords(u, t)
+                _, _, (_, y1, y2) = F.assemble(u, t)
                 x = envelope_solve(F, u, t)
                 assert np.max(np.abs(x - (s + y2 / y1 * e))) < 1e-7
 

@@ -22,6 +22,7 @@ from pedalis.surfkit import (
     commutation_check,
     conchoid_map,
     constant_chart,
+    drop,
     dual_to_point,
     envelope_solve,
     envelope_surface,
@@ -31,6 +32,7 @@ from pedalis.surfkit import (
     point_to_dual,
     sample_mesh,
     tangent_planes,
+    vector_rows,
     write_obj,
 )
 
@@ -50,7 +52,7 @@ class TestPhiGamma:
         assert pl.offset == 1.0
 
     def test_non_unit_normal_rejected(self):
-        bad = Chart(lambda u, v: np.array([2.0, 0.0, 0.0]), domain=SPHERE_DOM)
+        bad = constant_chart([2.0, 0.0, 0.0], SPHERE_DOM)
         with pytest.raises(NonUnitNormal):
             phi(bad, constant_chart(1.0, SPHERE_DOM))
 
@@ -60,7 +62,7 @@ class TestPhiGamma:
         lambda n: offset_map(DualSurface(n, constant_chart(1.0, SPHERE_DOM)), 0.5),
     ], ids=["phi", "gamma", "offset_map"])
     def test_no_probe_sample_raises_empty_grid(self, build):
-        nan = Chart(lambda u, v: np.full(3, np.nan), domain=SPHERE_DOM)
+        nan = constant_chart([np.nan] * 3, SPHERE_DOM)
         with pytest.raises(EmptyGrid):
             build(nan)
 
@@ -239,7 +241,7 @@ class TestCommutation:
                 assert commutation_check(n, e, d, grid=(15, 15)) < 1e-9, (name, d)
 
     @pytest.mark.parametrize("n", [
-        Chart(lambda u, v: np.array([0.0, 0.0, math.nan]), domain=UNIT_DOM),
+        constant_chart([0.0, 0.0, math.nan], UNIT_DOM),
         # zero normal: every offset plane R(-(e+d),0,0,0) is the ideal plane
         constant_chart([0.0, 0.0, 0.0], UNIT_DOM),
     ], ids=["everywhere-singular", "zero-normal"])
@@ -272,14 +274,13 @@ class TestMesh:
         assert np.max(vals / scale) < 1e-8
 
     def test_empty_mesh(self):
-        bad = PointSurface(Chart(lambda u, v: np.array([math.nan] * 3),
-                                 domain=SPHERE_DOM))
+        bad = PointSurface(constant_chart([math.nan] * 3, SPHERE_DOM))
         with pytest.raises(EmptyMesh):
             sample_mesh(bad, 4, 4)
 
     def test_singular_samples_dropped(self):
         dom = Domain(0.0, 1.0, 0.0, 1.0)
-        S = PointSurface(Chart(lambda u, v: np.array([u, v, math.inf if u < 0.25 else 0.0]),
+        S = PointSurface(Chart(lambda u, v: vector_rows(u, u, v, np.where(u < 0.25, math.inf, 0.0)),
                                domain=dom))
         mesh = sample_mesh(S, 4, 4)
         assert len(mesh.vertices) == 12
@@ -294,10 +295,12 @@ class TestMesh:
         third = 1.0 / 3.0
 
         def f(u, v):
-            if abs(u - third) < 1e-12 and abs(v - third) < 1e-12:
-                raise OriginOnSurface("grid point (1, 1)")
-            return np.array([u, v, 0.0])
+            hit = (np.abs(u - third) < 1e-12) & (np.abs(v - third) < 1e-12)
+            return drop(hit, vector_rows(u, u, v, 0.0), OriginOnSurface, "grid point", u, v)
 
+        # a single sample raises the typed error, the grid drops the row
+        with pytest.raises(OriginOnSurface):
+            f(third, third)
         mesh = sample_mesh(PointSurface(Chart(f, domain=UNIT_DOM)), 4, 4)
         assert len(mesh.vertices) == 15
         assert not np.any(np.all(np.abs(mesh.vertices - [third, third, 0.0]) < 1e-12, axis=1))
@@ -307,8 +310,8 @@ class TestMesh:
     def test_faces_match_double_loop_on_grid_with_holes(self):
         nu, nv = 7, 5
         dom = Domain(0.0, 1.0, 0.0, 2.0)
-        hole = lambda u, v: math.sin(37.0 * u + 11.0 * v) > 0.6
-        S = PointSurface(Chart(lambda u, v: np.array([u, v, math.nan if hole(u, v) else u * v]),
+        hole = lambda u, v: np.sin(37.0 * u + 11.0 * v) > 0.6
+        S = PointSurface(Chart(lambda u, v: vector_rows(u, u, v, np.where(hole(u, v), np.nan, u * v)),
                                domain=dom))
         mesh = sample_mesh(S, nu, nv)
         # reference: the per-cell double loop of the scalar mesher
