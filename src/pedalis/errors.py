@@ -66,7 +66,7 @@ class LineThroughOrigin(GeometryError):
 
 
 class DevelopableSurface(GeometryError):
-    """Ruled surface is developable; its pedal degenerates to a curve."""
+    """Ruled surface, or one ruling of it, is developable (torsal)."""
 
 
 class OriginOnSurface(GeometryError):

@@ -35,6 +35,7 @@ from .surfkit import (
     PolarSurface,
     _guarded_solve,
     drop,
+    vector_rows,
 )
 
 _EPS = 1e-12
@@ -197,11 +198,13 @@ def conic_point_param(a1: float, a2: float, t: float) -> tuple[float, float, flo
         y(t) = (sqrt(a1) (a2 + t^2), a2 - t^2, 2 sqrt(a1) t),
 
     which satisfies the conic identically in t.  Arrays give one point per
-    entry; NaN coefficients give NaN points.
+    entry; NaN coefficients give NaN points.  A coefficient <= 0, as at a
+    torsal ruling (s' x e = 0), gives a NaN point through ``drop``, and
+    DevelopableSurface for a single sample.
     """
-    if np.any(a1 <= 0) or np.any(a2 <= 0):
-        raise ValueError("conic coefficients must be positive")
-    s = np.sqrt(a1)
+    a = drop((a1 <= 0) | (a2 <= 0), vector_rows(a1, a1, a2), DevelopableSurface,
+             "conic coefficients (a1, a2) not positive", a1, a2)
+    s, a2 = np.sqrt(a[..., 0]), a[..., 1]
     return s * (a2 + t * t), a2 - t * t, 2.0 * s * t
 
 

@@ -25,7 +25,14 @@ from pedalis.ruledpedal import (
     striction_frame,
     striction_parameter,
 )
-from pedalis.surfkit import Domain, conchoid_map, envelope_solve, point_to_dual, vector_rows
+from pedalis.surfkit import (
+    Domain,
+    conchoid_map,
+    envelope_solve,
+    point_to_dual,
+    sample_grid,
+    vector_rows,
+)
 
 
 def pluecker_chart(domain=Domain(0.1, 1.2, 0.15, 0.85)):
@@ -157,6 +164,14 @@ class TestConicPointParam:
             y0, y1, y2 = conic_point_param(a1, a2, t)
             assert abs(a1 * y1 * y1 + a2 * y2 * y2 - y0 * y0) < 1e-12 * max(1.0, y0 * y0)
 
+    def test_coefficient_not_positive_gives_nan_point(self):
+        y = np.array(conic_point_param(np.array([4.0, 0.0, 2.0]), np.array([1.0, 1.0, -1.0]), 0.5))
+        assert np.array_equal(y[:, 0], conic_point_param(4.0, 1.0, 0.5))
+        assert np.isnan(y[:, 1:]).all()
+        for a1, a2 in ((0.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(DevelopableSurface):
+                conic_point_param(a1, a2, 0.5)
+
     def test_pluecker_closed_form(self):
         # closed-form conic points (w, 1, r) with r = 2 cos 2u cos t / sin t
         for u in np.linspace(0.1, 1.1, 8):
@@ -202,6 +217,18 @@ class TestRationalOffset:
         )
         with pytest.raises(DevelopableSurface):
             rational_offset_ruled(R, 0.0)
+
+    def test_torsal_ruling_sample_dropped(self):
+        # conoid with c'(0) = 0: a1 = |s' x e|^2 vanishes on the ruling u = 0 only
+        R = RuledChart(lambda u: vector_rows(u, 0.0, 0.0, u * u),
+                       lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
+                       domain=Domain(-1.0, 1.0, -1.0, 1.0))
+        F = rational_offset_ruled(R, 0.5, Domain(-1.0, 1.0, 0.3, 0.7))
+        _, valid = sample_grid(F.htuple, F.domain, 9, 9)
+        U, _ = F.domain.grid(9, 9)
+        assert np.array_equal(valid, U != 0.0)
+        with pytest.raises(DevelopableSurface):
+            F.htuple(0.0, 0.5)
 
 
 class TestPolarPedal:

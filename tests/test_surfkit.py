@@ -14,11 +14,16 @@ from pedalis.errors import (
 from pedalis.gallery import get_entry, residual_report
 from pedalis.sphereatlas import trig_s2
 from pedalis.surfkit import (
+    BLOCK_ROWS,
+    COND_LIMIT,
     Chart,
+    Mesh,
     Domain,
     DualSurface,
     PointSurface,
     PolarSurface,
+    _guarded_solve,
+    _well_conditioned,
     commutation_check,
     conchoid_map,
     constant_chart,
@@ -355,3 +360,100 @@ class TestEnvelopeSurface:
         S = envelope_surface(F)
         u, v = 0.9, 0.8
         assert np.max(np.abs(S.point(u, v) - envelope_solve(F, u, v))) == 0.0
+
+
+def orthogonal(rng, n):
+    """n random 3x3 orthogonal matrices."""
+    return np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
+
+
+def svd_matrices(rng, s):
+    """U diag(s) W with random orthogonal U, W and singular values s (n, 3)."""
+    n = len(s)
+    return orthogonal(rng, n) @ (s[:, :, None] * orthogonal(rng, n))
+
+
+class TestGuardedSolve:
+    """The SVD-free screen changes no decision of np.linalg.cond."""
+
+    @pytest.fixture(scope="class")
+    def stress_matrices(self):
+        rng = np.random.default_rng(8)
+        n = 40_000
+        # singular values from 1 down to 1e-14, overall scale 1e-280 .. 1e280
+        s = np.sort(10.0 ** rng.uniform(-14, 0, (n, 3)), axis=1)[:, ::-1]
+        s[:, 0] = 1.0
+        spread = svd_matrices(rng, s * 10.0 ** rng.uniform(-280, 280, (n, 1)))
+        # small integer matrices, many exactly singular
+        integer = rng.integers(-3, 4, (n, 3, 3)).astype(float)
+        # rank 2 plus noise of relative size 1e-16 .. 1e-2
+        s = np.column_stack((np.ones(n), 10.0 ** rng.uniform(-6, 0, n), np.zeros(n)))
+        noisy = (svd_matrices(rng, s)
+                 + 10.0 ** rng.uniform(-16, -2, (n, 1, 1)) * rng.standard_normal((n, 3, 3)))
+        # condition numbers close to COND_LIMIT and to the screen's limit
+        near = np.concatenate((10.0 ** rng.uniform(11.9, 12.1, n // 2),
+                               10.0 ** rng.uniform(9.9, 10.1, n // 2)))
+        edge = svd_matrices(rng, np.column_stack((np.ones(n), np.ones(n), 1.0 / near)))
+        special = np.zeros((4, 3, 3))
+        special[1, 0, 0] = np.nan
+        special[2, 1, 2] = np.inf
+        special[3] = np.eye(3)
+        return np.concatenate((spread, integer, noisy, edge, special))
+
+    def test_valid_matches_cond_row_for_row(self, stress_matrices):
+        M = stress_matrices
+        _, valid = _guarded_solve(M, np.ones((len(M), 3)))
+        expect = np.isfinite(M).all(axis=(1, 2))
+        expect[expect] = np.linalg.cond(M[expect]) <= COND_LIMIT
+        assert np.array_equal(valid, expect)
+        assert 0 < expect.sum() < len(M)
+
+    def test_screen_accepts_only_systems_cond_accepts(self, stress_matrices):
+        M = stress_matrices[np.isfinite(stress_matrices).all(axis=(1, 2))]
+        accepted = _well_conditioned(M)
+        # the screen spares most well-conditioned systems their SVD
+        assert accepted.sum() > 0.5 * (np.linalg.cond(M) <= COND_LIMIT / 100).sum()
+        assert (np.linalg.cond(M[accepted]) <= COND_LIMIT).all()
+
+    def test_solution_is_numpy_solve(self):
+        rng = np.random.default_rng(9)
+        M = rng.standard_normal((1000, 3, 3))
+        rhs = rng.standard_normal((1000, 3))
+        X, valid = _guarded_solve(M, rhs)
+        assert valid.all()
+        assert np.array_equal(X, np.linalg.solve(M, rhs[..., None])[..., 0])
+
+
+def reference_obj(mesh):
+    """The OBJ text of ``mesh`` written one f-string per row."""
+    lines = [f"v {x:.12g} {y:.12g} {z:.12g}\n" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}\n" for a, b, c in (mesh.faces + 1).tolist()]
+    return "".join(lines)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+               -1.7976931348623157e308, 1.0, -2.0, 3.0, 1e15, 1e16, 123456789012.0,
+               0.1, 1 / 3, -2.5e-7]
+
+
+class TestWriteObj:
+    @pytest.mark.parametrize("nv, nf", [
+        (0, 0), (1, 1), (BLOCK_ROWS, 0), (BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)])
+    def test_bytes_match_row_writer(self, tmp_path, nv, nf):
+        rng = np.random.default_rng(nv)
+        values = rng.standard_normal(3 * nv) * 10.0 ** rng.integers(-300, 301, 3 * nv)
+        values[:len(EDGE_VALUES)] = EDGE_VALUES[:3 * nv]
+        mesh = Mesh(values.reshape(nv, 3), rng.integers(0, max(nv, 1), (nf, 3)))
+        expect = reference_obj(mesh)
+        buf = io.StringIO()
+        write_obj(mesh, buf)
+        assert buf.getvalue() == expect
+        path = tmp_path / "mesh.obj"
+        write_obj(mesh, str(path))
+        assert path.read_bytes() == expect.encode("ascii")
+        assert expect.count("\n") == nv + nf
+
+    def test_integral_floats_print_as_integers(self):
+        buf = io.StringIO()
+        write_obj(Mesh(np.array([[1.0, -0.0, 1e15]]), np.array([[0, 0, 0]])), buf)
+        assert buf.getvalue() == "v 1 -0 1e+15\nf 1 1 1\n"
