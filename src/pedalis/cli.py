@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,13 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ExprError(message)
+        raise ValueError(message)
 
 
 # -- expression grammar for config charts -------------------------------------
-
-_EXPR_TOKEN = re.compile(
-    r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,])|$)")
 
 # numpy scalars follow IEEE rules: a pole gives inf and sqrt of a negative
 # NaN, non-finite samples that the samplers drop, instead of an exception
@@ -59,120 +57,56 @@ _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
 # arrays ``**`` squares as x * x and uses a vectorized pow otherwise, which
 # round other last bits, so a sample would differ alone and in a grid.
 _power = np.frompyfunc(lambda a, b: np.float64(a) ** np.float64(b), 2, 1)
-_CONSTANTS = {"pi": np.float64(np.pi)}
 
 
-class ExprError(ValueError):
-    pass
+def _constant(val):
+    return lambda u, v: val
 
 
-def _tokenize_expr(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ExprError(f"bad character near {text[pos:]!r}")
-        tok = m.group(0).strip()
-        if tok:
-            tokens.append(tok)
-        pos = m.end()
-    return tokens
+_NAMES = {"u": lambda u, v: u, "v": lambda u, v: v, "pi": _constant(np.float64(np.pi))}
 
 
-class _Expr:
-    """Pratt parser for +, -, *, /, ^ with sin, cos, sqrt over (u, v)."""
+def _chart_name(tok):
+    if tok not in _NAMES:
+        raise ValueError(f"{tok} needs parentheses" if tok in _FUNCTIONS
+                         else f"unknown identifier {tok!r}")
+    return _NAMES[tok]
 
-    def __init__(self, text):
-        self.toks = _tokenize_expr(text)
-        self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+def _chart_call(name, arg):
+    if name not in _FUNCTIONS:
+        raise ValueError(f"unknown function {name!r}")
+    fn = _FUNCTIONS[name]
+    return lambda u, v: fn(arg(u, v))
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExprError(f"unexpected token {self.peek()!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (lambda a, b: (lambda u, v: a(u, v) + b(u, v)))(node, rhs) \
-                if op == "+" else (lambda a, b: (lambda u, v: a(u, v) - b(u, v)))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            node = (lambda a, b: (lambda u, v: a(u, v) * b(u, v)))(node, rhs) \
-                if op == "*" else (lambda a, b: (lambda u, v: a(u, v) / b(u, v)))(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            inner = self.unary()
-            return lambda u, v: -inner(u, v)
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.unary()  # right associative
-            return lambda u, v: _power(base(u, v), exp(u, v)).astype(float)
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ExprError("unexpected end of expression")
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise ExprError("missing closing parenthesis")
-            return node
-        if re.fullmatch(r"\d+\.\d*|\.\d+|\d+", tok):
-            val = np.float64(tok)
-            return lambda u, v: val
-        if tok in _FUNCTIONS:
-            if self.take() != "(":
-                raise ExprError(f"{tok} needs parentheses")
-            arg = self.expr()
-            if self.take() != ")":
-                raise ExprError("missing closing parenthesis")
-            fn = _FUNCTIONS[tok]
-            return lambda u, v: fn(arg(u, v))
-        if tok in _CONSTANTS:
-            val = _CONSTANTS[tok]
-            return lambda u, v: val
-        if tok == "u":
-            return lambda u, v: u
-        if tok == "v":
-            return lambda u, v: v
-        raise ExprError(f"unknown identifier {tok!r}")
+# hooks of hompoly._parse_text: each value is a closure over (u, v)
+_CHART_HOOKS = SimpleNamespace(
+    number=lambda tok: _constant(np.float64(tok)),
+    name=_chart_name,
+    call=_chart_call,
+    add=lambda a, b: lambda u, v: a(u, v) + b(u, v),
+    sub=lambda a, b: lambda u, v: a(u, v) - b(u, v),
+    mul=lambda a, b: lambda u, v: a(u, v) * b(u, v),
+    div=lambda a, b: lambda u, v: a(u, v) / b(u, v),
+    neg=lambda a: lambda u, v: -a(u, v),
+    power=lambda a, b: lambda u, v: _power(a(u, v), b(u, v)).astype(float),
+)
 
 
 def parse_expr(text):
-    return _Expr(text).parse()
+    """Chart expression over u, v with sin, cos, sqrt and pi."""
+    return hompoly._parse_text(text, _CHART_HOOKS)
 
 
-def eval_const(text) -> float:
-    return parse_expr(text)(0.0, 0.0)
+def _rational(text: str, what: str) -> Fraction:
+    """Number text such as 3/4, -2 or 1e-3; 1/0 and 1e400 are input errors."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"{what} {text.strip()!r} is not a finite number") from None
+    return value
 
 
 # -- config files --------------------------------------------------------------
@@ -192,11 +126,11 @@ def parse_config(path: str) -> dict:
                 sections.setdefault(current, {})
                 continue
             if "=" not in line or current is None:
-                raise ExprError(f"{path}:{lineno}: expected key = value inside a section")
+                raise ValueError(f"{path}:{lineno}: expected key = value inside a section")
             key, value = line.split("=", 1)
             sections[current][key.strip().lower()] = value.strip()
     if "surface" not in sections:
-        raise ExprError(f"{path}: missing [surface] section")
+        raise ValueError(f"{path}: missing [surface] section")
     return sections
 
 
@@ -204,10 +138,11 @@ def _config_domain(sections) -> Domain:
     dom = {"umin": "0", "umax": "1", "vmin": "0", "vmax": "1", **sections.get("domain", {})}
     # a bound like 1/0 is an input error, reported below, not a warning
     with np.errstate(all="ignore"):
-        bounds = {key: eval_const(dom[key]) for key in ("umin", "umax", "vmin", "vmax")}
+        bounds = {key: parse_expr(dom[key])(0.0, 0.0)
+                  for key in ("umin", "umax", "vmin", "vmax")}
     for key, value in bounds.items():
         if not np.isfinite(value):
-            raise ExprError(f"domain bound {key} = {dom[key]!r} is not finite")
+            raise ValueError(f"domain bound {key} = {dom[key]!r} is not finite")
     return Domain(**bounds)
 
 
@@ -215,7 +150,7 @@ def _surface_value(sections, key) -> str:
     """Text of one [surface] key; a missing key is an input error."""
     surf = sections["surface"]
     if key not in surf:
-        raise ExprError(f"missing chart expression {key!r}")
+        raise ValueError(f"missing chart expression {key!r}")
     return surf[key]
 
 
@@ -245,20 +180,16 @@ def load_surface(sections):
             _vector_chart(sections, ("nx", "ny", "nz"), domain),
             _scalar_config_chart(sections, "e", domain))
     if kind == "ruled":
-        cx = [parse_expr(_surface_value(sections, k)) for k in ("cx", "cy", "cz")]
-        ex = [parse_expr(_surface_value(sections, k)) for k in ("ex", "ey", "ez")]
-        ruled = ruledpedal.RuledChart(
-            lambda u: vector_rows(u, *(f(u, 0.0) for f in cx)),
-            lambda u: vector_rows(u, *(f(u, 0.0) for f in ex)),
-            domain=domain,
-        )
+        c = _vector_chart(sections, ("cx", "cy", "cz"), domain)
+        e = _vector_chart(sections, ("ex", "ey", "ez"), domain)
+        ruled = ruledpedal.RuledChart(lambda u: c(u, 0.0), lambda u: e(u, 0.0), domain=domain)
         return kind, PointSurface(Chart(ruled.point, domain=domain))
     if kind == "quadric":
         space = Space.POINT if sections["surface"].get("space", "dual") == "point" else Space.DUAL
         rows = [r.strip() for r in _surface_value(sections, "matrix").split(";")]
-        A = [[Fraction(x) for x in row.split()] for row in rows]
+        A = [[_rational(x, "matrix entry") for x in row.split()] for row in rows]
         return kind, quadricpedal.QuadricForm(space, A)
-    raise ExprError(f"unknown surface kind {kind!r}")
+    raise ValueError(f"unknown surface kind {kind!r}")
 
 
 # -- map subcommand --------------------------------------------------------------
@@ -267,8 +198,8 @@ def load_surface(sections):
 def _parse_tuple(text, n):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
-        raise ExprError(f"expected {n} comma-separated numbers, got {len(parts)}")
-    return np.array([float(Fraction(p.strip())) for p in parts])
+        raise ValueError(f"expected {n} comma-separated numbers, got {len(parts)}")
+    return np.array([float(_rational(p, "coordinate")) for p in parts])
 
 
 def _format_tuple(values):
@@ -276,44 +207,28 @@ def _format_tuple(values):
 
 
 def cmd_map(args) -> int:
-    if args.op in ("alpha", "pi") or (args.op == "alpha-z"):
-        if args.plane is None:
-            raise ExprError(f"--op {args.op} needs --plane")
-    if args.op in ("alpha-star", "sigma", "pi-star") and args.point is None:
-        raise ExprError(f"--op {args.op} needs --point")
-    try:
-        if args.op == "alpha":
-            out = projmaps.alpha_hom(HPlane(_parse_tuple(args.plane, 4)))
-        elif args.op == "alpha-star":
-            out = projmaps.alpha_star_hom(HPoint(_parse_tuple(args.point, 4)))
-        elif args.op == "sigma":
-            out = projmaps.inversion_sigma(HPoint(_parse_tuple(args.point, 4)))
-        elif args.op == "pi":
-            out = projmaps.polarity_pi(HPlane(_parse_tuple(args.plane, 4)))
-        elif args.op == "pi-star":
-            out = projmaps.polarity_pi_star(HPoint(_parse_tuple(args.point, 4)))
-        elif args.op == "alpha-z":
-            hp = HPlane(_parse_tuple(args.plane, 4)).to_affine()
-            z = _parse_tuple(args.z, 3) if args.z else np.zeros(3)
-            foot = projmaps.alpha_z(hp, z)
-            print(_format_tuple(foot))
-            return EXIT_OK
-        else:  # pragma: no cover - argparse restricts choices
-            raise ExprError(f"unknown op {args.op}")
-    except GeometryError as exc:
-        print(f"exceptional: {exc}", file=sys.stderr)
-        return EXIT_EXCEPTIONAL
-    if args.dehomogenize:
-        if isinstance(out, HPoint):
-            try:
-                aff = out.dehomogenize()
-            except GeometryError as exc:
-                print(f"exceptional: {exc}", file=sys.stderr)
-                return EXIT_EXCEPTIONAL
-            print(_format_tuple(np.concatenate(([1.0], aff))))
-            return EXIT_OK
-        raise ExprError("--dehomogenize applies to point results")
-    print(_format_tuple(out.canonical()))
+    fn, kind, option = {
+        "alpha": (projmaps.alpha_hom, HPlane, "plane"),
+        "alpha-star": (projmaps.alpha_star_hom, HPoint, "point"),
+        "sigma": (projmaps.inversion_sigma, HPoint, "point"),
+        "pi": (projmaps.polarity_pi, HPlane, "plane"),
+        "pi-star": (projmaps.polarity_pi_star, HPoint, "point"),
+        "alpha-z": (projmaps.alpha_z, HPlane, "plane"),
+    }[args.op]
+    text = getattr(args, option)
+    if text is None:
+        raise ValueError(f"--op {args.op} needs --{option}")
+    tup = kind(_parse_tuple(text, 4))
+    if args.op == "alpha-z":
+        z = _parse_tuple(args.z, 3) if args.z else np.zeros(3)
+        print(_format_tuple(fn(tup.to_affine(), z)))
+    elif not args.dehomogenize:
+        print(_format_tuple(fn(tup).canonical()))
+    else:
+        out = fn(tup)
+        if not isinstance(out, HPoint):
+            raise ValueError("--dehomogenize applies to point results")
+        print(_format_tuple(np.concatenate(([1.0], out.dehomogenize()))))
     return EXIT_OK
 
 
@@ -324,27 +239,22 @@ def cmd_implicit(args) -> int:
     if args.surface:
         kind, surf = load_surface(parse_config(args.surface))
         if kind != "quadric":
-            raise ExprError("only quadric configs provide an input polynomial")
+            raise ValueError("only quadric configs provide an input polynomial")
         poly = surf.as_poly()
+    elif args.poly:
+        poly = parse_poly(args.poly)
+    elif args.infile:
+        with open(args.infile, encoding="utf-8") as fh:
+            poly = parse_poly(fh.read())
     else:
-        if args.poly:
-            text = args.poly
-        elif args.infile:
-            with open(args.infile, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = sys.stdin.read()
-        try:
-            poly = parse_poly(text)
-        except ValueError as exc:
-            raise ExprError(str(exc))
+        poly = parse_poly(sys.stdin.read())
     if args.direction == "pedal":
         if poly.space is not Space.DUAL:
-            raise ExprError("pedal pullbacks start from a dual polynomial (u0..u3)")
+            raise ValueError("pedal pullbacks start from a dual polynomial (u0..u3)")
         image = hompoly.pedal_pullback(poly)
     else:
         if poly.space is not Space.POINT:
-            raise ExprError("inverse-pedal pullbacks start from a point polynomial (x0..x3)")
+            raise ValueError("inverse-pedal pullbacks start from a point polynomial (x0..x3)")
         image = hompoly.inverse_pedal_pullback(poly)
     if args.strip:
         stripped = strip_exceptional(image)
@@ -361,28 +271,25 @@ def cmd_implicit(args) -> int:
 def cmd_sample(args) -> int:
     m = re.fullmatch(r"(\d+)x(\d+)", args.grid)
     if not m:
-        raise ExprError("--grid must look like 60x60")
+        raise ValueError("--grid must look like 60x60")
     nu, nv = int(m.group(1)), int(m.group(2))
     if nu < 2 or nv < 2:
-        raise ExprError("grid needs at least 2 samples per direction")
+        raise ValueError("grid needs at least 2 samples per direction")
     construct, colon, dtxt = args.construct.partition(":")
     if construct not in surfkit.CONSTRUCTS:
-        raise ExprError(f"unknown construct {args.construct!r}")
+        raise ValueError(f"unknown construct {args.construct!r}")
     if colon and construct not in ("offset", "conchoid"):
-        raise ExprError(f"construct {construct!r} takes no distance")
-    try:
-        d = float(Fraction(dtxt)) if colon else 0.0
-    except (ZeroDivisionError, OverflowError):
-        raise ExprError(f"distance {dtxt!r} is not a finite number")
+        raise ValueError(f"construct {construct!r} takes no distance")
+    d = float(_rational(dtxt, "distance")) if colon else 0.0
     if args.surface in gallery.list_entries():
         surface = gallery.get_entry(args.surface).construct(construct, d)
     elif os.path.exists(args.surface):
         kind, surf = load_surface(parse_config(args.surface))
         if kind == "quadric":
-            raise ExprError("quadric configs feed the implicit command, not sample")
+            raise ValueError("quadric configs feed the implicit command, not sample")
         surface = surfkit.construct(surf, construct, d)
     else:
-        raise ExprError(f"unknown surface {args.surface!r} (gallery name or config path)")
+        raise ValueError(f"unknown surface {args.surface!r} (gallery name or config path)")
     try:
         mesh = surfkit.sample_mesh(surface, nu, nv)
     except EmptyMesh as exc:
@@ -477,7 +384,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ExprError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

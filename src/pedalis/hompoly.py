@@ -47,12 +47,8 @@ class Space(enum.Enum):
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, float):
-        return Fraction(c)  # exact binary value of the float
-    if isinstance(c, str):
-        return Fraction(c)
+    if isinstance(c, (int, float, str)):
+        return Fraction(c)  # a float gives its exact binary value
     raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
 
 
@@ -61,6 +57,9 @@ def _as_fraction(c) -> Fraction:
 # built, and validated, once per result.
 
 _CONST: Exponents = (0, 0, 0, 0)
+# variable name -> (space, exponents), e.g. "u1" -> (Space.DUAL, (0, 1, 0, 0))
+_VARIABLES = {name: (sp, tuple(int(i == k) for i in range(4)))
+              for sp in Space for k, name in enumerate(sp.variables)}
 
 
 def _add_terms(acc: dict, terms: dict, scale=1) -> dict:
@@ -396,9 +395,6 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
 
 # -- canonical text form --------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xu][0-3])|([()+\-*/^])|$)")
-
-
 def format_poly(poly: HomPoly4) -> str:
     """Canonical text form: graded-lex descending, explicit exponents."""
     if poly.is_zero():
@@ -415,109 +411,131 @@ def format_poly(poly: HomPoly4) -> str:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        parts.append(f"{'-' if c < 0 else '+'} {body}")
+    out = " ".join(parts)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
-class _PolyParser:
-    """Recursive-descent parser for the polynomial text grammar.
+# -- text grammar ----------------------------------------------------------
+# Polynomial text and config chart expressions share this tokenizer and
+# parser.  A token is a number, a name or one other non-space character.
+_TEXT_TOKEN = re.compile(r"\d+\.\d*|\.\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\S")
 
-    Accepts +, -, *, ^ with parentheses, integer and p/q constants and the
-    variables x0..x3 or u0..u3 (not mixed).  Values are term dicts;
-    division is only allowed by nonzero constants.
+
+def _parse_text(text: str, hooks):
+    """Parse text by the grammar
+
+        expr  := term (('+' | '-') term)*
+        term  := unary (('*' | '/') unary)*
+        unary := ('-' | '+') unary | atom ['^' unary]
+        atom  := number | name | name '(' expr ')' | '(' expr ')'
+
+    building the value only through ``hooks``: number(tok), name(tok),
+    call(name, arg), add(a, b), sub(a, b), mul(a, b), div(a, b), neg(a)
+    and power(a, b).  A hook raises ValueError for a form its language
+    does not accept.
     """
+    tokens = _TEXT_TOKEN.findall(text)[::-1]  # pop() takes the next token
 
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"bad character in polynomial at {text[pos:]!r}")
-            if m.group(0).strip():
-                self.tokens.append(m.group(0).strip())
-            pos = m.end()
-        self.pos = 0
-        self.space: Space | None = None
+    def accept(*ops):
+        return tokens.pop() if tokens and tokens[-1] in ops else None
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self, space: Space | None):
-        self.space = space
-        poly = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"unexpected token {self.peek()!r}")
-        return poly, self.space
-
-    def expr(self):
-        terms: dict[Exponents, Fraction] = {}
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        while True:
-            _add_terms(terms, self.term(), sign)
-            if self.peek() not in ("+", "-"):
-                return terms
-            sign = -1 if self.take() == "-" else 1
-
-    def term(self):
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            if op == "*":
-                value = _mul_terms(value, rhs)
-                continue
-            if any(e != _CONST for e in rhs):
-                raise ValueError("division by a non-constant polynomial")
-            c = rhs.get(_CONST)
-            if not c:
-                raise ValueError("division by zero")
-            value = {e: v / c for e, v in value.items()}
+    def expr():
+        value = term()
+        while op := accept("+", "-"):
+            value = (hooks.add if op == "+" else hooks.sub)(value, term())
         return value
 
-    def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return _add_terms({}, self.factor(), -1)
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            base = _pow_terms(base, int(tok))
+    def term():
+        value = unary()
+        while op := accept("*", "/"):
+            value = (hooks.mul if op == "*" else hooks.div)(value, unary())
+        return value
+
+    def unary():
+        if op := accept("-", "+"):
+            value = unary()
+            return hooks.neg(value) if op == "-" else value
+        base = atom()
+        if accept("^"):
+            return hooks.power(base, unary())
         return base
 
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial")
+    def atom():
+        if not tokens:
+            raise ValueError("unexpected end of text")
+        tok = tokens.pop()
         if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise ValueError("missing closing parenthesis")
-            return value
-        if tok.isdigit():
-            return {_CONST: Fraction(int(tok))}
-        if len(tok) == 2 and tok[0] in "xu" and tok[1] in "0123":
-            sp = Space.POINT if tok[0] == "x" else Space.DUAL
-            if self.space is None:
-                self.space = sp
-            elif self.space is not sp:
-                raise ValueError("mixed point and dual variables")
-            return HomPoly4.variable(sp, int(tok[1])).terms
+            return closed(expr())
+        if tok[0] == "_" or tok[0].isalpha():
+            if accept("("):
+                return hooks.call(tok, closed(expr()))
+            return hooks.name(tok)
+        if tok[0].isdecimal() or tok[1:].isdecimal():  # 12, 1.5, 1. or .5
+            return hooks.number(tok)
         raise ValueError(f"unexpected token {tok!r}")
+
+    def closed(value):
+        if not accept(")"):
+            raise ValueError("missing closing parenthesis")
+        return value
+
+    value = expr()
+    if tokens:
+        raise ValueError(f"unexpected token {tokens[-1]!r}")
+    return value
+
+
+class _PolyHooks:
+    """_parse_text hooks that build term dicts: integer constants, the
+    variables of one space, division by a nonzero constant only and
+    exponents that are nonnegative integer constants."""
+
+    add = staticmethod(_add_terms)  # in place: a += b
+    mul = staticmethod(_mul_terms)
+
+    def __init__(self, space: Space | None):
+        self.space = space
+
+    def number(self, tok):
+        if "." in tok:
+            raise ValueError(f"decimal constant {tok!r}; write p/q")
+        return {_CONST: Fraction(int(tok))} if int(tok) else {}  # no zero coefficients
+
+    def name(self, tok):
+        if tok not in _VARIABLES:
+            raise ValueError(f"unknown variable {tok!r}")
+        sp, exps = _VARIABLES[tok]
+        if self.space not in (None, sp):
+            raise ValueError("mixed point and dual variables")
+        self.space = sp
+        return {exps: Fraction(1)}
+
+    def call(self, name, arg):
+        raise ValueError(f"polynomial text has no function {name!r}")
+
+    def sub(self, a, b):
+        return _add_terms(a, b, -1)
+
+    def div(self, a, b):
+        c = self.constant(b, "division by a non-constant polynomial")
+        if not c:
+            raise ValueError("division by zero")
+        return {e: v / c for e, v in a.items()}
+
+    def neg(self, a):
+        return {e: -c for e, c in a.items()}
+
+    def power(self, a, b):
+        n = self.constant(b, "exponent must be a nonnegative integer")
+        if n < 0 or n.denominator != 1:
+            raise ValueError("exponent must be a nonnegative integer")
+        return _pow_terms(a, int(n))
+
+    def constant(self, terms, message):
+        if any(e != _CONST for e in terms):
+            raise ValueError(message)
+        return terms.get(_CONST, 0)
 
 
 def parse_poly(text: str, space: Space | None = None) -> HomPoly4:
@@ -526,7 +544,8 @@ def parse_poly(text: str, space: Space | None = None) -> HomPoly4:
     Raises ValueError for malformed input, for division by anything but a
     nonzero constant, and for a result that is not homogeneous.
     """
-    terms, seen = _PolyParser(text).parse(space)
-    if seen is None:
+    hooks = _PolyHooks(space)
+    terms = _parse_text(text, hooks)
+    if hooks.space is None:
         raise ValueError("constant polynomial needs an explicit space")
-    return HomPoly4(seen, terms)  # checks homogeneity of the result
+    return HomPoly4(hooks.space, terms)  # checks homogeneity of the result

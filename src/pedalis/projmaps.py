@@ -150,11 +150,6 @@ class AffPlane:
     def hplane(self) -> HPlane:
         return HPlane.from_affine(self)
 
-    def distance(self, p) -> float:
-        """Signed distance of the point p from the plane."""
-        n = self.normal
-        return (n @ np.asarray(p, float) - self.offset) / np.linalg.norm(n)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffPlane):
             return NotImplemented

@@ -15,6 +15,8 @@ envelope solver recovers point charts from plane charts by solving the
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -507,20 +509,15 @@ def sample_mesh(S, nu: int, nv: int) -> Mesh:
 
 
 def write_obj(mesh: Mesh, target) -> None:
-    """Write a mesh as Wavefront OBJ (v/f records, 1-based, triangles)."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", encoding="ascii")
-        close = True
-    else:
-        fh = target
-    try:
+    """Write a mesh as Wavefront OBJ (v/f records, 1-based, triangles).
+
+    ``target`` is a path (str, bytes or os.PathLike) or a text file object.
+    """
+    is_path = isinstance(target, (str, bytes, os.PathLike))
+    with open(target, "w", encoding="ascii") if is_path else nullcontext(target) as fh:
         # one C-level % per block: '%.12g' % x is f"{x:.12g}" byte for byte
         for record, rows in (("v %.12g %.12g %.12g\n", mesh.vertices),
                              ("f %d %d %d\n", mesh.faces + 1)):
             for k in range(0, len(rows), BLOCK_ROWS):
                 block = rows[k:k + BLOCK_ROWS]
                 fh.write(record * len(block) % tuple(block.ravel().tolist()))
-    finally:
-        if close:
-            fh.close()

@@ -57,6 +57,22 @@ class TestMap:
         assert res.stderr.startswith("exceptional:")
 
 
+@pytest.mark.parametrize("args", [
+    ("map", "--op", "alpha", "--plane", "1/0,0,0,1"),
+    ("map", "--op", "alpha", "--plane", "1e400,0,0,1"),
+    ("map", "--op", "alpha-z", "--plane", "-1,0,0,1", "--z", "1/0,0,0"),
+    ("implicit", "--direction", "pedal", "--surface", "QUADRIC"),
+])
+def test_non_finite_rational_is_an_input_error(tmp_path, args):
+    cfg = tmp_path / "quad.cfg"
+    cfg.write_text("[surface]\nkind = quadric\nspace = dual\n"
+                   "matrix = 1/0 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1\n")
+    res = run(*(str(cfg) if a == "QUADRIC" else a for a in args))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:"), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 class TestImplicit:
     def test_pluecker_strip_report(self):
         res = run("implicit", "--direction", "pedal", "--strip",
@@ -269,6 +285,16 @@ class TestSample:
     def test_bad_distance_is_an_input_error(self, tmp_path, construct):
         res = run("sample", "--surface", "plane-conchoid", "--construct", construct,
                   "--grid", "4x4", "--out", str(tmp_path / "x.obj"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:"), res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("expr", ["sin u", "foo", "u,v", "1e5"])
+    def test_chart_grammar_error_is_an_input_error(self, tmp_path, expr):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[surface]\nkind = point\nfx = u\nfy = v\nfz = {expr}\n")
+        res = run("sample", "--surface", str(cfg), "--grid", "4x4",
+                  "--out", str(tmp_path / "x.obj"))
         assert res.returncode == 1
         assert res.stderr.startswith("error:"), res.stderr
         assert "Traceback" not in res.stderr

@@ -217,10 +217,25 @@ class TestTextForm:
         assert p.coefficient((0, 0, 2, 0)) == Fraction(-1, 4)
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
-            parse_poly("x0 + $")
-        with pytest.raises(ValueError):
-            parse_poly("x0 * (x1 + u2)")
+        for text in ["x0 + $", "x0 * (x1 + u2)", "3/2*x0 + 1.5*x1", "sin(x0)",
+                     "x0, x1", "x0^-1", "x0^(1/2)", "x0^x1", "x0^2^-1", "x4", "x0 +"]:
+            with pytest.raises(ValueError):
+                parse_poly(text)
+
+    def test_chart_grammar_forms(self):
+        # unary + after an operator, parenthesized and chained exponents
+        assert parse_poly("x0 + +x1") == parse_poly("x0 + x1")
+        assert parse_poly("x0*+x1 - +x2^2") == parse_poly("x0*x1 - x2^2")
+        assert parse_poly("x0^(2)") == parse_poly("x0^2")
+        assert parse_poly("x0^2^1 + x1^(4/2)") == parse_poly("x0^2 + x1^2")
+        assert parse_poly("(x0 + x1)^2^2") == parse_poly("(x0 + x1)^4")
+
+    def test_term_order(self):
+        # HomPoly4.eval_grid sums in insertion order, and verify prints those floats
+        assert list(parse_poly("x1^2 + x2^2 + 4*x0*x3 - 4*x0^2").terms) == [
+            (0, 2, 0, 0), (0, 0, 2, 0), (1, 0, 0, 1), (2, 0, 0, 0)]
+        assert list(parse_poly("-(u1 - u2)*(u1 + u2) + u0*u3").terms) == [
+            (0, 2, 0, 0), (0, 0, 2, 0), (1, 0, 0, 1)]
 
     def test_zero_polynomial(self):
         z = HomPoly4.zero(Space.POINT)

@@ -449,8 +449,10 @@ class TestWriteObj:
         write_obj(mesh, buf)
         assert buf.getvalue() == expect
         path = tmp_path / "mesh.obj"
-        write_obj(mesh, str(path))
-        assert path.read_bytes() == expect.encode("ascii")
+        for target in (str(path), path):
+            path.unlink(missing_ok=True)
+            write_obj(mesh, target)
+            assert path.read_bytes() == expect.encode("ascii")
         assert expect.count("\n") == nv + nf
 
     def test_integral_floats_print_as_integers(self):
