@@ -40,8 +40,9 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the CLI contract wants 1
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let tuple values like -1,0,0,1 pass as option arguments
-        self._negative_number_matcher = re.compile(r"^-[\d.,]+$")
+        # let tuple values that start with a negative number, like -1,0,0,1,
+        # -1/2,0,0,1 or -1e-3,0,0,1, pass as option arguments
+        self._negative_number_matcher = re.compile(r"^-\.?\d.*$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -134,16 +135,32 @@ def parse_config(path: str) -> dict:
     return sections
 
 
-def _config_domain(sections) -> Domain:
-    dom = {"umin": "0", "umax": "1", "vmin": "0", "vmax": "1", **sections.get("domain", {})}
+_DOMAIN_DEFAULTS = {"umin": "0", "umax": "1", "vmin": "0", "vmax": "1"}
+
+
+def _domain_bound(key: str, text: str) -> float:
+    """Value of a constant [domain] expression; naming u or v is an input error."""
+    def name(tok):
+        if tok in ("u", "v"):
+            raise ValueError(f"domain bound {key} = {text!r} names the parameter {tok}")
+        return _chart_name(tok)
+
+    hooks = SimpleNamespace(**{**vars(_CHART_HOOKS), "name": name})
     # a bound like 1/0 is an input error, reported below, not a warning
     with np.errstate(all="ignore"):
-        bounds = {key: parse_expr(dom[key])(0.0, 0.0)
-                  for key in ("umin", "umax", "vmin", "vmax")}
-    for key, value in bounds.items():
-        if not np.isfinite(value):
-            raise ValueError(f"domain bound {key} = {dom[key]!r} is not finite")
-    return Domain(**bounds)
+        value = hompoly._parse_text(text, hooks)(0.0, 0.0)
+    if not np.isfinite(value):
+        raise ValueError(f"domain bound {key} = {text!r} is not finite")
+    return value
+
+
+def _config_domain(sections) -> Domain:
+    dom = {**_DOMAIN_DEFAULTS, **sections.get("domain", {})}
+    unknown = [key for key in dom if key not in _DOMAIN_DEFAULTS]
+    if unknown:
+        raise ValueError(f"unknown [domain] key {unknown[0]!r}; "
+                         f"allowed: {', '.join(_DOMAIN_DEFAULTS)}")
+    return Domain(**{key: _domain_bound(key, text) for key, text in dom.items()})
 
 
 def _surface_value(sections, key) -> str:
@@ -196,9 +213,9 @@ def load_surface(sections):
 
 
 def _parse_tuple(text, n):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated numbers, got {len(parts)}")
+    parts = text.split(",")
+    if len(parts) != n or not all(p.strip() for p in parts):
+        raise ValueError(f"expected {n} comma-separated numbers, got {text!r}")
     return np.array([float(_rational(p, "coordinate")) for p in parts])
 
 

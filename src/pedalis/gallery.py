@@ -67,21 +67,25 @@ class ResidualCase:
 class GalleryEntry:
     name: str
     summary: str
-    point_poly: HomPoly4 | None
-    dual_poly: HomPoly4 | None
-    point_family: object | None  # d -> HomPoly4
-    dual_family: object | None
-    expected: tuple[int, int, int, int] | None
-    expected_poly: HomPoly4 | None  # polynomial the bookkeeping applies to
+    point_poly: HomPoly4
+    dual_poly: HomPoly4
+    expected: tuple[int, int, int, int]  # (n, r, k, deg) of expected_poly
     residual_cases: tuple[ResidualCase, ...]
-    dual: DualSurface | None  # tangent planes with unit normals, at d = 0
-    polar: PolarSurface | None  # polar chart at d = 0
-    point_chart: PointSurface | None
-    extras: dict | None = None
     # (source, expected stripped pullback image), aligned with the source space
-    pullback_pair: tuple[HomPoly4, HomPoly4] | None = None
+    pullback_pair: tuple[HomPoly4, HomPoly4]
     # which chart family represents the entry's base surface
     primary: str = "point"
+    point_family: object | None = None  # d -> HomPoly4
+    dual_family: object | None = None
+    dual: DualSurface | None = None  # tangent planes with unit normals, at d = 0
+    polar: PolarSurface | None = None  # polar chart at d = 0
+    point_chart: PointSurface | None = None
+    extras: dict | None = None
+
+    @property
+    def expected_poly(self) -> HomPoly4:
+        """Polynomial the (n, r, k, deg) bookkeeping applies to."""
+        return self.pullback_pair[0]
 
     def ne_charts(self) -> tuple[Chart, Chart]:
         """Unit normal and support charts of the base plane family."""
@@ -170,10 +174,9 @@ def _build_plane_conchoid() -> GalleryEntry:
         summary="conchoid family of the plane z=1 about the origin",
         point_poly=plane, dual_poly=fstar,
         point_family=point_family, dual_family=dual_family,
-        expected=(2, 1, 1, 1), expected_poly=fstar,
+        expected=(2, 1, 1, 1),
         residual_cases=tuple(cases),
         dual=DualSurface(n, e), polar=polar,
-        point_chart=None,
         pullback_pair=(fstar, plane),
     )
 
@@ -194,10 +197,9 @@ def _build_paraboloid_offset() -> GalleryEntry:
         summary="offset family of the paraboloid x^2+y^2+4z=4 with focal point O",
         point_poly=paraboloid, dual_poly=fstar,
         point_family=point_family, dual_family=dual_family,
-        expected=(2, 1, 1, 1), expected_poly=fstar,
+        expected=(2, 1, 1, 1),
         residual_cases=tuple(cases),
         dual=dual, polar=PolarSurface(n, e),
-        point_chart=None,
         pullback_pair=(fstar, plane),
     )
 
@@ -246,10 +248,9 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
         summary=f"offsets of the sphere center ({m},0,0) radius {R} and their conchoids",
         point_poly=gbar, dual_poly=fstar,
         point_family=point_family, dual_family=dual_family,
-        expected=(2, 0, 0, 4), expected_poly=fstar,
+        expected=(2, 0, 0, 4),
         residual_cases=tuple(cases),
         dual=dual, polar=polar,
-        point_chart=None,
         pullback_pair=(fstar, gbar),
     )
 
@@ -273,11 +274,9 @@ def _build_sphere_bundle(m=2) -> GalleryEntry:
         primary="polar",
         summary=f"degenerate bundle through ({m},0,0); image sphere with diameter OM",
         point_poly=gbar, dual_poly=fstar,
-        point_family=None, dual_family=None,
-        expected=(1, 0, 0, 2), expected_poly=fstar,
+        expected=(1, 0, 0, 2),
         residual_cases=(ResidualCase("OM-sphere polar chart", polar, gbar),),
-        dual=None, polar=polar,
-        point_chart=None,
+        polar=polar,
         pullback_pair=(fstar, gbar),
     )
 
@@ -376,7 +375,7 @@ def _build_pluecker() -> GalleryEntry:
         summary="Pluecker conoid: pedal, inverse pedal, offsets and conchoids",
         point_poly=gbar, dual_poly=fstar,
         point_family=point_family, dual_family=dual_family,
-        expected=(3, 2, 0, 4), expected_poly=fstar,
+        expected=(3, 2, 0, 4),
         residual_cases=tuple(cases),
         dual=dual, polar=polar,
         point_chart=point_chart,
@@ -440,10 +439,9 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
         summary=f"pedal of the parabola (u,0,{a}/2 u^2+{c}): a cubic cyclide",
         point_poly=gbar, dual_poly=fstar,
         point_family=point_family, dual_family=dual_family,
-        expected=(2, 1, 0, 3), expected_poly=fstar,
+        expected=(2, 1, 0, 3),
         residual_cases=tuple(cases),
         dual=dual, polar=polar,
-        point_chart=None,
         pullback_pair=(fstar, gbar),
     )
 
@@ -487,7 +485,7 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
         summary=f"pedal family of the paraboloid z=({a}x^2+{b}y^2)/2+{c}",
         point_poly=gbar, dual_poly=fstar,
         point_family=point_family, dual_family=dual_family,
-        expected=(2, 1, 0, 3), expected_poly=fstar,
+        expected=(2, 1, 0, 3),
         residual_cases=tuple(cases),
         dual=dual, polar=polar,
         point_chart=point_chart,
@@ -526,10 +524,8 @@ def _build_sphere_inverse_pedal(m=2, r=1) -> GalleryEntry:
         primary="point",
         summary=f"inverse pedal of the sphere center ({m},0,0) radius {r}",
         point_poly=gsphere, dual_poly=result.dual,
-        point_family=None, dual_family=None,
-        expected=(2, 0, 1, 2), expected_poly=gsphere,
+        expected=(2, 0, 1, 2),
         residual_cases=tuple(cases),
-        dual=None, polar=None,
         point_chart=sphere_chart,
         pullback_pair=(gsphere, result.dual),
         extras={"result": result},
@@ -543,8 +539,6 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
     gcyl = x1 ** 2 * bf ** 2 + x2 ** 2 * af ** 2 - x0 ** 2 * (af * bf) ** 2
     fstar = ((u0 * u1) ** 2 * bf ** 2 + (u0 * u2) ** 2 * af ** 2
              - QDU ** 2 * (af * bf) ** 2)
-    sigma_g = ((x0 * x1) ** 2 * bf ** 2 + (x0 * x2) ** 2 * af ** 2
-               - QPT ** 2 * (af * bf) ** 2)
     afl, bfl = float(a), float(b)
     rdom = Domain(0.0, 2.0 * math.pi, -2.0, 2.0)
     ruled = RuledChart(
@@ -594,18 +588,12 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
         primary="point",
         summary=f"inverse pedal of the elliptic cylinder x^2/{a}^2+y^2/{b}^2=1",
         point_poly=gcyl, dual_poly=fstar,
-        point_family=None, dual_family=None,
-        expected=(2, 0, 0, 4), expected_poly=gcyl,
+        expected=(2, 0, 0, 4),
         residual_cases=tuple(cases),
-        dual=None, polar=polar,
+        polar=polar,
         point_chart=ruled_points,
         pullback_pair=(gcyl, fstar),
-        extras={
-            "ruled": ruled,
-            "closed_form": closed_form,
-            "sigma_g": sigma_g,
-            "a": afl, "b": bfl,
-        },
+        extras={"ruled": ruled, "closed_form": closed_form},
     )
 
 

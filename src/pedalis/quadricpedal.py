@@ -122,33 +122,32 @@ class QuadricForm:
             [b3 / 2, 0, 0, a3],
         ])
 
-    def eval(self, tup):
-        vec = np.asarray(tup, dtype=float)
-        A = np.array([[float(x) for x in row] for row in self.A])
-        return float(vec @ A @ vec)
-
 
 # -- closed cyclide forms (oracles for the normalized shape) ----------------
 
 
-def cyclide_closed_form(a0, a1, a2, a3, b1, b2, b3) -> HomPoly4:
-    """Pedal image of the normalized dual quadric, in point coordinates."""
-    x0 = HomPoly4.variable(Space.POINT, 0)
-    x = [HomPoly4.variable(Space.POINT, i) for i in (1, 2, 3)]
-    q = HomPoly4.quadform(Space.POINT)
+def _cyclide_form(space: Space, a0, a1, a2, a3, b1, b2, b3) -> HomPoly4:
+    """Cyclide quartic over the variables x0..x3 (or u0..u3) of ``space``:
+
+        x0^2 (a1 x1^2 + a2 x2^2 + a3 x3^2) - x0 q (b1 x1 + b2 x2 + b3 x3) + a0 q^2
+
+    with q = x1^2 + x2^2 + x3^2.
+    """
+    x0, *x = (HomPoly4.variable(space, i) for i in range(4))
+    q = HomPoly4.quadform(space)
     diag = x[0] * x[0] * a1 + x[1] * x[1] * a2 + x[2] * x[2] * a3
     bee = x[0] * b1 + x[1] * b2 + x[2] * b3
     return x0 * x0 * diag - x0 * q * bee + q * q * a0
 
 
+def cyclide_closed_form(a0, a1, a2, a3, b1, b2, b3) -> HomPoly4:
+    """Pedal image of the normalized dual quadric, in point coordinates."""
+    return _cyclide_form(Space.POINT, a0, a1, a2, a3, b1, b2, b3)
+
+
 def dual_cyclide_closed_form(a0, a1, a2, a3, b1, b2, b3) -> HomPoly4:
     """Inverse pedal image of the normalized point quadric, dual coordinates."""
-    u0 = HomPoly4.variable(Space.DUAL, 0)
-    u = [HomPoly4.variable(Space.DUAL, i) for i in (1, 2, 3)]
-    q = HomPoly4.quadform(Space.DUAL)
-    diag = u[0] * u[0] * a1 + u[1] * u[1] * a2 + u[2] * u[2] * a3
-    bee = u[0] * b1 + u[1] * b2 + u[2] * b3
-    return u0 * u0 * diag - u0 * q * bee + q * q * a0
+    return _cyclide_form(Space.DUAL, a0, a1, a2, a3, b1, b2, b3)
 
 
 # -- pedal / inverse pedal of quadrics ---------------------------------------
@@ -431,8 +430,7 @@ def sphere_inverse_pedal_affine(m, r) -> SphereInversePedal:
     """
     m, r = Fraction(m), Fraction(r)
     a = m * m - r * r
-    dual = strip_exceptional(
-        inverse_pedal_pullback(sphere_point_quadric(m, r).as_poly())).reduced
+    dual = inverse_pedal_quadric(sphere_point_quadric(m, r))
     if a == 0:
         return SphereInversePedal(
             SphereInversePedalKind.DEGENERATE_POINT, None, dual,

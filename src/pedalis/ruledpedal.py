@@ -285,39 +285,21 @@ def polar_pedal_of_ruled(R: RuledChart, domain: Domain | None = None) -> PolarSu
     return PolarSurface(Chart(s, domain=F.domain), Chart(r, domain=F.domain))
 
 
-def _footpoint_frame(R: RuledChart, u: float):
-    """Foot-point directrix d(u), its derivative, e(u) and e'(u)."""
-    dfun = footpoint_curve(R)
-    d = dfun(u)
-    ddot = _derive(dfun, u)
-    return d, ddot, R.direction(u), R.de(u)
-
-
 def inverse_pedal_ruled(R: RuledChart, u, v) -> np.ndarray:
     """Points of the inverse pedal surface of a ruled point chart.
 
-    Solves the plane through g = d + v' e with normal O g together with its
-    two derivative planes; v is measured along the chart's own directrix
-    and is shifted internally to the foot-point directrix.  Samples where
-    the chart passes through O (OriginOnSurface) or the system is singular
-    (DegenerateSystem) are NaN rows; a single sample raises instead.
+    Solves the envelope system of ``point_to_dual`` for g = c + v e: the
+    plane x.g = g.g and its two derivative planes, with rows g,
+    g_u = c' + v e' and g_v = e.  Samples where the chart passes through O
+    (OriginOnSurface) or the system is singular (DegenerateSystem) are NaN
+    rows; a single sample raises instead.
     """
-    c = np.asarray(R.c(u), float)
-    e = R.direction(u)
-    d, ddot, _, edot = _footpoint_frame(R, u)
-    # shift of the ruling parameter from c-based to footpoint-based
-    vshift = rowdot(c, e) / rowdot(e, e)
-    w = v + vshift
-    g = d + w[..., None] * e
-    w = drop(np.sqrt(rowdot(g, g)) < _EPS, w, OriginOnSurface,
-             "chart passes through O", u, v)
-    ww = w[..., None]
-    M = np.stack((d + ww * e, ddot + ww * edot, e), axis=-2)
-    rhs = np.stack((
-        rowdot(d, d) + w * w * rowdot(e, e),
-        2.0 * (rowdot(d, ddot) + w * w * rowdot(e, edot)),
-        2.0 * w * rowdot(e, e),
-    ), axis=-1)
+    g = R.point(u, v)
+    g = drop(np.sqrt(rowdot(g, g)) < _EPS, g, OriginOnSurface, "chart passes through O", u, v)
+    gu = R.dc(u) + np.asarray(v, float)[..., None] * R.de(u)
+    gv = R.direction(u)
+    M = np.stack((g, gu, gv), axis=-2)
+    rhs = np.stack((rowdot(g, g), 2.0 * rowdot(g, gu), 2.0 * rowdot(g, gv)), axis=-1)
     X, valid = _guarded_solve(M, rhs)
     return drop(~valid, X, DegenerateSystem, "degenerate inverse pedal system", u, v)
 

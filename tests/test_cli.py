@@ -56,6 +56,28 @@ class TestMap:
         assert res.returncode == 2
         assert res.stderr.startswith("exceptional:")
 
+    @pytest.mark.parametrize("plane", ["-1/2,0,0,1", "-1e-3,0,0,1", "-.5,0,0,1"])
+    def test_leading_minus_rational_tuple(self, plane):
+        # a separate tuple argument that starts with a negative rational is a
+        # value, not an option: it prints what the --plane=... form prints
+        spaced = run("map", "--op", "alpha", "--plane", plane)
+        joined = run("map", "--op", "alpha", f"--plane={plane}")
+        assert joined.returncode == 0, joined.stderr
+        assert (spaced.returncode, spaced.stdout) == (0, joined.stdout), spaced.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("--op", "alpha", "--plane", "1,0,,0,1"),
+        ("--op", "alpha", "--plane", "1,0,,1"),
+        ("--op", "alpha", "--plane", "-1,0,0,1,"),
+        ("--op", "alpha-z", "--plane", "-1,0,0,1", "--z", "0,,3"),
+    ])
+    def test_empty_tuple_field_is_an_input_error(self, args):
+        res = run("map", *args)
+        n = 3 if "--z" in args else 4
+        assert res.returncode == 1
+        assert res.stderr == (f"error: expected {n} comma-separated numbers, "
+                              f"got {args[-1]!r}\n")
+
 
 @pytest.mark.parametrize("args", [
     ("map", "--op", "alpha", "--plane", "1/0,0,0,1"),
@@ -307,6 +329,27 @@ class TestSample:
                   "--out", str(tmp_path / "x.obj"))
         assert res.returncode == 1
         assert res.stderr == "error: domain bound vmax = '1/0' is not finite\n"
+
+    @pytest.mark.parametrize("bound, name", [("umax = v + 2", "v"), ("umin = sin(u)", "u"),
+                                             ("vmax = 0*u + 1", "u")])
+    def test_domain_bound_naming_a_parameter_is_an_input_error(self, tmp_path, bound, name):
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text(f"[surface]\nkind = point\nfx = u\nfy = v\nfz = 0\n[domain]\n{bound}\n")
+        res = run("sample", "--surface", str(cfg), "--grid", "3x3",
+                  "--out", str(tmp_path / "x.obj"))
+        key, text = (part.strip() for part in bound.split("="))
+        assert res.returncode == 1
+        assert res.stderr == f"error: domain bound {key} = {text!r} names the parameter {name}\n"
+
+    def test_unknown_domain_key_is_an_input_error(self, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("[surface]\nkind = point\nfx = u\nfy = v\nfz = 0\n"
+                       "[domain]\numin = 0\numx = 3\n")
+        res = run("sample", "--surface", str(cfg), "--grid", "3x3",
+                  "--out", str(tmp_path / "x.obj"))
+        assert res.returncode == 1
+        assert res.stderr == ("error: unknown [domain] key 'umx'; "
+                              "allowed: umin, umax, vmin, vmax\n")
 
     @pytest.mark.parametrize("construct",
                              ["self", "pedal", "inverse-pedal", "offset:1/2", "conchoid:1/2"])

@@ -275,6 +275,16 @@ class TestInversePedal:
                 worst = max(worst, float(np.max(np.abs(got - closed(u, v)))))
         assert worst < 1e-7
 
+    def test_one_system_serves_both_paths(self):
+        # the ruled inverse pedal solves the envelope system of point_to_dual,
+        # so it equals the generic inverse-pedal construct bit for bit and
+        # meets the closed form to rounding
+        qc = get_entry("quadratic-cylinder")
+        U, V = Domain(0.0, 2.0 * math.pi, -2.0, 2.0).grid(40, 40)
+        got = inverse_pedal_ruled(qc.extras["ruled"], U, V)
+        assert np.array_equal(got, qc.construct("inverse-pedal").point(U, V))
+        assert np.max(np.abs(got - qc.extras["closed_form"](U, V))) <= 1e-12
+
     def test_equal_axes_meridian(self):
         # rotational cylinder a=b: meridian parabola (-b^2+v^2, 0, 2v) at u=pi
         R = cylinder_chart(1.0, 1.0)
