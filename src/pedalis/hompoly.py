@@ -18,7 +18,9 @@ the stripped pedal image has degree 2n - r - 2k.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +59,8 @@ def _as_fraction(c) -> Fraction:
 # built, and validated, once per result.
 
 _CONST: Exponents = (0, 0, 0, 0)
+# the exceptional quadric v1^2 + v2^2 + v3^2 of either space
+_QUADFORM = {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1}
 # variable name -> (space, exponents), e.g. "u1" -> (Space.DUAL, (0, 1, 0, 0))
 _VARIABLES = {name: (sp, tuple(int(i == k) for i in range(4)))
               for sp in Space for k, name in enumerate(sp.variables)}
@@ -105,8 +109,11 @@ def _square_terms(a: dict) -> dict:
 
 
 def _pow_terms(a: dict, n: int) -> dict:
-    """a**n by repeated squaring."""
-    result = {_CONST: Fraction(1)}
+    """a**n by repeated squaring; a monomial keeps its coefficient type."""
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return {tuple(n * x for x in e): c ** n}
+    result = {_CONST: 1}
     while n:
         if n & 1:
             result = _mul_terms(a, result)
@@ -125,7 +132,10 @@ class HomPoly4:
         clean: dict[Exponents, Fraction] = {}
         degree = None
         for exps, coeff in dict(terms).items():
-            exps = tuple(int(e) for e in exps)
+            try:
+                exps = tuple(map(operator.index, exps))  # no silent truncation
+            except TypeError:
+                raise ValueError(f"bad exponent tuple {exps!r}") from None
             if len(exps) != 4 or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r}")
             coeff = _as_fraction(coeff)
@@ -157,10 +167,7 @@ class HomPoly4:
     @classmethod
     def quadform(cls, space: Space) -> "HomPoly4":
         """The exceptional quadric x1^2+x2^2+x3^2 (resp. u1^2+u2^2+u3^2)."""
-        return cls(
-            space,
-            {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1},
-        )
+        return cls(space, _QUADFORM)
 
     # -- ring operations ----------------------------------------------
 
@@ -270,22 +277,43 @@ class HomPoly4:
     # -- exact division -------------------------------------------------
 
     def exact_divide(self, divisor: "HomPoly4") -> "HomPoly4":
-        """Exact quotient self / divisor; NotDivisible on any remainder."""
+        """Exact quotient self / divisor; NotDivisible on any remainder.
+
+        Long division by leading terms.  Both operands are homogeneous, so
+        graded-lex order is lex order on the exponent tuples, and the next
+        lead comes off a max-heap of negated tuples.  A popped monomial
+        that is no longer in the remainder was cancelled, or is a second
+        heap entry of the same monomial, and is skipped.
+        """
         self._check_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         dlead = divisor.leading_monomial()
         dcoeff = divisor.terms[dlead]
         rem = dict(self.terms)
+        heap = [(-e0, -e1, -e2, -e3) for e0, e1, e2, e3 in rem]
+        heapq.heapify(heap)
         quot: dict[Exponents, Fraction] = {}
         while rem:
-            lead = max(rem, key=lambda e: (sum(e), e))
+            lead = tuple(-e for e in heapq.heappop(heap))
+            if lead not in rem:
+                continue
             q = tuple(a - b for a, b in zip(lead, dlead))
             if any(e < 0 for e in q):
                 raise NotDivisible("exact division failed")
             qc = rem[lead] / dcoeff
-            quot[q] = quot.get(q, Fraction(0)) + qc
-            _add_terms(rem, _mul_terms({q: qc}, divisor.terms), -1)
+            quot[q] = qc  # leads strictly decrease, so each q comes once
+            q0, q1, q2, q3 = q
+            for (d0, d1, d2, d3), dc in divisor.terms.items():
+                e = (q0 + d0, q1 + d1, q2 + d2, q3 + d3)
+                old = rem.get(e)
+                v = -qc * dc if old is None else old - qc * dc
+                if not v:
+                    del rem[e]
+                    continue
+                if old is None:
+                    heapq.heappush(heap, (-e[0], -e[1], -e[2], -e[3]))
+                rem[e] = v
         return HomPoly4(self.space, quot)
 
 
@@ -296,16 +324,25 @@ def _pullback(poly: HomPoly4, src: Space) -> HomPoly4:
     """Substitute v0 <- -(quadform), vi <- w0*wi into a polynomial."""
     if poly.space is not src:
         raise SpaceMismatch(f"expected a {src.name} polynomial")
-    dst = src.other
-    q = HomPoly4.quadform(dst).terms
-    qpow = [{_CONST: Fraction(1)}]
-    terms: dict[Exponents, Fraction] = {}
+    # integers over the common denominator of the coefficients
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    qpow = [{_CONST: 1}]
+    terms: dict[Exponents, int] = {}
     for (e0, e1, e2, e3), c in poly.terms.items():
         while len(qpow) <= e0:
-            qpow.append(_mul_terms(qpow[-1], q))
-        mono = {(e1 + e2 + e3, e1, e2, e3): -c if e0 % 2 else c}
-        _add_terms(terms, _mul_terms(mono, qpow[e0]))
-    return HomPoly4(dst, terms)
+            qpow.append(_mul_terms(qpow[-1], _QUADFORM))
+        n = c.numerator * (den // c.denominator)
+        if e0 % 2:
+            n = -n
+        lift = e1 + e2 + e3
+        for (_, q1, q2, q3), qc in qpow[e0].items():
+            e = (lift, e1 + q1, e2 + q2, e3 + q3)
+            v = terms.get(e, 0) + n * qc
+            if v:
+                terms[e] = v
+            else:
+                del terms[e]
+    return HomPoly4(src.other, {e: Fraction(n, den) for e, n in terms.items()})
 
 
 def pedal_pullback(fstar: HomPoly4) -> HomPoly4:
@@ -377,7 +414,7 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
         raise SpaceMismatch("offset families are built from dual polynomials")
     d = _as_fraction(d)
     # t = d*sqrt(q) with t^2 = d^2*q; expand fstar(u0 + t, u) = even + t*odd
-    t2 = {e: d * d * c for e, c in HomPoly4.quadform(Space.DUAL).terms.items()}
+    t2 = {e: d * d for e in _QUADFORM}
     t2pow = [{_CONST: Fraction(1)}]
     even: dict[Exponents, Fraction] = {}
     odd: dict[Exponents, Fraction] = {}
@@ -500,7 +537,7 @@ class _PolyHooks:
     def number(self, tok):
         if "." in tok:
             raise ValueError(f"decimal constant {tok!r}; write p/q")
-        return {_CONST: Fraction(int(tok))} if int(tok) else {}  # no zero coefficients
+        return {_CONST: int(tok)} if int(tok) else {}  # no zero coefficients
 
     def name(self, tok):
         if tok not in _VARIABLES:
@@ -509,7 +546,7 @@ class _PolyHooks:
         if self.space not in (None, sp):
             raise ValueError("mixed point and dual variables")
         self.space = sp
-        return {exps: Fraction(1)}
+        return {exps: 1}
 
     def call(self, name, arg):
         raise ValueError(f"polynomial text has no function {name!r}")
@@ -521,7 +558,7 @@ class _PolyHooks:
         c = self.constant(b, "division by a non-constant polynomial")
         if not c:
             raise ValueError("division by zero")
-        return {e: v / c for e, v in a.items()}
+        return {e: Fraction(v) / c for e, v in a.items()}
 
     def neg(self, a):
         return {e: -c for e, c in a.items()}

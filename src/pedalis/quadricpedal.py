@@ -153,14 +153,18 @@ def dual_cyclide_closed_form(a0, a1, a2, a3, b1, b2, b3) -> HomPoly4:
 # -- pedal / inverse pedal of quadrics ---------------------------------------
 
 
-def pedal_of_quadric(Q: QuadricForm) -> HomPoly4:
+def pedal_of_quadric(Q: QuadricForm, rank: int | None = None) -> HomPoly4:
     """Stripped pedal image of a dual quadric: a Darboux cyclide.
 
     Rank-4 duals give quartic cyclides, rank-3 duals (conic tangent-plane
-    families) canal-surface cyclides; lower rank is rejected.
+    families) canal-surface cyclides; lower rank is rejected.  A given
+    ``rank`` (3 or 4) must be the rank of Q, else RankMismatch.
     """
     if Q.space is not Space.DUAL:
         raise ValueError("pedal images are built from dual quadrics")
+    if rank is not None and Q.rank != rank:
+        kind = "conics" if rank == 3 else "quadric surfaces"
+        raise RankMismatch(f"{kind} have dual rank {rank}, got {Q.rank}")
     if Q.rank < 3:
         raise RankTooLow(f"dual quadric of rank {Q.rank}")
     return strip_exceptional(pedal_pullback(Q.as_poly())).reduced
@@ -168,11 +172,7 @@ def pedal_of_quadric(Q: QuadricForm) -> HomPoly4:
 
 def pedal_of_conic(Q: QuadricForm) -> HomPoly4:
     """Pedal image of a conic given as a rank-3 dual quadric."""
-    if Q.space is not Space.DUAL:
-        raise ValueError("pedal images are built from dual quadrics")
-    if Q.rank != 3:
-        raise RankMismatch(f"conics have dual rank 3, got {Q.rank}")
-    return strip_exceptional(pedal_pullback(Q.as_poly())).reduced
+    return pedal_of_quadric(Q, rank=3)
 
 
 def _rank1_linear_factor(Q: QuadricForm) -> HomPoly4:

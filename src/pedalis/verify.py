@@ -162,7 +162,7 @@ def _check_extras(rng, samples):
     form = quadricpedal.pentaspherical_lift(cyclide)
     x = rng.uniform(-2.0, 2.0, size=(1000, 3))
     lhs = form.eval(quadricpedal.pentaspherical_point(x))
-    rhs = np.array([float(cyclide.eval(np.concatenate(([1.0], row)))) for row in x])
+    rhs = cyclide.eval_grid(np.column_stack((np.ones(len(x)), x)))
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
     results.append(("pentaspherical_lift", {"max_dev": worst}, worst < 1e-9))
     # rational-norm identities for ruled offsets

@@ -70,6 +70,19 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             parse_poly("x0^2 - x3")
 
+    @pytest.mark.parametrize("exps", [(1.5, 0.5, 0, 0), (2.0, 0, 0, 0), ("1", 0, 0, 0),
+                                      (1, 0, 0), (1, 0, 0, 0, 0), (2, -1, 0, 0)])
+    def test_bad_exponent_tuple_rejected(self, exps):
+        # a non-integral exponent is an error, not truncated to an integer
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            HomPoly4(Space.POINT, {exps: 1})
+
+    def test_integer_exponent_types_accepted(self):
+        exps = (np.int64(1), np.uint8(1), 0, np.int32(0))
+        p = HomPoly4(Space.POINT, {exps: 1})
+        assert p.terms == {(1, 1, 0, 0): 1} and p.degree == 2
+        assert all(type(e) is int for e in next(iter(p.terms)))
+
 
 class TestPedalPullback:
     def test_paraboloid_to_plane(self):

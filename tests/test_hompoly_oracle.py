@@ -15,6 +15,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pedalis.errors import NotDivisible
 from pedalis.hompoly import (
     HomPoly4,
     Space,
@@ -41,6 +42,19 @@ def polys(draw, max_degree=6, space=None):
     exps = draw(st.lists(st.sampled_from(MONOMIALS[n]), min_size=1, max_size=6,
                          unique=True))
     return HomPoly4(space, {e: draw(RATIONALS) for e in exps})
+
+
+@st.composite
+def divisors(draw, space, max_degree=3):
+    """Two to five terms, one with var0, and a leading coefficient other than +-1."""
+    n = draw(st.integers(1, max_degree))
+    with_var0 = draw(st.sampled_from([e for e in MONOMIALS[n] if e[0]]))
+    others = draw(st.lists(st.sampled_from([e for e in MONOMIALS[n] if e != with_var0]),
+                           min_size=1, max_size=4, unique=True))
+    terms = {e: draw(RATIONALS) for e in [with_var0, *others]}
+    lead = HomPoly4(space, terms).leading_monomial()
+    terms[lead] = draw(RATIONALS.filter(lambda c: abs(c) != 1))
+    return HomPoly4(space, terms)
 
 
 def to_sympy(p: HomPoly4):
@@ -95,6 +109,31 @@ class TestStripOracle:
         assert same_terms(poly, rebuilt)
         assert not reduced.div(sp.Poly(gens[0], *gens))[1].is_zero
         assert not reduced.div(sp.Poly(quadform(g.space), *gens))[1].is_zero
+
+
+class TestDivisionOracle:
+    """exact_divide by general divisors; strip_exceptional only ever divides
+    by the monic quadform."""
+
+    @given(polys(max_degree=3), st.data())
+    @SETTINGS
+    def test_quotient_of_a_product(self, g, data):
+        h = data.draw(divisors(g.space))
+        q, r = to_sympy(g * h).div(to_sympy(h))
+        assert r.is_zero
+        assert same_terms((g * h).exact_divide(h), q)
+
+    @given(polys(max_degree=3), st.data())
+    @SETTINGS
+    def test_one_extra_term_is_not_divisible(self, g, data):
+        # a divisor with two or more terms divides no monomial, so a product
+        # plus one more term (even one that cancels a term) has a remainder
+        h = data.draw(divisors(g.space))
+        extra = data.draw(st.sampled_from(MONOMIALS[g.degree + h.degree]))
+        p = g * h + HomPoly4(g.space, {extra: data.draw(RATIONALS)})
+        assert not to_sympy(p).div(to_sympy(h))[1].is_zero
+        with pytest.raises(NotDivisible):
+            p.exact_divide(h)
 
 
 class TestOffsetOracle:

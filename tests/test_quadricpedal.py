@@ -139,6 +139,16 @@ class TestParabolaPedal:
         with pytest.raises(RankMismatch):
             pedal_of_conic(sphere_dual_quadric(2, 1))
 
+    def test_rank_errors_keep_their_messages(self):
+        # pedal_of_conic is pedal_of_quadric with rank=3
+        with pytest.raises(RankMismatch, match=r"^conics have dual rank 3, got 4$"):
+            pedal_of_conic(sphere_dual_quadric(2, 1))
+        with pytest.raises(RankTooLow, match=r"^dual quadric of rank 2$"):
+            pedal_of_quadric(QuadricForm(Space.DUAL, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                      [0, 0, 0, 0], [0, 0, 0, 0]]))
+        assert pedal_of_conic(parabola_dual_quadric(1, 1)) == \
+            pedal_of_quadric(parabola_dual_quadric(1, 1), rank=3)
+
     def test_dupin_condition(self):
         assert is_parabola_dupin(1, Fraction(-1, 2))
         assert is_parabola_dupin(Fraction(1, 4), -2)
