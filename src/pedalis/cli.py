@@ -24,16 +24,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit, verify
+# the other layers are imported by the commands that run them
+from . import projmaps
 from .errors import EmptyMesh, GeometryError
-from .hompoly import Space, parse_poly, strip_exceptional
 from .projmaps import HPlane, HPoint
-from .surfkit import Chart, Domain, DualSurface, PointSurface, PolarSurface, vector_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EXCEPTIONAL = 2
 EXIT_EMPTY = 3
+# the names of verify.SUITES, in order, so that the parser needs no verify import
+SUITE_NAMES = ("involutions", "diagrams", "gallery", "degrees", "extras")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,9 +96,10 @@ _CHART_HOOKS = SimpleNamespace(
 )
 
 
-def parse_expr(text):
+def parse_expr(text, hooks=_CHART_HOOKS):
     """Chart expression over u, v with sin, cos, sqrt and pi."""
-    return hompoly._parse_text(text, _CHART_HOOKS)
+    from .hompoly import _parse_text
+    return _parse_text(text, hooks)
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -148,13 +150,14 @@ def _domain_bound(key: str, text: str) -> float:
     hooks = SimpleNamespace(**{**vars(_CHART_HOOKS), "name": name})
     # a bound like 1/0 is an input error, reported below, not a warning
     with np.errstate(all="ignore"):
-        value = hompoly._parse_text(text, hooks)(0.0, 0.0)
+        value = parse_expr(text, hooks)(0.0, 0.0)
     if not np.isfinite(value):
         raise ValueError(f"domain bound {key} = {text!r} is not finite")
     return value
 
 
-def _config_domain(sections) -> Domain:
+def _config_domain(sections):
+    from .surfkit import Domain
     dom = {**_DOMAIN_DEFAULTS, **sections.get("domain", {})}
     unknown = [key for key in dom if key not in _DOMAIN_DEFAULTS]
     if unknown:
@@ -172,18 +175,21 @@ def _surface_value(sections, key) -> str:
 
 
 # a constant expression gives a scalar; the charts broadcast it over the samples
-def _vector_chart(sections, keys, domain) -> Chart:
+def _vector_chart(sections, keys, domain):
+    from .surfkit import Chart, vector_rows
     fx, fy, fz = (parse_expr(_surface_value(sections, key)) for key in keys)
     return Chart(lambda u, v: vector_rows(u, fx(u, v), fy(u, v), fz(u, v)), domain=domain)
 
 
-def _scalar_config_chart(sections, key, domain) -> Chart:
+def _scalar_config_chart(sections, key, domain):
+    from .surfkit import Chart
     f = parse_expr(_surface_value(sections, key))
     return Chart(lambda u, v: np.broadcast_to(f(u, v), np.shape(u)), domain=domain)
 
 
 def load_surface(sections):
     """Surface object of a parsed config; (kind, surface)."""
+    from .surfkit import Chart, DualSurface, PointSurface, PolarSurface
     kind = sections["surface"].get("kind")
     domain = _config_domain(sections)
     if kind == "point":
@@ -197,15 +203,18 @@ def load_surface(sections):
             _vector_chart(sections, ("nx", "ny", "nz"), domain),
             _scalar_config_chart(sections, "e", domain))
     if kind == "ruled":
+        from .ruledpedal import RuledChart
         c = _vector_chart(sections, ("cx", "cy", "cz"), domain)
         e = _vector_chart(sections, ("ex", "ey", "ez"), domain)
-        ruled = ruledpedal.RuledChart(lambda u: c(u, 0.0), lambda u: e(u, 0.0), domain=domain)
+        ruled = RuledChart(lambda u: c(u, 0.0), lambda u: e(u, 0.0), domain=domain)
         return kind, PointSurface(Chart(ruled.point, domain=domain))
     if kind == "quadric":
+        from .hompoly import Space
+        from .quadricpedal import QuadricForm
         space = Space.POINT if sections["surface"].get("space", "dual") == "point" else Space.DUAL
         rows = [r.strip() for r in _surface_value(sections, "matrix").split(";")]
         A = [[_rational(x, "matrix entry") for x in row.split()] for row in rows]
-        return kind, quadricpedal.QuadricForm(space, A)
+        return kind, QuadricForm(space, A)
     raise ValueError(f"unknown surface kind {kind!r}")
 
 
@@ -253,28 +262,29 @@ def cmd_map(args) -> int:
 
 
 def cmd_implicit(args) -> int:
+    from . import hompoly
     if args.surface:
         kind, surf = load_surface(parse_config(args.surface))
         if kind != "quadric":
             raise ValueError("only quadric configs provide an input polynomial")
         poly = surf.as_poly()
     elif args.poly:
-        poly = parse_poly(args.poly)
+        poly = hompoly.parse_poly(args.poly)
     elif args.infile:
         with open(args.infile, encoding="utf-8") as fh:
-            poly = parse_poly(fh.read())
+            poly = hompoly.parse_poly(fh.read())
     else:
-        poly = parse_poly(sys.stdin.read())
+        poly = hompoly.parse_poly(sys.stdin.read())
     if args.direction == "pedal":
-        if poly.space is not Space.DUAL:
+        if poly.space is not hompoly.Space.DUAL:
             raise ValueError("pedal pullbacks start from a dual polynomial (u0..u3)")
         image = hompoly.pedal_pullback(poly)
     else:
-        if poly.space is not Space.POINT:
+        if poly.space is not hompoly.Space.POINT:
             raise ValueError("inverse-pedal pullbacks start from a point polynomial (x0..x3)")
         image = hompoly.inverse_pedal_pullback(poly)
     if args.strip:
-        stripped = strip_exceptional(image)
+        stripped = hompoly.strip_exceptional(image)
         print(hompoly.format_poly(stripped.reduced))
         print(f"r={stripped.r} k={stripped.k} n={poly.degree} deg={stripped.reduced.degree}")
     else:
@@ -286,6 +296,7 @@ def cmd_implicit(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import gallery, surfkit
     m = re.fullmatch(r"(\d+)x(\d+)", args.grid)
     if not m:
         raise ValueError("--grid must look like 60x60")
@@ -321,7 +332,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("PEDALIS_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        try:
+            seed = _nonnegative_int(os.environ.get("PEDALIS_SEED", "0"))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"PEDALIS_SEED {exc}") from None
+    from . import verify
     samples = args.samples
     rng = np.random.default_rng(seed)
     if args.suite == "all":
@@ -353,6 +370,12 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    if not re.fullmatch(r"\s*\+?\d+\s*", text):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.set_defaults(func=cmd_sample)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
-    p_ver.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
+    p_ver.add_argument("--seed", type=_nonnegative_int, default=None,
+                       help="random seed, at least 0 (default: PEDALIS_SEED or 0)")
     p_ver.add_argument("--samples", type=_positive_int, default=10000,
                        help="random tuples per involution check (at least 1)")
     p_ver.set_defaults(func=cmd_verify)

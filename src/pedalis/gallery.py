@@ -27,8 +27,6 @@ from .hompoly import (
     pedal_pullback,
     strip_exceptional,
 )
-from .quadricpedal import paraboloid_dual_quadric, paraboloid_offset_chart
-from .ruledpedal import RuledChart
 from .sphereatlas import trig_s2
 from .surfkit import (
     Chart,
@@ -447,6 +445,8 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
 
 
 def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
+    from .quadricpedal import paraboloid_dual_quadric, paraboloid_offset_chart
+
     # z = (a x^2 + b y^2)/2 + c; dual quadric via the halved parameters
     Q = paraboloid_dual_quadric(Fraction(a, 2), Fraction(b, 2), Fraction(c))
     fstar = Q.as_poly()
@@ -533,6 +533,8 @@ def _build_sphere_inverse_pedal(m=2, r=1) -> GalleryEntry:
 
 
 def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
+    from .ruledpedal import RuledChart
+
     af, bf = Fraction(a), Fraction(b)
     x0, x1, x2 = (HomPoly4.variable(Space.POINT, i) for i in (0, 1, 2))
     u0, u1, u2 = (HomPoly4.variable(Space.DUAL, i) for i in (0, 1, 2))

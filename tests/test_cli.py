@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from pedalis import verify
+from pedalis import cli, verify
 from pedalis.cli import parse_expr
 from pedalis.gallery import get_entry
 from pedalis.surfkit import Domain, constant_chart
@@ -436,6 +436,31 @@ class TestVerify:
     def test_all_runs_every_suite_in_order(self):
         assert list(verify.SUITES) == ["involutions", "diagrams", "gallery", "degrees",
                                        "extras"]
+
+    def test_parser_suite_names_match_verify(self):
+        # the parser lists the suites without importing verify
+        assert list(cli.SUITE_NAMES) == list(verify.SUITES)
+
+    def test_unknown_suite_rejected(self):
+        res = run("verify", "--suite", "bogus")
+        assert res.returncode == 1
+        assert "argument --suite: invalid choice: 'bogus'" in res.stderr
+        assert res.stdout == ""
+
+    def test_negative_seed_rejected(self):
+        res = run("verify", "--suite", "degrees", "--seed", "-1")
+        assert res.returncode == 1
+        assert res.stderr.endswith(
+            "error: argument --seed: must be a non-negative integer, got '-1'\n")
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_seed_env_var_names_the_variable(self, value):
+        res = run("verify", "--suite", "degrees", env={"PEDALIS_SEED": value})
+        assert res.returncode == 1
+        assert res.stderr == (f"error: PEDALIS_SEED must be a non-negative integer, "
+                              f"got {value!r}\n")
+        assert res.stdout == ""
 
     def test_diagram_family_without_samples_fails(self, monkeypatch):
         dom = Domain(0.0, 1.0, 0.0, 1.0)

@@ -1,0 +1,137 @@
+"""Start-up cost: which pedalis modules a command loads, and the lazy package.
+
+Each command runs in a fresh interpreter, as ``python -m pedalis`` does, and
+reports the sorted ``pedalis*`` entries of ``sys.modules`` at exit.  The sets
+are deterministic, so these tests involve no timing.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import pedalis
+
+# run ``python -m pedalis ARGS`` and print the loaded modules as the last line
+_REPORT = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(
+    sorted(m for m in sys.modules if m.split(".")[0] in ("pedalis", "numpy")))))
+sys.argv = ["pedalis", *sys.argv[1:]]
+runpy.run_module("pedalis", run_name="__main__", alter_sys=True)
+"""
+
+MAP_LAYERS = ["pedalis", "pedalis.cli", "pedalis.errors", "pedalis.projmaps"]
+
+# the public names of the package, by defining module
+PUBLIC = {
+    "errors": ["GeometryError"],
+    "hompoly": ["HomPoly4", "Space", "StripResult", "degree_bookkeeping", "format_poly",
+                "inverse_pedal_pullback", "offset_dual_poly", "parse_poly",
+                "pedal_pullback", "strip_exceptional"],
+    "projmaps": ["AffPlane", "HPlane", "HPoint", "alpha_affine", "alpha_hom",
+                 "alpha_star_affine", "alpha_star_hom", "alpha_z", "inversion_sigma",
+                 "polarity_pi", "polarity_pi_star", "projective_eq"],
+    "surfkit": ["Chart", "Domain", "DualSurface", "PointSurface", "PolarSurface",
+                "commutation_check", "conchoid_map", "construct", "dual_to_point",
+                "envelope_solve", "envelope_surface", "gamma", "offset_map", "phi",
+                "point_to_dual", "sample_mesh", "tangent_planes", "write_obj"],
+}
+PUBLIC_NAMES = [name for names in PUBLIC.values() for name in names]
+
+MODULES = ["errors", "projmaps", "hompoly", "surfkit", "sphereatlas", "ruledpedal",
+           "quadricpedal", "gallery", "verify", "cli"]
+
+
+def loaded(*args):
+    """(exit code, pedalis modules) of ``python -m pedalis ARGS``."""
+    res = subprocess.run([sys.executable, "-c", _REPORT, *args], capture_output=True,
+                         text=True)
+    mods = json.loads(res.stdout.splitlines()[-1])
+    return res.returncode, [m for m in mods if m.split(".")[0] == "pedalis"]
+
+
+@pytest.mark.parametrize("args, code", [
+    (("map", "--op", "alpha", "--plane", "-1,0,0,1"), 0),
+    (("--help",), 0),
+    (("map", "--op", "bogus"), 1),
+    (("verify", "--seed", "-1"), 1),
+])
+def test_short_commands_load_only_the_maps(args, code):
+    assert loaded(*args) == (code, MAP_LAYERS)
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_seed_env_var_exits_before_verify_loads(monkeypatch, value):
+    monkeypatch.setenv("PEDALIS_SEED", value)
+    assert loaded("verify") == (1, MAP_LAYERS)
+
+
+def test_implicit_adds_only_hompoly():
+    code, mods = loaded("implicit", "--direction", "pedal", "--poly", "u0*u1^2 - u2^3")
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.hompoly"]))
+
+
+def test_gallery_sample_skips_verify_and_the_constructions(tmp_path):
+    code, mods = loaded("sample", "--surface", "plane-conchoid", "--grid", "4x4",
+                        "--out", str(tmp_path / "mesh.obj"))
+    assert code == 0
+    assert "pedalis.gallery" in mods
+    for name in ("verify", "quadricpedal", "ruledpedal"):
+        assert f"pedalis.{name}" not in mods
+
+
+def _fresh(code):
+    res = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}"],
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout)
+
+
+def test_bare_import_loads_nothing():
+    assert _fresh("import pedalis\n"
+                  "print(json.dumps(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('pedalis', 'numpy'))))") == ["pedalis"]
+
+
+@pytest.mark.parametrize("module", PUBLIC)
+def test_layer_modules_resolve_after_bare_import(module):
+    assert _fresh(f"import pedalis\nprint(json.dumps(pedalis.{module}.__name__))") == (
+        f"pedalis.{module}")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first(module):
+    # a lazy import can expose a circular import that eager loading hid
+    res = subprocess.run([sys.executable, "-W", "error", "-c", f"import pedalis.{module}"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+class TestPublicApi:
+    def test_all_lists_the_public_names(self):
+        assert len(PUBLIC_NAMES) == 41
+        assert pedalis.__all__ == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("module", PUBLIC)
+    def test_names_come_from_their_module(self, module):
+        home = importlib.import_module(f"pedalis.{module}")
+        for name in PUBLIC[module]:
+            assert getattr(pedalis, name) is getattr(home, name), name
+
+    def test_dir_lists_the_public_names(self):
+        assert set(PUBLIC_NAMES) <= set(dir(pedalis))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from pedalis import *", namespace)
+        assert {name: namespace[name] for name in PUBLIC_NAMES} == {
+            name: getattr(pedalis, name) for name in PUBLIC_NAMES}
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pedalis.no_such_name  # noqa: B018
+
+    def test_version(self):
+        assert pedalis.__version__ == "0.1.0"
