@@ -296,7 +296,8 @@ def cmd_implicit(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from . import gallery, surfkit
+    from . import surfkit
+    from .gallerynames import GALLERY_NAMES
     m = re.fullmatch(r"(\d+)x(\d+)", args.grid)
     if not m:
         raise ValueError("--grid must look like 60x60")
@@ -309,7 +310,8 @@ def cmd_sample(args) -> int:
     if colon and construct not in ("offset", "conchoid"):
         raise ValueError(f"construct {construct!r} takes no distance")
     d = float(_rational(dtxt, "distance")) if colon else 0.0
-    if args.surface in gallery.list_entries():
+    if args.surface in GALLERY_NAMES:
+        from . import gallery
         surface = gallery.get_entry(args.surface).construct(construct, d)
     elif os.path.exists(args.surface):
         kind, surf = load_surface(parse_config(args.surface))
@@ -365,17 +367,19 @@ def cmd_verify(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def _int_at_least(text: str, low: int, what: str) -> int:
+    # a ValueError would make argparse name the type function in its message
+    if not re.fullmatch(r"\s*\+?\d+\s*", text) or int(text) < low:
+        raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1, "positive")
 
 
 def _nonnegative_int(text: str) -> int:
-    if not re.fullmatch(r"\s*\+?\d+\s*", text):
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+    return _int_at_least(text, 0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyGrid, NotFound
+from .gallerynames import GALLERY_NAMES
 from .hompoly import (
     HomPoly4,
     Space,
@@ -599,17 +600,8 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
     )
 
 
-_BUILDERS = {
-    "plane-conchoid": _build_plane_conchoid,
-    "paraboloid-offset": _build_paraboloid_offset,
-    "sphere-offset": _build_sphere_offset,
-    "sphere-bundle": _build_sphere_bundle,
-    "pluecker": _build_pluecker,
-    "parabola-cyclide": _build_parabola_cyclide,
-    "paraboloid-pedal": _build_paraboloid_pedal,
-    "sphere-inverse-pedal": _build_sphere_inverse_pedal,
-    "quadratic-cylinder": _build_quadratic_cylinder,
-}
+# each name's builder is _build_ + the name with "_" for "-"
+_BUILDERS = {name: globals()["_build_" + name.replace("-", "_")] for name in GALLERY_NAMES}
 
 _CACHE: dict[str, GalleryEntry] = {}
 

@@ -55,8 +55,10 @@ def _as_fraction(c) -> Fraction:
 
 
 # -- term-dict arithmetic -------------------------------------------------
-# Exact arithmetic runs on plain {exponents: Fraction} dicts; a HomPoly4 is
-# built, and validated, once per result.
+# Exact arithmetic runs on plain {exponents: coefficient} dicts.  The hot
+# loops (powers, pullback, strip, offset family) scale their input once to
+# integer numerators over one common denominator, run on ints, and build
+# the Fractions, and the validated HomPoly4, once per result.
 
 _CONST: Exponents = (0, 0, 0, 0)
 # the exceptional quadric v1^2 + v2^2 + v3^2 of either space
@@ -66,9 +68,17 @@ _VARIABLES = {name: (sp, tuple(int(i == k) for i in range(4)))
               for sp in Space for k, name in enumerate(sp.variables)}
 
 
-def _add_terms(acc: dict, terms: dict, scale=1) -> dict:
-    """acc += scale * terms in place, dropping cancelled terms; returns acc."""
-    for e, c in terms.items():
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """(nums, den) with integer nums and terms == nums / den term by term."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _add_terms(acc: dict, terms: dict, scale=1, shift: Exponents = _CONST) -> dict:
+    """acc += scale * var**shift * terms in place, dropping zeros; returns acc."""
+    s0, s1, s2, s3 = shift
+    for (a0, a1, a2, a3), c in terms.items():
+        e = (s0 + a0, s1 + a1, s2 + a2, s3 + a3)
         v = acc.get(e, 0) + c * scale
         if v:
             acc[e] = v
@@ -91,11 +101,10 @@ def _square_terms(a: dict) -> dict:
     """a*a, equal to _mul_terms(a, a) in value and term order.
 
     Each product of two distinct terms is computed once and doubled; the
-    pairs run in the order in which _mul_terms first meets them.  The
-    products are integers over the common denominator of the coefficients.
+    pairs run in the order in which _mul_terms first meets them.  Callers
+    pass integer numerators.
     """
-    den = math.lcm(*(c.denominator for c in a.values()))
-    items = [(e, c.numerator * (den // c.denominator)) for e, c in a.items()]
+    items = list(a.items())
     out: dict[Exponents, int] = {}
     for i, ((a0, a1, a2, a3), ca) in enumerate(items):
         e = (2 * a0, 2 * a1, 2 * a2, 2 * a3)
@@ -104,15 +113,16 @@ def _square_terms(a: dict) -> dict:
         for (b0, b1, b2, b3), cb in items[i + 1:]:
             e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
             out[e] = out.get(e, 0) + twice * cb
-    den *= den
-    return {e: Fraction(c, den) for e, c in out.items() if c}
+    return {e: c for e, c in out.items() if c}
 
 
 def _pow_terms(a: dict, n: int) -> dict:
-    """a**n by repeated squaring; a monomial keeps its coefficient type."""
+    """a**n by squaring integer numerators; a monomial keeps its coefficient type."""
     if len(a) == 1:
         ((e, c),) = a.items()
         return {tuple(n * x for x in e): c ** n}
+    a, den = _numerators(a)
+    den **= n
     result = {_CONST: 1}
     while n:
         if n & 1:
@@ -120,7 +130,50 @@ def _pow_terms(a: dict, n: int) -> dict:
         n >>= 1
         if n:
             a = _square_terms(a)
-    return result
+    return result if den == 1 else {e: Fraction(c, den) for e, c in result.items()}
+
+
+def _quadform_powers(n: int) -> list[dict]:
+    """[quadform**0, ..., quadform**n] as integer term dicts."""
+    qpow = [{_CONST: 1}]
+    while len(qpow) <= n:
+        qpow.append(_mul_terms(qpow[-1], _QUADFORM))
+    return qpow
+
+
+def _divide_terms(dividend: dict, divisor: dict) -> dict:
+    """Exact quotient by a divisor with leading coefficient 1; NotDivisible
+    on any remainder.  No step divides, so integer operands stay integral.
+
+    The operands are homogeneous, so graded-lex order is lex order, and each
+    lead comes off a max-heap of negated exponent tuples.  A popped monomial
+    no longer in the remainder (cancelled, or a repeated entry) is skipped.
+    """
+    l0, l1, l2, l3 = max(divisor)
+    rem = dict(dividend)
+    heap = [(-e0, -e1, -e2, -e3) for e0, e1, e2, e3 in rem]
+    heapq.heapify(heap)
+    quot: dict[Exponents, Fraction] = {}
+    while rem:
+        n0, n1, n2, n3 = heapq.heappop(heap)
+        lead = (-n0, -n1, -n2, -n3)
+        if lead not in rem:
+            continue
+        q = q0, q1, q2, q3 = (-n0 - l0, -n1 - l1, -n2 - l2, -n3 - l3)
+        if min(q) < 0:
+            raise NotDivisible("exact division failed")
+        qc = quot[q] = rem[lead]  # leads strictly decrease, so each q comes once
+        for (d0, d1, d2, d3), dc in divisor.items():
+            e = (q0 + d0, q1 + d1, q2 + d2, q3 + d3)
+            old = rem.get(e)
+            v = -qc * dc if old is None else old - qc * dc
+            if not v:
+                del rem[e]
+                continue
+            if old is None:
+                heapq.heappush(heap, (-e[0], -e[1], -e[2], -e[3]))
+            rem[e] = v
+    return quot
 
 
 class HomPoly4:
@@ -131,12 +184,12 @@ class HomPoly4:
     def __init__(self, space: Space, terms):
         clean: dict[Exponents, Fraction] = {}
         degree = None
-        for exps, coeff in dict(terms).items():
+        for exps, coeff in (terms if isinstance(terms, dict) else dict(terms)).items():
             try:
                 exps = tuple(map(operator.index, exps))  # no silent truncation
             except TypeError:
                 raise ValueError(f"bad exponent tuple {exps!r}") from None
-            if len(exps) != 4 or any(e < 0 for e in exps):
+            if len(exps) != 4 or min(exps) < 0:
                 raise ValueError(f"bad exponent tuple {exps!r}")
             coeff = _as_fraction(coeff)
             if coeff == 0:
@@ -277,44 +330,13 @@ class HomPoly4:
     # -- exact division -------------------------------------------------
 
     def exact_divide(self, divisor: "HomPoly4") -> "HomPoly4":
-        """Exact quotient self / divisor; NotDivisible on any remainder.
-
-        Long division by leading terms.  Both operands are homogeneous, so
-        graded-lex order is lex order on the exponent tuples, and the next
-        lead comes off a max-heap of negated tuples.  A popped monomial
-        that is no longer in the remainder was cancelled, or is a second
-        heap entry of the same monomial, and is skipped.
-        """
+        """Exact quotient self / divisor; NotDivisible on any remainder."""
         self._check_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        dlead = divisor.leading_monomial()
-        dcoeff = divisor.terms[dlead]
-        rem = dict(self.terms)
-        heap = [(-e0, -e1, -e2, -e3) for e0, e1, e2, e3 in rem]
-        heapq.heapify(heap)
-        quot: dict[Exponents, Fraction] = {}
-        while rem:
-            lead = tuple(-e for e in heapq.heappop(heap))
-            if lead not in rem:
-                continue
-            q = tuple(a - b for a, b in zip(lead, dlead))
-            if any(e < 0 for e in q):
-                raise NotDivisible("exact division failed")
-            qc = rem[lead] / dcoeff
-            quot[q] = qc  # leads strictly decrease, so each q comes once
-            q0, q1, q2, q3 = q
-            for (d0, d1, d2, d3), dc in divisor.terms.items():
-                e = (q0 + d0, q1 + d1, q2 + d2, q3 + d3)
-                old = rem.get(e)
-                v = -qc * dc if old is None else old - qc * dc
-                if not v:
-                    del rem[e]
-                    continue
-                if old is None:
-                    heapq.heappush(heap, (-e[0], -e[1], -e[2], -e[3]))
-                rem[e] = v
-        return HomPoly4(self.space, quot)
+        lc = divisor.terms[divisor.leading_monomial()]
+        quot = _divide_terms(self.terms, {e: c / lc for e, c in divisor.terms.items()})
+        return HomPoly4(self.space, {e: c / lc for e, c in quot.items()})
 
 
 # -- pullbacks ----------------------------------------------------------
@@ -324,24 +346,11 @@ def _pullback(poly: HomPoly4, src: Space) -> HomPoly4:
     """Substitute v0 <- -(quadform), vi <- w0*wi into a polynomial."""
     if poly.space is not src:
         raise SpaceMismatch(f"expected a {src.name} polynomial")
-    # integers over the common denominator of the coefficients
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    qpow = [{_CONST: 1}]
+    nums, den = _numerators(poly.terms)
+    qpow = _quadform_powers(max((e[0] for e in nums), default=0))
     terms: dict[Exponents, int] = {}
-    for (e0, e1, e2, e3), c in poly.terms.items():
-        while len(qpow) <= e0:
-            qpow.append(_mul_terms(qpow[-1], _QUADFORM))
-        n = c.numerator * (den // c.denominator)
-        if e0 % 2:
-            n = -n
-        lift = e1 + e2 + e3
-        for (_, q1, q2, q3), qc in qpow[e0].items():
-            e = (lift, e1 + q1, e2 + q2, e3 + q3)
-            v = terms.get(e, 0) + n * qc
-            if v:
-                terms[e] = v
-            else:
-                del terms[e]
+    for (e0, e1, e2, e3), n in nums.items():
+        _add_terms(terms, qpow[e0], -n if e0 % 2 else n, (e1 + e2 + e3, e1, e2, e3))
     return HomPoly4(src.other, {e: Fraction(n, den) for e, n in terms.items()})
 
 
@@ -374,30 +383,33 @@ def strip_exceptional(poly: HomPoly4) -> StripResult:
     if poly.is_zero():
         raise ValueError("cannot strip the zero polynomial")
     r = min(e[0] for e in poly.terms)
-    terms = {(e[0] - r, e[1], e[2], e[3]): c for e, c in poly.terms.items()}
-    reduced = HomPoly4(poly.space, terms)
-    q = HomPoly4.quadform(poly.space)
+    terms = {(e0 - r, e1, e2, e3): c for (e0, e1, e2, e3), c in poly.terms.items()}
+    # the quadform is monic, so every quotient of integer numerators is integral
+    reduced, den = _numerators(terms)
     k = 0
     while True:
         try:
-            reduced = reduced.exact_divide(q)
+            reduced = _divide_terms(reduced, _QUADFORM)
         except NotDivisible:
             break
         k += 1
-    return StripResult(reduced, r, k)
+    if k:  # else the input's coefficients serve as they are
+        terms = {e: Fraction(n, den) for e, n in reduced.items()}
+    return StripResult(HomPoly4(poly.space, terms), r, k)
 
 
 def degree_bookkeeping(fstar: HomPoly4) -> tuple[int, int, int, int]:
     """(n, r, k, deg) of a dual surface and its stripped pedal image.
 
     Works symmetrically for point polynomials (inverse pedal direction).
-    The identity deg == 2n - r - 2k is asserted; a failure is a bug, not a
-    geometric degeneracy.
+    The identity deg == 2n - r - 2k is checked, also under ``python -O``;
+    a failure is a bug, not a geometric degeneracy (RuntimeError).
     """
     n = fstar.degree
     stripped = strip_exceptional(_pullback(fstar, fstar.space))
     deg = stripped.reduced.degree
-    assert deg == 2 * n - stripped.r - 2 * stripped.k, "degree rule violated"
+    if deg != 2 * n - stripped.r - 2 * stripped.k:
+        raise RuntimeError(f"degree rule violated: {deg} != 2*{n} - {stripped.r} - 2*{stripped.k}")
     return n, stripped.r, stripped.k, deg
 
 
@@ -412,22 +424,24 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
     """
     if fstar.space is not Space.DUAL:
         raise SpaceMismatch("offset families are built from dual polynomials")
-    d = _as_fraction(d)
-    # t = d*sqrt(q) with t^2 = d^2*q; expand fstar(u0 + t, u) = even + t*odd
-    t2 = {e: d * d for e in _QUADFORM}
-    t2pow = [{_CONST: Fraction(1)}]
-    even: dict[Exponents, Fraction] = {}
-    odd: dict[Exponents, Fraction] = {}
-    for (e0, e1, e2, e3), c in fstar.terms.items():
+    p, q = _as_fraction(d).as_integer_ratio()
+    # t = d*sqrt(Q) with t^2 = d^2*Q; expand fstar(u0 + t, u) = even + t*odd.
+    # With m = max(e0) // 2, even and odd are integers over den*q^(2m): the
+    # t^(2j) part of a term carries p^(2j) * q^(2(m-j)) * Q^j.
+    nums, den = _numerators(fstar.terms)
+    m = max((e[0] for e in nums), default=0) // 2
+    qpow = _quadform_powers(m)
+    scale = [p ** (2 * j) * q ** (2 * (m - j)) for j in range(m + 1)]
+    even, odd = {}, {}
+    for (e0, e1, e2, e3), n in nums.items():
         for k in range(e0 + 1):
-            while len(t2pow) <= k // 2:
-                t2pow.append(_mul_terms(t2pow[-1], t2))
-            mono = {(e0 - k, e1, e2, e3): c * math.comb(e0, k)}
-            _add_terms(odd if k % 2 else even, _mul_terms(mono, t2pow[k // 2]))
-    # (even + t*odd) * (even - t*odd) = even^2 - t^2*odd^2
-    terms = _square_terms(even)
-    _add_terms(terms, _mul_terms(t2, _square_terms(odd)), -1)
-    return HomPoly4(Space.DUAL, terms)
+            _add_terms(odd if k % 2 else even, qpow[k // 2],
+                       n * math.comb(e0, k) * scale[k // 2], (e0 - k, e1, e2, e3))
+    # (even + t*odd) * (even - t*odd) = (q^2*even^2 - p^2*Q*odd^2) / (den*q^(2m)*q)^2
+    terms = {e: q * q * c for e, c in _square_terms(even).items()}
+    _add_terms(terms, _mul_terms(_QUADFORM, _square_terms(odd)), -p * p)
+    den = (den * q ** (2 * m + 1)) ** 2
+    return HomPoly4(Space.DUAL, {e: Fraction(c, den) for e, c in terms.items()})
 
 
 # -- canonical text form --------------------------------------------------
@@ -438,17 +452,19 @@ def format_poly(poly: HomPoly4) -> str:
         return "0"
     names = poly.space.variables
     parts = []
-    for exps in sorted(poly.terms, key=lambda e: (sum(e), e), reverse=True):
+    # one degree, so graded-lex order is lex order on the exponent tuples
+    for exps in sorted(poly.terms, reverse=True):
         c = poly.terms[exps]
-        mono = "*".join(f"{names[i]}^{e}" for i, e in enumerate(exps) if e)
-        mag = abs(c)
+        mono = "*".join([f"{v}^{e}" for v, e in zip(names, exps) if e])
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
-        parts.append(f"{'-' if c < 0 else '+'} {body}")
+        parts.append(f"{'-' if num < 0 else '+'} {body}")
     out = " ".join(parts)
     return out[2:] if out[0] == "+" else "-" + out[2:]
 

@@ -145,6 +145,13 @@ class TestImplicit:
 
 
 class TestSample:
+    def test_gallery_names_match_the_gallery(self):
+        # sample tells a gallery name from a config path without importing gallery
+        from pedalis import gallery
+        from pedalis.gallerynames import GALLERY_NAMES
+        assert list(gallery._BUILDERS) == list(GALLERY_NAMES)
+        assert gallery.list_entries() == sorted(GALLERY_NAMES)
+
     def test_pedal_mesh_satisfies_quartic(self, tmp_path):
         out = tmp_path / "pedal.obj"
         res = run("sample", "--surface", "pluecker", "--construct", "pedal",
@@ -423,6 +430,14 @@ class TestVerify:
             assert res.returncode == 1, bad
             assert "--samples" in res.stderr
             assert "pass=" not in res.stdout
+
+    def test_samples_not_a_number_rejected(self):
+        res = run("verify", "--suite", "involutions", "--samples", "abc")
+        assert res.returncode == 1
+        assert "_positive_int" not in res.stderr
+        assert res.stderr.endswith(
+            "error: argument --samples: must be a positive integer, got 'abc'\n")
+        assert res.stdout == ""
 
     def test_extras_suite_alone(self):
         res = run("verify", "--suite", "extras", "--seed", "5")

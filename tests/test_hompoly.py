@@ -1,3 +1,6 @@
+import dataclasses
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pedalis import hompoly
 from pedalis.errors import NotDivisible, SpaceMismatch
 from pedalis.hompoly import (
     HomPoly4,
@@ -163,6 +167,29 @@ class TestDegreeBookkeeping:
     ])
     def test_named_cases(self, poly, expect):
         assert degree_bookkeeping(poly) == expect
+
+    def test_rule_violation_raises(self, monkeypatch):
+        # a strip that miscounts k must not pass the 2n - r - 2k rule
+        strip = hompoly.strip_exceptional
+        monkeypatch.setattr(hompoly, "strip_exceptional",
+                            lambda p: dataclasses.replace(strip(p), k=strip(p).k + 1))
+        with pytest.raises(RuntimeError, match="degree rule violated"):
+            degree_bookkeeping(PARABOLOID_FSTAR)
+
+    def test_rule_violation_raises_under_optimize(self):
+        # python -O strips assert statements; the rule check must survive it
+        code = (
+            "import dataclasses\n"
+            "from pedalis import hompoly\n"
+            "strip = hompoly.strip_exceptional\n"
+            "hompoly.strip_exceptional = lambda p: dataclasses.replace(strip(p), r=0)\n"
+            "try:\n"
+            "    hompoly.degree_bookkeeping(hompoly.parse_poly('u0*u1^2 + u0*u2^2 - 2*u1*u2*u3'))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+        res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert res.stdout.startswith("degree rule violated")
 
 
 class TestOffsetDualPoly:

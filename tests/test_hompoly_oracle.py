@@ -74,6 +74,21 @@ def quadform(space: Space):
     return v1 ** 2 + v2 ** 2 + v3 ** 2
 
 
+def offset_reference(f: HomPoly4, d: Fraction):
+    """f(u0 + d*s) * f(u0 - d*s) with s^2 = q, as a sympy Poly: odd powers of s cancel."""
+    gens = GENS[Space.DUAL]
+    s = sp.Symbol("s")
+    expr = to_sympy(f).as_expr()
+    dd = sp.Rational(d.numerator, d.denominator)
+    prod = sp.Poly(expr.xreplace({gens[0]: gens[0] + dd * s})
+                   * expr.xreplace({gens[0]: gens[0] - dd * s}), s)
+    reduced = 0
+    for (k,), c in prod.terms():
+        assert k % 2 == 0
+        reduced += c * quadform(Space.DUAL) ** (k // 2)
+    return sp.Poly(reduced, *gens)
+
+
 SETTINGS = settings(max_examples=100, deadline=None)
 
 
@@ -140,18 +155,61 @@ class TestOffsetOracle:
     @given(polys(max_degree=4, space=Space.DUAL), RATIONALS)
     @SETTINGS
     def test_product_of_both_branches(self, f, d):
-        # f(u0 + d*s) * f(u0 - d*s) with s^2 = q: odd powers of s cancel
-        gens = GENS[Space.DUAL]
-        s = sp.Symbol("s")
-        expr = to_sympy(f).as_expr()
-        dd = sp.Rational(d.numerator, d.denominator)
-        prod = sp.Poly(expr.xreplace({gens[0]: gens[0] + dd * s})
-                       * expr.xreplace({gens[0]: gens[0] - dd * s}), s)
-        reduced = 0
-        for (k,), c in prod.terms():
-            assert k % 2 == 0
-            reduced += c * quadform(Space.DUAL) ** (k // 2)
-        assert same_terms(offset_dual_poly(f, d), sp.Poly(reduced, *gens))
+        assert same_terms(offset_dual_poly(f, d), offset_reference(f, d))
+
+
+class TestIntegerKernelEdges:
+    """Inputs the strategies above never draw: d = 0, large and float
+    distances, no u0 at all, the zero polynomial, deep quadric factors
+    and a divisor whose leading coefficient is a fraction."""
+
+    F = parse_poly("u0^3/3 - 5/7*u0*u1*u3 + 2*u0^2*u2 - u1^2*u2/9 + 4/5*u3^3")
+    NO_U0 = parse_poly("u1^2*u2 - 3/2*u2*u3^2 + u1^3/11")
+
+    @pytest.mark.parametrize("f", [F, NO_U0])
+    def test_zero_distance_squares(self, f):
+        assert offset_dual_poly(f, 0) == f * f
+
+    @pytest.mark.parametrize("d", [Fraction(2, 7), Fraction(355, 113), Fraction(1, 10 ** 12),
+                                   0.1, 3])
+    def test_distance_sign_is_irrelevant(self, d):
+        assert offset_dual_poly(self.F, d) == offset_dual_poly(self.F, -d)
+
+    @pytest.mark.parametrize("d", [Fraction(355, 113), Fraction(1, 10 ** 12), 0.1, -3])
+    def test_unusual_distances_match_sympy(self, d):
+        got = offset_dual_poly(self.F, d)
+        assert same_terms(got, offset_reference(self.F, Fraction(d)))  # a float is exact
+
+    def test_no_u0_is_unchanged_by_the_shift(self):
+        got = offset_dual_poly(self.NO_U0, Fraction(355, 113))
+        assert got == self.NO_U0 * self.NO_U0
+        assert same_terms(got, offset_reference(self.NO_U0, Fraction(355, 113)))
+
+    def test_zero_polynomial(self):
+        assert offset_dual_poly(HomPoly4.zero(Space.DUAL), Fraction(1, 3)).is_zero()
+
+    @pytest.mark.parametrize("space", list(Space))
+    def test_strip_fractional_deep_factors(self, space):
+        var0 = HomPoly4.variable(space, 0)
+        g = HomPoly4(space, {(1, 0, 1, 0): Fraction(-5, 7), (0, 2, 0, 0): Fraction(1, 3),
+                             (2, 0, 0, 0): Fraction(9, 4), (0, 0, 1, 1): Fraction(2, 9)})
+        poly = var0 ** 2 * HomPoly4.quadform(space) ** 3 * g * Fraction(7, 6)
+        res = strip_exceptional(poly)
+        assert (res.r, res.k) == (2, 3)
+        assert res.reduced == g * Fraction(7, 6)
+        gens = GENS[space]
+        rebuilt = sp.Poly(gens[0] ** 2 * quadform(space) ** 3, *gens) * to_sympy(res.reduced)
+        assert same_terms(poly, rebuilt)
+
+    def test_divide_by_fractional_leading_coefficient(self):
+        h = parse_poly("-3/5*u0^2 + 2*u1*u3 - u2^2/7")
+        assert h.terms[h.leading_monomial()] == Fraction(-3, 5)
+        g = parse_poly("u0/3 - 5/7*u1 + 2*u3")
+        q = (g * h).exact_divide(h)
+        assert q == g
+        assert same_terms(q, to_sympy(g * h).div(to_sympy(h))[0])
+        with pytest.raises(NotDivisible):
+            (g * h + parse_poly("u1^3/2")).exact_divide(h)
 
 
 class TestTextOracle:

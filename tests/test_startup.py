@@ -42,7 +42,7 @@ PUBLIC = {
 PUBLIC_NAMES = [name for names in PUBLIC.values() for name in names]
 
 MODULES = ["errors", "projmaps", "hompoly", "surfkit", "sphereatlas", "ruledpedal",
-           "quadricpedal", "gallery", "verify", "cli"]
+           "quadricpedal", "gallerynames", "gallery", "verify", "cli"]
 
 
 def loaded(*args):
@@ -81,6 +81,17 @@ def test_gallery_sample_skips_verify_and_the_constructions(tmp_path):
     assert "pedalis.gallery" in mods
     for name in ("verify", "quadricpedal", "ruledpedal"):
         assert f"pedalis.{name}" not in mods
+
+
+def test_config_sample_skips_the_gallery(tmp_path):
+    cfg = tmp_path / "plane.cfg"
+    cfg.write_text("[surface]\nkind = polar\nsx = cos(u)*cos(v)\nsy = cos(v)*sin(u)\n"
+                   "sz = sin(v)\nr = 1/sin(v)\n"
+                   "[domain]\numin = 0\numax = 2*pi\nvmin = 0.2\nvmax = 1.3\n")
+    code, mods = loaded("sample", "--surface", str(cfg), "--construct", "conchoid:1/2",
+                        "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.gallerynames", "pedalis.hompoly",
+                                       "pedalis.surfkit"]))
 
 
 def _fresh(code):
