@@ -37,12 +37,12 @@ class NonUnitNormal(GeometryError):
     """Normal field is not unit length within tolerance."""
 
 
-class DegenerateEnvelope(GeometryError):
-    """Envelope system is singular (developable, plane or point case)."""
-
-
 class DegenerateSystem(GeometryError):
     """A linear solve required by a construction is singular."""
+
+
+class DegenerateEnvelope(DegenerateSystem):
+    """Envelope system is singular (developable, plane or point case)."""
 
 
 class EmptyMesh(GeometryError):

@@ -42,9 +42,7 @@ from .surfkit import (
     Domain,
     DualSurface,
     PointSurface,
-    drop,
-    envelope_solve,
-    point_to_dual,
+    construct,
 )
 
 
@@ -57,7 +55,6 @@ def _exact_rank(rows) -> int:
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0])
     rank = 0
-    col = 0
     for col in range(ncols):
         pivot = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
         if pivot is None:
@@ -83,10 +80,8 @@ class QuadricForm:
         rows = _frac_matrix(A)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("quadric matrices are 4x4")
-        for i in range(4):
-            for j in range(4):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("quadric matrix must be symmetric")
+        if any(rows[i][j] != rows[j][i] for i in range(4) for j in range(i)):
+            raise ValueError("quadric matrix must be symmetric")
         self.space = space
         self.A = rows
         self._rank = None
@@ -101,13 +96,11 @@ class QuadricForm:
         terms: dict[tuple[int, int, int, int], Fraction] = {}
         for i in range(4):
             for j in range(i, 4):
-                c = self.A[i][j] if i == j else 2 * self.A[i][j]
-                if c == 0:
-                    continue
                 exps = [0, 0, 0, 0]
                 exps[i] += 1
                 exps[j] += 1
-                terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + c
+                # each pair i <= j is one monomial; HomPoly4 drops zeros
+                terms[tuple(exps)] = self.A[i][j] if i == j else 2 * self.A[i][j]
         return HomPoly4(self.space, terms)
 
     @classmethod
@@ -451,21 +444,8 @@ def bisector_from_inverse_pedal(G: PointSurface) -> PointSurface:
     """Bisector surface of O and a point surface.
 
     The envelope of the inverse pedal planes, scaled by 1/2 about O, is
-    equidistant from O and the surface.
+    equidistant from O and the surface.  A point of G at O is an
+    OriginOnSurface, raised by ``point_to_dual``.
     """
-    g = G.f
-
-    def guarded(u, v):
-        p = np.asarray(g(u, v), float)
-        return drop(np.sqrt(rowdot(p, p)) < 1e-12, p, OriginOnSurface,
-                    "surface touches the reference point", u, v)
-
-    guarded_surface = PointSurface(Chart(
-        guarded, g.du if g.has_analytic_partials else None,
-        g.dv if g.has_analytic_partials else None, g.domain))
-    F = point_to_dual(guarded_surface)
-
-    def f(u, v):
-        return 0.5 * envelope_solve(F, u, v)
-
-    return PointSurface(Chart(f, domain=g.domain))
+    inverse = construct(G, "inverse-pedal").point
+    return PointSurface(Chart(lambda u, v: 0.5 * inverse(u, v), domain=G.domain))

@@ -21,10 +21,8 @@ import numpy as np
 
 from .errors import (
     CylindricalRuling,
-    DegenerateSystem,
     DevelopableSurface,
     LineThroughOrigin,
-    OriginOnSurface,
     ZeroDirection,
 )
 from .projmaps import rowdot
@@ -32,9 +30,11 @@ from .surfkit import (
     Chart,
     Domain,
     DualSurface,
+    PointSurface,
     PolarSurface,
-    _guarded_solve,
     drop,
+    envelope_solve,
+    point_to_dual,
     vector_rows,
 )
 
@@ -52,7 +52,8 @@ class RuledChart:
     """Ruling chart c(u) + v e(u) with derivative access.
 
     Analytic derivatives of the directrix and direction are used when
-    given, otherwise central differences with step ``_H``.
+    given, otherwise central differences with step ``_H``.  ``surface``
+    is the point chart with the partials g_u = c' + v e' and g_v = e.
     """
 
     def __init__(self, c, e, dc=None, de=None,
@@ -62,6 +63,11 @@ class RuledChart:
         self._dc = dc
         self._de = de
         self.domain = domain
+        self.surface = PointSurface(Chart(
+            self.point,
+            lambda u, v: self.dc(u) + np.asarray(v, float)[..., None] * self.de(u),
+            lambda u, v: self.direction(u),
+            domain))
 
     def point(self, u, v) -> np.ndarray:
         v = np.asarray(v, float)[..., None]
@@ -242,10 +248,9 @@ class RuledOffsetSurface(DualSurface):
 
 
 def _check_skew(R: RuledChart, probes: int = 100):
-    us = np.linspace(R.domain.umin, R.domain.umax, probes)
     scale = 0.0
     worst = 0.0
-    for u in us:
+    for u in np.linspace(R.domain.umin, R.domain.umax, probes):
         dc, e, de = R.dc(u), R.direction(u), R.de(u)
         worst = max(worst, abs(float(np.linalg.det(np.vstack([dc, e, de])))))
         scale = max(scale, np.linalg.norm(dc) * np.linalg.norm(e) * np.linalg.norm(de), 1.0)
@@ -288,20 +293,13 @@ def polar_pedal_of_ruled(R: RuledChart, domain: Domain | None = None) -> PolarSu
 def inverse_pedal_ruled(R: RuledChart, u, v) -> np.ndarray:
     """Points of the inverse pedal surface of a ruled point chart.
 
-    Solves the envelope system of ``point_to_dual`` for g = c + v e: the
-    plane x.g = g.g and its two derivative planes, with rows g,
-    g_u = c' + v e' and g_v = e.  Samples where the chart passes through O
-    (OriginOnSurface) or the system is singular (DegenerateSystem) are NaN
-    rows; a single sample raises instead.
+    Solves the envelope system of ``point_to_dual(R.surface)`` for
+    g = c + v e: the plane x.g = g.g and its two derivative planes, with
+    rows g, g_u = c' + v e' and g_v = e.  Samples where g is at O
+    (OriginOnSurface) or the system is singular (DegenerateEnvelope) are
+    NaN rows; a single sample raises instead.
     """
-    g = R.point(u, v)
-    g = drop(np.sqrt(rowdot(g, g)) < _EPS, g, OriginOnSurface, "chart passes through O", u, v)
-    gu = R.dc(u) + np.asarray(v, float)[..., None] * R.de(u)
-    gv = R.direction(u)
-    M = np.stack((g, gu, gv), axis=-2)
-    rhs = np.stack((rowdot(g, g), 2.0 * rowdot(g, gu), 2.0 * rowdot(g, gv)), axis=-1)
-    X, valid = _guarded_solve(M, rhs)
-    return drop(~valid, X, DegenerateSystem, "degenerate inverse pedal system", u, v)
+    return envelope_solve(point_to_dual(R.surface), u, v)
 
 
 @dataclass(frozen=True)

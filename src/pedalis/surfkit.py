@@ -29,12 +29,12 @@ from .errors import (
     ExceptionalPlane,
     GeometryError,
     NonUnitNormal,
+    OriginOnSurface,
 )
 from .projmaps import AffPlane, alpha_affine, exceptional_normal, rowdot
 
-# 3x3 solves (envelope, inverse pedal of ruled charts) with an estimated
-# condition number above this are treated as degenerate (developable /
-# plane / point cases).
+# Envelope solves with an estimated condition number above this are
+# treated as degenerate (developable / plane / point cases).
 COND_LIMIT = 1e12
 
 # Largest deviation of |n| from 1 that phi, gamma and offset_map accept.
@@ -362,16 +362,19 @@ def dual_to_point(F: DualSurface) -> PointSurface:
 def point_to_dual(G: PointSurface) -> DualSurface:
     """Inverse pedal chart: plane x.g = g.g through each point.
 
-    The resulting plane chart has analytic partials whenever the point
-    chart does (n = g, e = g.g need only first derivatives of g).
+    A point at O (|g| < 1e-12) is an OriginOnSurface; e reads the guarded
+    row.  The resulting plane chart has analytic partials whenever the
+    point chart does (n = g, e = g.g need only first derivatives of g).
     """
     g = G.f
 
     def n(u, v):
-        return g(u, v)
+        p = np.asarray(g(u, v), float)
+        return drop(np.sqrt(rowdot(p, p)) < 1e-12, p, OriginOnSurface,
+                    "chart passes through O", u, v)
 
     def e(u, v):
-        p = np.asarray(g(u, v), float)
+        p = n(u, v)
         return rowdot(p, p)
 
     n_du = n_dv = e_du = e_dv = None
@@ -399,9 +402,8 @@ def tangent_planes(G: PointSurface) -> DualSurface:
 
     # second derivatives of g are not available: difference the n-chart,
     # with a larger step when g itself is differenced
-    h = 1e-6 * max(g.domain.uspan, g.domain.vspan, 1e-6)
-    if not g.has_analytic_partials:
-        h = 5e-4 * max(g.domain.uspan, g.domain.vspan, 1e-6)
+    step = 1e-6 if g.has_analytic_partials else 5e-4
+    h = step * max(g.domain.uspan, g.domain.vspan, 1e-6)
     return DualSurface(Chart(n, domain=g.domain, fd_step=h),
                        Chart(e, domain=g.domain, fd_step=h))
 

@@ -152,14 +152,22 @@ def _quadruple_common_zero():
     return universal_s2(q), UNIT, (0.0, 0.0)
 
 
-def _bisector_through_origin():
+def _paraboloid_through_origin():
     # the paraboloid z = u^2 + v^2 passes through O at (0, 0)
-    paraboloid = PointSurface(Chart(
+    return PointSurface(Chart(
         lambda u, v: np.stack((u, v, u * u + v * v), axis=-1),
         lambda u, v: vector_rows(u, 1.0, 0.0, 2.0 * u),
         lambda u, v: vector_rows(u, 0.0, 1.0, 2.0 * v),
         UNIT))
-    return bisector_from_inverse_pedal(paraboloid).point, UNIT, (0.0, 0.0)
+
+
+def _bisector_through_origin():
+    return bisector_from_inverse_pedal(_paraboloid_through_origin()).point, UNIT, (0.0, 0.0)
+
+
+def _inverse_pedal_through_origin():
+    # point_to_dual guards O for the construct as for the bisector
+    return construct(_paraboloid_through_origin(), "inverse-pedal").point, UNIT, (0.0, 0.0)
 
 
 def _helicoid_like(e):
@@ -202,6 +210,7 @@ def _inverse_pedal(v0):
     (_pedal_of_zero_normal, ExceptionalPlane),
     (_quadruple_common_zero, CommonZero),
     (_bisector_through_origin, OriginOnSurface),
+    (_inverse_pedal_through_origin, OriginOnSurface),
     (_zero_ruling_direction, ZeroDirection),
     (_cylindrical_ruling, CylindricalRuling),
     (_ruling_through_origin, LineThroughOrigin),

@@ -490,3 +490,16 @@ class TestVerify:
         assert [name for name, _, _ in results] == [
             f"diagram_{name}" for name in verify.DIAGRAM_FAMILIES]
         assert not any(ok for _, _, ok in results)
+
+    def test_wrong_pedal_foot_point_fails_the_pluecker_residuals(self, monkeypatch):
+        # the "pedal construct" case of the pluecker entry samples
+        # dual_to_point, so a foot point scaled by 1.0001 must not pass
+        def pluecker():
+            return next((metrics, ok) for name, metrics, ok in verify._check_gallery(None, 1)
+                        if name == "residual_pluecker")
+
+        assert pluecker()[1]
+        alpha = verify.surfkit.alpha_affine
+        monkeypatch.setattr(verify.surfkit, "alpha_affine", lambda n, e: 1.0001 * alpha(n, e))
+        metrics, ok = pluecker()
+        assert not ok and metrics["max_residual"] > 1e-6

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pedalis import cli
 from pedalis.errors import (
     CylindricalRuling,
     DegenerateSystem,
@@ -28,6 +29,7 @@ from pedalis.ruledpedal import (
 from pedalis.surfkit import (
     Domain,
     conchoid_map,
+    construct,
     envelope_solve,
     point_to_dual,
     sample_grid,
@@ -284,6 +286,19 @@ class TestInversePedal:
         got = inverse_pedal_ruled(qc.extras["ruled"], U, V)
         assert np.array_equal(got, qc.construct("inverse-pedal").point(U, V))
         assert np.max(np.abs(got - qc.extras["closed_form"](U, V))) <= 1e-12
+
+    def test_ruled_config_meets_the_closed_form(self, tmp_path):
+        # a `kind = ruled` config has no curve derivatives, so its point
+        # chart is differenced; on the quadratic cylinder it reads 1.4e-10
+        cfg = tmp_path / "cylinder.cfg"
+        cfg.write_text("[surface]\nkind = ruled\ncx = 2*cos(u)\ncy = sin(u)\ncz = 0\n"
+                       "ex = 0\ney = 0\nez = 1\n"
+                       "[domain]\numin = 0\numax = 2*pi\nvmin = -2\nvmax = 2\n")
+        _, S = cli.load_surface(cli.parse_config(str(cfg)))
+        U, V = S.domain.grid(40, 40)
+        got = construct(S, "inverse-pedal").point(U, V)
+        closed = get_entry("quadratic-cylinder").extras["closed_form"]
+        assert np.max(np.abs(got - closed(U, V))) <= 1e-9
 
     def test_equal_axes_meridian(self):
         # rotational cylinder a=b: meridian parabola (-b^2+v^2, 0, 2v) at u=pi
