@@ -28,6 +28,7 @@ from .hompoly import (
     pedal_pullback,
     strip_exceptional,
 )
+from .projmaps import row_max
 from .sphereatlas import trig_s2
 from .surfkit import (
     Chart,
@@ -125,7 +126,7 @@ def residual_report(surface, poly: HomPoly4, nu: int = 60, nv: int = 60) -> Resi
     if not valid.any():
         raise EmptyGrid("no valid samples on the grid")
     vals = np.abs(poly.eval_grid(T))
-    scale = poly.coeff_norm() * np.max(np.abs(T), axis=1) ** poly.degree
+    scale = poly.coeff_norm() * row_max(np.abs(T)) ** poly.degree
     res = vals / scale
     return ResidualReport(float(res.max()), float(res.mean()), len(T))
 

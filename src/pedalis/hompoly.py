@@ -309,14 +309,24 @@ class HomPoly4:
         return total
 
     def eval_grid(self, tuples: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation at an (N, 4) array of tuples."""
+        """Vectorized float evaluation at an (N, 4) array of tuples.
+
+        Each power t_i^e is computed once per call, as |t_i|^e with the sign
+        of t_i for odd e: numpy's ``**`` on a negative base can fall back
+        from a SIMD ``pow`` to a much slower scalar one.  Products and sums
+        run in term order, left to right.
+        """
         T = np.asarray(tuples, dtype=float)
+        powers: dict[tuple[int, int], np.ndarray] = {}
         out = np.zeros(T.shape[0])
         for exps, c in self.terms.items():
             term = np.full(T.shape[0], float(c))
             for i, e in enumerate(exps):
                 if e:
-                    term = term * T[:, i] ** e
+                    if (i, e) not in powers:
+                        p = np.abs(T[:, i]) ** e
+                        powers[i, e] = np.copysign(p, T[:, i]) if e % 2 else p
+                    term = term * powers[i, e]
             out += term
         return out
 

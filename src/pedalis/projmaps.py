@@ -31,13 +31,27 @@ def rowdot(a, b):
     return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
 
 
+def row_max(A) -> np.ndarray:
+    """Max over the last axis of A, one np.maximum per column.
+
+    Same values as ``np.maximum.reduce(A, axis=-1)``, NaN included: max is
+    exact and order-free.  A reduction along a short row axis calls numpy's
+    inner loop once per row; a column-wise maximum runs over all rows at once.
+    """
+    A = np.asarray(A)
+    m = A[..., 0]
+    for k in range(1, A.shape[-1]):
+        m = np.maximum(m, A[..., k])
+    return m
+
+
 def exceptional_normal(n):
     """Whether the plane normal n is non-finite or numerically zero, row by row.
 
     A plane with such a normal has no affine form and no foot point.
     """
     n = np.asarray(n, dtype=float)
-    return ~np.isfinite(n).all(axis=-1) | (np.sqrt(rowdot(n, n)) < EPS_EXCEPTIONAL)
+    return ~np.isfinite(row_max(np.abs(n))) | (np.sqrt(rowdot(n, n)) < EPS_EXCEPTIONAL)
 
 
 def canonical_rows(rows) -> np.ndarray:
@@ -50,14 +64,16 @@ def canonical_rows(rows) -> np.ndarray:
     V = np.asarray(rows, dtype=float)
     if V.ndim != 2 or V.shape[1] != 4:
         raise ValueError("projective tuples have exactly 4 components")
-    # ufunc.reduce directly: these functions also serve single tuples,
-    # where the ndarray.max wrapper costs as much as the reduction
-    m = np.maximum.reduce(np.abs(V), axis=1, keepdims=True)
+    m = row_max(np.abs(V))
     if not np.logical_and.reduce((m > 0.0) & (m < np.inf), axis=None):
         raise ValueError("projective tuple must be nonzero and finite")
-    V = V / m
-    lead = (np.abs(V) >= EPS_EXCEPTIONAL).argmax(axis=1)
-    V *= np.copysign(1.0, V[np.arange(len(V)), lead])[:, None]
+    V = V / m[:, None]
+    # sign of the first component >= EPS_EXCEPTIONAL; the max-abs one scales
+    # to exactly 1, so column 3 decides only when no earlier column does
+    sign = np.copysign(1.0, V[:, 3])
+    for k in (2, 1, 0):
+        sign = np.where(np.abs(V[:, k]) >= EPS_EXCEPTIONAL, np.copysign(1.0, V[:, k]), sign)
+    V *= sign[:, None]
     return V
 
 
@@ -214,9 +230,10 @@ def _quadratic_rows(rows, sign: float) -> tuple[np.ndarray, np.ndarray]:
     """(x0,x) -> (sign*(x.x), x0*x) on canonicalized rows, with validity mask."""
     V = canonical_rows(rows)
     img = V[:, :1] * V
-    x = V[:, 1:]
-    img[:, 0] = sign * np.add.reduce(x * x, axis=1)
-    return img, np.maximum.reduce(np.abs(img), axis=1) >= EPS_EXCEPTIONAL
+    x1, x2, x3 = V[:, 1], V[:, 2], V[:, 3]
+    # left to right, the order add.reduce takes on 3 elements
+    img[:, 0] = sign * (x1 * x1 + x2 * x2 + x3 * x3)
+    return img, row_max(np.abs(img)) >= EPS_EXCEPTIONAL
 
 
 def alpha_rows(planes) -> tuple[np.ndarray, np.ndarray]:

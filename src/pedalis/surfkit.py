@@ -31,7 +31,7 @@ from .errors import (
     NonUnitNormal,
     OriginOnSurface,
 )
-from .projmaps import AffPlane, alpha_affine, exceptional_normal, rowdot
+from .projmaps import AffPlane, alpha_affine, exceptional_normal, row_max, rowdot
 
 # Envelope solves with an estimated condition number above this are
 # treated as degenerate (developable / plane / point cases).
@@ -159,7 +159,8 @@ def sample_grid(value, domain: Domain, nu: int, nv: int):
             for k in range(0, U.size, BLOCK_ROWS)])
     if len(rows) != U.size:
         raise ValueError(f"chart gave {len(rows)} rows for {U.size} samples")
-    valid = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    # max-abs is NaN or inf exactly when some entry is; rows has len >= 1 here
+    valid = np.isfinite(row_max(np.abs(rows).reshape(len(rows), -1)))
     return rows[valid], valid
 
 
@@ -302,7 +303,7 @@ def _guarded_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     shape = rhs.shape[:-1]
     M, rhs = M.reshape(-1, 3, 3), rhs.reshape(-1, 3)
-    valid = np.isfinite(M).all(axis=(1, 2))
+    valid = np.isfinite(row_max(np.abs(M).reshape(-1, 9)))
     unproven = valid.copy()
     unproven[valid] = ~_well_conditioned(M[valid])
     valid[unproven] = np.linalg.cond(M[unproven]) <= COND_LIMIT
@@ -329,7 +330,7 @@ def _well_conditioned(M: np.ndarray) -> np.ndarray:
     computed |adj|_F and subtracts it from |det|: the computed determinant
     of a nearly rank-1 matrix is rounding noise and must never pass.
     """
-    _, exponent = np.frexp(np.abs(M).max(axis=(1, 2)))
+    _, exponent = np.frexp(row_max(np.abs(M).reshape(-1, 9)))
     M = np.ldexp(M, -exponent[:, None, None])
     r0, r1, r2 = M[:, 0], M[:, 1], M[:, 2]
     adj = np.stack((np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)), axis=1)

@@ -32,7 +32,7 @@ def random_tuples(rng, count: int) -> np.ndarray:
     out = np.empty((0, 4))
     while len(out) < count:
         v = rng.uniform(-1.0, 1.0, size=(count - len(out), 4))
-        w = projmaps.canonical_rows(v[np.abs(v).max(axis=1) >= 1e-3])
+        w = projmaps.canonical_rows(v[projmaps.row_max(np.abs(v)) >= 1e-3])
         keep = (np.abs(w[:, 0]) >= 1e-6) & (np.linalg.norm(w[:, 1:], axis=1) >= 1e-6)
         out = np.concatenate((out, w[keep]))
     return out
@@ -96,6 +96,46 @@ def _check_diagrams(rng, samples):
     return results
 
 
+def _length(x):
+    return np.sqrt(rowdot(x, x))
+
+
+def _distance_dev(S, center, radius) -> float:
+    """Max of | |x - center| - radius(u, v) | / max(1, |x|) on a 40x40 grid of S.
+
+    NaN when every sample is dropped, so that the check fails.
+    """
+    def dev(u, v):
+        x = S.point(u, v)
+        return np.abs(_length(x - center) - radius(u, v)) / np.maximum(1.0, _length(x))
+
+    rows, _ = surfkit.sample_grid(dev, S.domain, 40, 40)
+    return float(rows.max()) if len(rows) else math.nan
+
+
+def _conchoid_witness(entry):
+    """The point-form conchoid at d moves each point of the chart by d along its ray."""
+    d, g = 0.5, entry.point_chart
+    return _distance_dev(surfkit.construct(g, "conchoid", d), 0.0,
+                         lambda u, v: _length(g.point(u, v)) + d)
+
+
+def _offset_witness(entry):
+    """The offset at d of the sphere of radius 1 about (2, 0, 0) has radius 1 + d."""
+    return max(_distance_dev(surfkit.construct(entry.dual, "offset", d),
+                             np.array([2.0, 0.0, 0.0]), lambda u, v: 1.0 + d)
+               for d in (0.5, -0.3))
+
+
+# Odd-in-d witnesses, by entry and metric key.  The gallery families hold d
+# only as d**2, so their residuals cannot tell a construct at d from one at -d.
+WITNESSES = {
+    "pluecker": ("conchoid_dev", _conchoid_witness),
+    "sphere-offset": ("offset_dev", _offset_witness),
+}
+WITNESS_BOUND = 1e-12
+
+
 def _check_gallery(rng, samples):
     results = []
     for name in gallery.list_entries():
@@ -104,7 +144,12 @@ def _check_gallery(rng, samples):
         for case in entry.residual_cases:
             rep = gallery.residual_report(case.surface, case.poly)
             worst = max(worst, rep.max)
-        results.append((f"residual_{name}", {"max_residual": worst}, worst < 1e-8))
+        metrics, ok = {"max_residual": worst}, worst < 1e-8
+        if name in WITNESSES:
+            key, witness = WITNESSES[name]
+            metrics[key] = witness(entry)
+            ok = ok and metrics[key] < WITNESS_BOUND
+        results.append((f"residual_{name}", metrics, ok))
         source, image = entry.pullback_pair
         fwd = (hompoly.pedal_pullback if source.space is Space.DUAL
                else hompoly.inverse_pedal_pullback)

@@ -503,3 +503,22 @@ class TestVerify:
         monkeypatch.setattr(verify.surfkit, "alpha_affine", lambda n, e: 1.0001 * alpha(n, e))
         metrics, ok = pluecker()
         assert not ok and metrics["max_residual"] > 1e-6
+
+    @pytest.mark.parametrize("construct, entry, key", [
+        ("point_conchoid", "pluecker", "conchoid_dev"),
+        ("point_offset", "sphere-offset", "offset_dev"),
+    ])
+    def test_sign_flipped_construct_fails_verify_all(self, monkeypatch, capsys,
+                                                     construct, entry, key):
+        # the gallery families are even in d; the witnesses are odd in d
+        original = getattr(verify.surfkit, construct)
+        monkeypatch.setattr(verify.surfkit, construct,
+                            lambda *args: original(*args[:-1], -args[-1]))
+        assert cli.main(["verify", "--suite", "all", "--seed", "7"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        value = float(next(line for line in out
+                           if line.startswith(f"residual_{entry}.{key}=")).split("=")[1])
+        assert value > 0.1
+        assert f"residual_{entry}.pass=false" in out
+        failed = [line for line in out if line.endswith(".pass=false")]
+        assert failed == [f"residual_{entry}.pass=false"]
