@@ -121,10 +121,13 @@ def _conchoid_witness(entry):
 
 
 def _offset_witness(entry):
-    """The offset at d of the sphere of radius 1 about (2, 0, 0) has radius 1 + d."""
-    return max(_distance_dev(surfkit.construct(entry.dual, "offset", d),
-                             np.array([2.0, 0.0, 0.0]), lambda u, v: 1.0 + d)
-               for d in (0.5, -0.3))
+    """The offset at d of the sphere of radius 1 about (2, 0, 0) has radius 1 + d.
+
+    np.max, not max: a NaN from either d must reach the result.
+    """
+    return float(np.max([_distance_dev(surfkit.construct(entry.dual, "offset", d),
+                                       np.array([2.0, 0.0, 0.0]), lambda u, v: 1.0 + d)
+                         for d in (0.5, -0.3)]))
 
 
 # Odd-in-d witnesses, by entry and metric key.  The gallery families hold d

@@ -522,3 +522,22 @@ class TestVerify:
         assert f"residual_{entry}.pass=false" in out
         failed = [line for line in out if line.endswith(".pass=false")]
         assert failed == [f"residual_{entry}.pass=false"]
+
+    def test_offset_witness_without_samples_fails(self, monkeypatch, capsys):
+        # every sample of the d < 0 offset dropped: its NaN must fail the
+        # check, not give way to the d = 1/2 value
+        original = verify.surfkit.construct
+
+        def construct(surface, kind, d=0.0):
+            S = original(surface, kind, d)
+            if kind == "offset" and d < 0:
+                nan = lambda u, v: np.full(np.shape(u) + (3,), math.nan)
+                return type("NaNSurface", (), {"domain": S.domain, "point": staticmethod(nan)})
+            return S
+
+        monkeypatch.setattr(verify.surfkit, "construct", construct)
+        assert cli.main(["verify", "--suite", "all", "--seed", "7"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "residual_sphere-offset.offset_dev=nan" in out
+        failed = [line for line in out if line.endswith(".pass=false")]
+        assert failed == ["residual_sphere-offset.pass=false"]

@@ -1,15 +1,17 @@
 """Mutation runner: does ``pedalis verify --suite all`` catch a wrong kernel?
 
-    python tools/mutate.py [--seed N] [--only NAME ...] [--list]
+    python tools/mutate.py
 
 Run it from the root of a source checkout; it needs Python 3.10+ and what
 pedalis needs, nothing else.  For each mutant in ``MUTANTS`` it copies
 ``src/`` to a temporary directory, rewrites one expression of one function
-through ``ast`` and runs ``verify --suite all`` on the copy.  A mutant is
+through ``ast`` and runs ``verify --suite all --seed 7`` on the copy.  A
+mutant is
 
 * killed when verify exits non-zero (the failed checks are listed),
 * surviving when verify exits 0 with every check passing,
-* not compiling when the rewritten module does not compile.
+* not compiling when the rewritten module does not compile,
+* missing when its target text is no longer in its function.
 
 The unmutated copy must pass first.  The rewritten module is written back
 with ``ast.unparse``, so it loses its comments; nothing else changes.  This
@@ -18,7 +20,6 @@ script is not part of the test suite: it runs one verify process per mutant.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import copy
 import os
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,10 @@ def mutate_source(source: str, mutant: Mutant) -> str:
     raise LookupError(f"{mutant.target!r} not found in {mutant.module}.{mutant.function}")
 
 
-def run_verify(src: Path, seed: int) -> subprocess.CompletedProcess:
+def run_verify(src: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pedalis", "verify", "--suite", "all", "--seed", str(seed)],
+        [sys.executable, "-m", "pedalis", "verify", "--suite", "all", "--seed", str(SEED)],
         capture_output=True, text=True, env=env, timeout=300)
 
 
@@ -174,26 +176,16 @@ def failed_checks(proc: subprocess.CompletedProcess) -> str:
     return f"exit {proc.returncode}: {lines[-1] if lines else 'no output'}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7, help="verify seed (default 7)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    if args.list or not mutants:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.kind} `{m.target}` in {m.module}.{m.function}")
-        return 0 if mutants else 2
-    results = {"killed": [], "surviving": [], "not compiling": []}
+def main() -> int:
+    results = {"killed": [], "surviving": [], "not compiling": [], "missing": []}
     with tempfile.TemporaryDirectory(prefix="pedalis-mutate-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        base = run_verify(src, args.seed)
+        base = run_verify(src)
         if base.returncode != 0:
             print(f"unmutated verify fails ({failed_checks(base)}); nothing to measure")
             return 2
-        for m in mutants:
+        for m in MUTANTS:
             path = src / "pedalis" / f"{m.module}.py"
             original = path.read_text()
             try:
@@ -203,9 +195,13 @@ def main(argv=None) -> int:
                 results["not compiling"].append(m.name)
                 print(f"not compiling  {m.name}: {exc}")
                 continue
+            except LookupError as exc:
+                results["missing"].append(m.name)
+                print(f"missing        {m.name}: {exc}")
+                continue
             path.write_text(text)
             try:
-                proc = run_verify(src, args.seed)
+                proc = run_verify(src)
             finally:
                 path.write_text(original)
             if proc.returncode == 0:
@@ -214,10 +210,10 @@ def main(argv=None) -> int:
             else:
                 results["killed"].append(m.name)
                 print(f"killed         {m.name}: {failed_checks(proc)}")
-    total = len(mutants)
+    total = len(MUTANTS)
     print(f"killed {len(results['killed'])} of {total} "
           f"({100.0 * len(results['killed']) / total:.0f}%)")
-    for outcome in ("surviving", "not compiling"):
+    for outcome in ("surviving", "not compiling", "missing"):
         print(f"{outcome}: {', '.join(results[outcome]) or 'none'}")
     return 0
 
