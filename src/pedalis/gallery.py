@@ -363,6 +363,7 @@ def _build_pluecker() -> GalleryEntry:
         ResidualCase("pedal d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
         ResidualCase("pedal d=1", conchoid_map(polar, 1.0), point_family(1)),
         ResidualCase("pedal construct", construct(dual, "pedal"), gbar),
+        ResidualCase("pedal of the point chart", construct(point_chart, "pedal"), gbar),
         ResidualCase("conchoid d=0", conoid_polar, conoid),
         ResidualCase("conchoid d=1/2", conoid_half, conchoid_family(Fraction(1, 2))),
         ResidualCase("conchoid d=1", conchoid_map(conoid_polar, 1.0), conchoid_family(1)),

@@ -54,12 +54,10 @@ def exceptional_normal(n):
     return ~np.isfinite(row_max(np.abs(n))) | (np.sqrt(rowdot(n, n)) < EPS_EXCEPTIONAL)
 
 
-def canonical_rows(rows) -> np.ndarray:
-    """Canonical representatives of the rows of an (N, 4) array.
+def _scaled_rows(rows) -> np.ndarray:
+    """The rows of an (N, 4) array, each divided by its max-abs component.
 
-    Each row is scaled so its max-abs component is 1, then its sign is
-    fixed so the first component with magnitude >= EPS_EXCEPTIONAL is
-    positive.  Raises ValueError if any row is zero or not finite.
+    Raises ValueError if any row is zero or not finite.
     """
     V = np.asarray(rows, dtype=float)
     if V.ndim != 2 or V.shape[1] != 4:
@@ -67,12 +65,24 @@ def canonical_rows(rows) -> np.ndarray:
     m = row_max(np.abs(V))
     if not np.logical_and.reduce((m > 0.0) & (m < np.inf), axis=None):
         raise ValueError("projective tuple must be nonzero and finite")
-    V = V / m[:, None]
+    return V / m[:, None]
+
+
+def canonical_rows(rows) -> np.ndarray:
+    """Canonical representatives of the rows of an (N, 4) array.
+
+    Each row is scaled so its max-abs component is 1, then its sign is
+    fixed so the first component with magnitude >= EPS_EXCEPTIONAL is
+    positive.  Raises ValueError if any row is zero or not finite.
+    """
+    V = _scaled_rows(rows)
     # sign of the first component >= EPS_EXCEPTIONAL; the max-abs one scales
     # to exactly 1, so column 3 decides only when no earlier column does
-    sign = np.copysign(1.0, V[:, 3])
+    signs = np.copysign(1.0, V)
+    lead = np.abs(V) >= EPS_EXCEPTIONAL
+    sign = signs[:, 3]
     for k in (2, 1, 0):
-        sign = np.where(np.abs(V[:, k]) >= EPS_EXCEPTIONAL, np.copysign(1.0, V[:, k]), sign)
+        sign = np.where(lead[:, k], signs[:, k], sign)
     V *= sign[:, None]
     return V
 
@@ -221,14 +231,15 @@ def alpha_z(plane: AffPlane, z) -> np.ndarray:
 
 # -- homogeneous maps, row-wise over (N, 4) arrays ------------------------
 #
-# The quadratic maps canonicalize their input rows and return the image rows
-# together with a boolean mask that is False where the image vanishes, i.e.
-# where the input lies in the exceptional set or base locus of the map.
+# The quadratic maps are even, and (-a)*(-b) == a*b in IEEE arithmetic, signed
+# zeros included, so they scale their input rows but fix no sign.  They return
+# the image rows together with a boolean mask that is False where the image
+# vanishes, i.e. where the input lies in the exceptional set or base locus.
 
 
 def _quadratic_rows(rows, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x0,x) -> (sign*(x.x), x0*x) on canonicalized rows, with validity mask."""
-    V = canonical_rows(rows)
+    """(x0,x) -> (sign*(x.x), x0*x) on max-abs-scaled rows, with validity mask."""
+    V = _scaled_rows(rows)
     img = V[:, :1] * V
     x1, x2, x3 = V[:, 1], V[:, 2], V[:, 3]
     # left to right, the order add.reduce takes on 3 elements

@@ -506,7 +506,7 @@ def sample_mesh(S, nu: int, nv: int) -> Mesh:
     index = index.reshape(nu, nv)
     quads = np.stack((index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]),
                      axis=-1).reshape(-1, 4)
-    quads = quads[(quads >= 0).all(axis=1)]
+    quads = quads[~row_max(quads < 0)]
     faces = np.stack((quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]), axis=1).reshape(-1, 3)
     return Mesh(verts, faces)
 

@@ -139,6 +139,18 @@ WITNESSES = {
 WITNESS_BOUND = 1e-12
 
 
+def _offset_family_exact(entry) -> float:
+    """offset_dual_poly against the one-sided family of sphere-offset, exactly.
+
+    Its dual_poly has a u0**2 term, so the offset expansion takes powers of q
+    that no other gallery family reaches.  The hand-written family holds the
+    side R + d only, so the two-sided family is its product over d and -d.
+    """
+    fam = entry.dual_family
+    return float(all(hompoly.offset_dual_poly(entry.dual_poly, d) == fam(d) * fam(-d)
+                     for d in (Fraction(1, 2), Fraction(-3, 10))))
+
+
 def _check_gallery(rng, samples):
     results = []
     for name in gallery.list_entries():
@@ -158,7 +170,11 @@ def _check_gallery(rng, samples):
                else hompoly.inverse_pedal_pullback)
         stripped = strip_exceptional(fwd(source))
         ok = stripped.reduced.equals_up_to_scale(image)
-        results.append((f"pullback_{name}", {"exact": float(ok)}, ok))
+        metrics = {"exact": float(ok)}
+        if name == "sphere-offset":
+            metrics["offset_family"] = _offset_family_exact(entry)
+            ok = ok and metrics["offset_family"] == 1.0
+        results.append((f"pullback_{name}", metrics, ok))
     return results
 
 
@@ -226,11 +242,12 @@ def _check_extras(rng, samples):
     _, n, (y0, y1, _) = F.assemble(U, T)
     worst = float(np.max(np.abs(np.sqrt(rowdot(n, n)) * y1 - y0)))
     results.append(("ratnorm_ruled", {"max_dev": worst}, worst < 1e-9))
+    # the conoid's tangent normal g_u x g_v = (-2c sin u, 2c cos u, -v), c = cos 2u,
+    # has the rational length w = 2c / sin T on the ray v = w cos T
     U, T = Domain(0.0, 2.0 * math.pi, 0.2, 1.4).grid(30, 30)
-    c2u = np.cos(2 * U)
-    r = 2.0 * c2u * np.cos(T) / np.sin(T)
-    w = 2.0 * c2u / np.sin(T)
-    worst = float(np.max(np.abs(w * w - (4.0 * (c2u * c2u) + r * r))))
+    w = 2.0 * np.cos(2 * U) / np.sin(T)
+    n = surfkit.tangent_planes(gallery.get_entry("pluecker").point_chart).n(U, w * np.cos(T))
+    worst = float(np.max(np.abs(rowdot(n, n) - w * w)))
     results.append(("ratnorm_pluecker", {"max_dev": worst}, worst < 1e-10))
     # bisector of O and the plane z=1
     plane_chart = PointSurface(Chart(

@@ -2,15 +2,24 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from pedalis import cli, verify
 from pedalis.cli import parse_expr
 from pedalis.gallery import get_entry
-from pedalis.surfkit import Domain, constant_chart
+from pedalis.surfkit import Chart, Domain, DualSurface, constant_chart
 
+ROOT = Path(__file__).resolve().parent.parent
 CMD = [sys.executable, "-m", "pedalis"]
+
+
+def check_result(suite, check):
+    """(metrics, ok) of one named check of a verify suite function."""
+    return next((metrics, ok) for name, metrics, ok in suite(np.random.default_rng(7), 1)
+                if name == check)
 
 
 def run(*args, env=None):
@@ -494,15 +503,51 @@ class TestVerify:
     def test_wrong_pedal_foot_point_fails_the_pluecker_residuals(self, monkeypatch):
         # the "pedal construct" case of the pluecker entry samples
         # dual_to_point, so a foot point scaled by 1.0001 must not pass
-        def pluecker():
-            return next((metrics, ok) for name, metrics, ok in verify._check_gallery(None, 1)
-                        if name == "residual_pluecker")
-
-        assert pluecker()[1]
+        assert check_result(verify._check_gallery, "residual_pluecker")[1]
         alpha = verify.surfkit.alpha_affine
         monkeypatch.setattr(verify.surfkit, "alpha_affine", lambda n, e: 1.0001 * alpha(n, e))
-        metrics, ok = pluecker()
+        metrics, ok = check_result(verify._check_gallery, "residual_pluecker")
         assert not ok and metrics["max_residual"] > 1e-6
+
+    @pytest.mark.parametrize("part, suite, check, key", [
+        ("e", verify._check_gallery, "residual_pluecker", "max_residual"),
+        ("n", verify._check_extras, "ratnorm_pluecker", "max_dev"),
+    ])
+    def test_scaled_tangent_plane_fails_its_check(self, monkeypatch, part, suite, check, key):
+        # the pluecker entry calls tangent_planes when it is built, for its
+        # "pedal of the point chart" case, so the patched entry is built afresh
+        tangent_planes = verify.surfkit.tangent_planes
+
+        def scaled(G):
+            F = tangent_planes(G)
+            charts = {"n": F.n, "e": F.e}
+            f = charts[part]
+            charts[part] = Chart(lambda u, v: 1.0001 * np.asarray(f(u, v)), domain=F.domain)
+            return DualSurface(**charts)
+
+        assert check_result(suite, check)[1]
+        monkeypatch.setattr(verify.surfkit, "tangent_planes", scaled)
+        monkeypatch.setattr(verify.gallery, "_CACHE", {})
+        metrics, ok = check_result(suite, check)
+        assert not ok and metrics[key] > 1e-6
+
+    def test_wrong_offset_family_fails_the_sphere_offset_pullback(self, monkeypatch):
+        assert check_result(verify._check_gallery, "pullback_sphere-offset") == (
+            {"exact": 1.0, "offset_family": 1.0}, True)
+        offset = verify.hompoly.offset_dual_poly
+        monkeypatch.setattr(verify.hompoly, "offset_dual_poly",
+                            lambda f, d: offset(f, d) * Fraction(10001, 10000))
+        metrics, ok = check_result(verify._check_gallery, "pullback_sphere-offset")
+        assert not ok and metrics == {"exact": 1.0, "offset_family": 0.0}
+
+    def test_verify_all_meets_the_benchmark_checker(self, monkeypatch, capsys):
+        # the benchmark fails every op when this grammar breaks: a key outside
+        # [a-z_]+, a 46th .pass name or a missing check
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from checks import check_verify
+
+        code = cli.main(["verify", "--suite", "all", "--seed", "7"])
+        assert check_verify(code, capsys.readouterr().out, 7) == []
 
     @pytest.mark.parametrize("construct, entry, key", [
         ("point_conchoid", "pluecker", "conchoid_dev"),
