@@ -481,8 +481,17 @@ def format_poly(poly: HomPoly4) -> str:
 
 # -- text grammar ----------------------------------------------------------
 # Polynomial text and config chart expressions share this tokenizer and
-# parser.  A token is a number, a name or one other non-space character.
-_TEXT_TOKEN = re.compile(r"\d+\.\d*|\.\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\S")
+# parser.  A plain token is a number, a name or one other non-space
+# character.  A monomial run, p[/q]*v^e*...*w (coefficient and exponents
+# optional, no spaces), followed by '+', '-', ')' or the end, is one token:
+# at a term start it is a whole term, and anywhere else the parser splits
+# it back into its plain tokens.
+_PLAIN_TOKEN = r"\d+\.\d*|\.\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\S"
+_FACTOR = r"[A-Za-z_][A-Za-z_0-9]*(?:\^\d+)?"
+_TEXT_TOKEN = re.compile(
+    rf"(?:\d+(?:/\d+)?\*)?{_FACTOR}(?:\*{_FACTOR})*(?=\s*(?:[-+)]|$))|{_PLAIN_TOKEN}")
+_PLAIN = re.compile(_PLAIN_TOKEN)
+_is_run = re.compile(r".+[*^]").match  # a run with an operator; a bare name is plain
 
 
 def _parse_text(text: str, hooks):
@@ -496,9 +505,12 @@ def _parse_text(text: str, hooks):
     building the value only through ``hooks``: number(tok), name(tok),
     call(name, arg), add(a, b), sub(a, b), mul(a, b), div(a, b), neg(a)
     and power(a, b).  A hook raises ValueError for a form its language
-    does not accept.
+    does not accept.  A hook set with a monomial(run) hook gets each
+    monomial run that makes up a whole term in one call; it must give
+    what the plain tokens of the run give.
     """
     tokens = _TEXT_TOKEN.findall(text)[::-1]  # pop() takes the next token
+    monomial = getattr(hooks, "monomial", None)
 
     def accept(*ops):
         return tokens.pop() if tokens and tokens[-1] in ops else None
@@ -510,6 +522,8 @@ def _parse_text(text: str, hooks):
         return value
 
     def term():
+        if monomial and tokens and _is_run(tokens[-1]):
+            return monomial(tokens.pop())  # the run ends at '+', '-', ')' or the end
         value = unary()
         while op := accept("*", "/"):
             value = (hooks.mul if op == "*" else hooks.div)(value, unary())
@@ -528,6 +542,9 @@ def _parse_text(text: str, hooks):
         if not tokens:
             raise ValueError("unexpected end of text")
         tok = tokens.pop()
+        if _is_run(tok):  # not a whole term: back to plain tokens
+            tokens.extend(_PLAIN.findall(tok)[::-1])
+            tok = tokens.pop()
         if tok == "(":
             return closed(expr())
         if tok[0] == "_" or tok[0].isalpha():
@@ -545,7 +562,7 @@ def _parse_text(text: str, hooks):
 
     value = expr()
     if tokens:
-        raise ValueError(f"unexpected token {tokens[-1]!r}")
+        raise ValueError(f"unexpected token {_PLAIN.match(tokens[-1])[0]!r}")
     return value
 
 
@@ -573,6 +590,23 @@ class _PolyHooks:
             raise ValueError("mixed point and dual variables")
         self.space = sp
         return {exps: 1}
+
+    def monomial(self, run):
+        """The term of a run p[/q]*v^e*..., with an int coefficient unless
+        it has a '/', checked in the order of its plain tokens."""
+        factors = run.split("*")
+        coeff = 1
+        if factors[0][0].isdecimal():
+            p, _, q = factors.pop(0).partition("/")
+            if q and not int(q):
+                raise ValueError("division by zero")
+            coeff = Fraction(int(p), int(q)) if q else int(p)
+        exps = [0, 0, 0, 0]
+        for factor in factors:
+            var, _, e = factor.partition("^")
+            (unit,) = self.name(var)
+            exps[unit.index(1)] += int(e) if e else 1
+        return {tuple(exps): coeff} if coeff else {}
 
     def call(self, name, arg):
         raise ValueError(f"polynomial text has no function {name!r}")

@@ -228,7 +228,10 @@ def _check_extras(rng, samples):
     lhs = form.eval(quadricpedal.pentaspherical_point(x))
     rhs = cyclide.eval_grid(np.column_stack((np.ones(len(x)), x)))
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
-    results.append(("pentaspherical_lift", {"max_dev": worst}, worst < 1e-9))
+    # the same cyclide from its closed form (a0, a1, a2, a3, b1, b2, b3), exactly
+    closed = cyclide == quadricpedal.cyclide_closed_form(-1, -3, 1, 1, -4, 0, 0)
+    results.append(("pentaspherical_lift", {"max_dev": worst, "closed_form": float(closed)},
+                    worst < 1e-9 and closed))
     # rational-norm identities for ruled offsets
     plu = ruledpedal.RuledChart(
         lambda u: vector_rows(u, 0.0, 0.0, np.sin(2 * u)),

@@ -540,6 +540,17 @@ class TestVerify:
         metrics, ok = check_result(verify._check_gallery, "pullback_sphere-offset")
         assert not ok and metrics == {"exact": 1.0, "offset_family": 0.0}
 
+    def test_flipped_cyclide_coupling_fails_the_pentaspherical_lift(self, monkeypatch):
+        # x0^2 diag + x0 q bee in place of x0^2 diag - x0 q bee: the b's change sign
+        metrics, ok = check_result(verify._check_extras, "pentaspherical_lift")
+        assert ok and metrics["closed_form"] == 1.0
+        form = verify.quadricpedal._cyclide_form
+        monkeypatch.setattr(verify.quadricpedal, "_cyclide_form",
+                            lambda space, a0, a1, a2, a3, *b: form(space, a0, a1, a2, a3,
+                                                                  *(-x for x in b)))
+        metrics, ok = check_result(verify._check_extras, "pentaspherical_lift")
+        assert not ok and metrics["closed_form"] == 0.0
+
     def test_verify_all_meets_the_benchmark_checker(self, monkeypatch, capsys):
         # the benchmark fails every op when this grammar breaks: a key outside
         # [a-z_]+, a 46th .pass name or a missing check

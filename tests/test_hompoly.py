@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pedalis import hompoly
@@ -280,3 +280,113 @@ class TestTextForm:
     def test_zero_polynomial(self):
         z = HomPoly4.zero(Space.POINT)
         assert format_poly(z) == "0"
+
+
+class _PlainHooks(hompoly._PolyHooks):
+    monomial = None  # every monomial run goes back to plain tokens
+
+
+def _outcome(text, hooks_class=hompoly._PolyHooks):
+    """Terms in order with their coefficient types and the space, or the message."""
+    hooks = hooks_class(None)
+    try:
+        terms = hompoly._parse_text(text, hooks)
+    except ValueError as exc:
+        return str(exc)
+    return [(e, c, type(c)) for e, c in terms.items()], hooks.space
+
+
+@st.composite
+def poly_texts(draw):
+    """Polynomial text in the benchmark's input form (p/q* coefficients,
+    implicit exponents of one, shuffled terms) or in format_poly's form,
+    optionally with random spaces, parentheses and one stray character."""
+    space = draw(st.sampled_from(Space))
+    deg = draw(st.integers(0, 4))
+    exps = st.lists(st.integers(0, 3), min_size=deg, max_size=deg).map(
+        lambda vs: tuple(vs.count(i) for i in range(4)))
+    coeffs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        text = format_poly(HomPoly4(space, terms))
+    else:
+        parts = []
+        for e, c in draw(st.permutations(list(terms.items()))):
+            factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(space.variables, e) if k]
+            mag = "" if abs(c) == 1 and factors else f"{abs(c)}"
+            body = "*".join(([mag] if mag else []) + factors)
+            parts.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(parts)
+        text = text[2:] if text[0] == "+" else "-" + text[2:]
+    if draw(st.booleans()):  # parentheses around a span of terms and random spaces
+        words = text.split(" ")
+        i = draw(st.integers(0, len(words) - 1))
+        j = draw(st.integers(i, len(words) - 1))
+        words[i], words[j] = "(" + words[i], words[j] + ")"
+        text = "".join(w + draw(st.sampled_from(["", " ", "  "])) for w in " ".join(words))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(list("*/^()+- 0y.$"))) + text[k:]
+    return text
+
+
+class TestMonomialRuns:
+    """A monomial run at a term start is one token and one monomial() call;
+    it must give what its plain tokens give through the general path."""
+
+    @seed(20261019)
+    @settings(max_examples=400, deadline=None)
+    @given(poly_texts())
+    def test_run_path_matches_general_path(self, text):
+        assert _outcome(text) == _outcome(text, _PlainHooks)
+
+    def test_tokens(self):
+        assert hompoly._TEXT_TOKEN.findall("-20/3*x0*x2^2*x3^7 + x1^3*(x2 - 7*x0*x3)") == [
+            "-", "20/3*x0*x2^2*x3^7", "+", "x1", "^", "3", "*", "(", "x2", "-", "7*x0*x3", ")"]
+
+    def test_run_is_one_hook_call(self, monkeypatch):
+        calls = []
+        monomial = hompoly._PolyHooks.monomial
+        monkeypatch.setattr(hompoly._PolyHooks, "monomial",
+                            lambda self, run: calls.append(run) or monomial(self, run))
+        parse_poly("20/3*x0*x2^2*x3^7 - x1^2*x2^8 + 2*x0^10")
+        assert calls == ["20/3*x0*x2^2*x3^7", "x1^2*x2^8", "2*x0^10"]
+
+    @pytest.mark.parametrize("text, terms", [
+        ("u1/2*u2", {(0, 1, 1, 0): Fraction(1, 2)}),  # a run after '/'
+        ("(2*u1^2 + u2^2)/3", {(0, 2, 0, 0): Fraction(2, 3), (0, 0, 2, 0): Fraction(1, 3)}),
+        ("u1^2^3", {(0, 8, 0, 0): 1}),  # '^' after a factor ends no run
+        ("-2*u1*u2", {(0, 1, 1, 0): -2}),  # a run after a unary sign
+        ("2*u1*(u1 + u2)", {(0, 2, 0, 0): 2, (0, 1, 1, 0): 2}),  # '*(' ends no run
+        ("007*u1^03", {(0, 3, 0, 0): 7}),
+        ("2 * u1", {(0, 1, 0, 0): 2}),
+        ("4/2*u1 + u1^0*u2^1", {(0, 1, 0, 0): Fraction(2), (0, 0, 1, 0): 1}),
+    ])
+    def test_pinned_values(self, text, terms):
+        got = _outcome(text)
+        assert got == ([(e, c, type(c)) for e, c in terms.items()], Space.DUAL)
+        assert got == _outcome(text, _PlainHooks)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0*x1 + u1", "mixed point and dual variables"),
+        ("y1*u1", "unknown variable 'y1'"),
+        ("0*y1", "unknown variable 'y1'"),
+        ("1/0*u1", "division by zero"),
+        ("0/0*u1", "division by zero"),
+        ("1/0*y1", "division by zero"),
+        ("u1 2*u2", "unexpected token '2'"),
+        ("1_000*u1", "unexpected token '_000'"),
+    ])
+    def test_pinned_messages(self, text, message):
+        assert _outcome(text) == _outcome(text, _PlainHooks) == message
+
+    def test_zero_coefficient_still_sets_the_space(self):
+        assert _outcome("0*x1") == ([], Space.POINT)
+
+    def test_config_chart_values_keep_their_bits(self):
+        from pedalis.cli import parse_expr
+
+        u, v = np.array([0.3, -1.7, 2.5]), np.array([1.1, 0.45, -3.25])
+        got = parse_expr("2*u^2*v - 7/2*u*v^2")(u, v)
+        assert [x.hex() for x in got] == [
+            "-0x1.128f5c28f5c2ap+0", "0x1.e726e978d4fe0p+1", "-0x1.0a18000000000p+7"]

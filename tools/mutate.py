@@ -93,6 +93,8 @@ MUTANTS = [
     Mutant("eval_grid odd sign", "hompoly", "HomPoly4.eval_grid",
            "np.copysign(p, T[:, i]) if e % 2 else p", "swap"),
     Mutant("eval_grid coefficient scaled", "hompoly", "HomPoly4.eval_grid", "float(c)", "scale"),
+    Mutant("monomial run coefficient sign", "hompoly", "_PolyHooks.monomial",
+           "Fraction(int(p), int(q)) if q else int(p)", "flip"),
     # the construction modules
     Mutant("ruled point scaled", "ruledpedal", "RuledChart.point",
            "v * np.asarray(self.e(u), float)", "scale"),
