@@ -58,7 +58,9 @@ def _as_fraction(c) -> Fraction:
 # Exact arithmetic runs on plain {exponents: coefficient} dicts.  The hot
 # loops (powers, pullback, strip, offset family) scale their input once to
 # integer numerators over one common denominator, run on ints, and build
-# the Fractions, and the validated HomPoly4, once per result.
+# the Fractions, and the HomPoly4, once per result: ``HomPoly4._trusted``
+# takes the terms as they are, because the kernel built them from
+# validated input.
 
 _CONST: Exponents = (0, 0, 0, 0)
 # the exceptional quadric v1^2 + v2^2 + v3^2 of either space
@@ -205,6 +207,16 @@ class HomPoly4:
         # degree of the zero polynomial is -1 by convention
         self.degree = -1 if degree is None else degree
 
+    @classmethod
+    def _trusted(cls, space: Space, terms: dict) -> "HomPoly4":
+        """A kernel result, taken as it is: Fraction coefficients, no zero
+        terms and one total degree, which the building code guarantees."""
+        poly = object.__new__(cls)
+        poly.space = space
+        poly.terms = terms
+        poly.degree = sum(next(iter(terms))) if terms else -1
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -240,12 +252,12 @@ class HomPoly4:
         return HomPoly4(self.space, _add_terms(dict(self.terms), other.terms, -1))
 
     def __neg__(self) -> "HomPoly4":
-        return HomPoly4(self.space, {e: -c for e, c in self.terms.items()})
+        return HomPoly4._trusted(self.space, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, HomPoly4):
             self._check_space(other)
-            return HomPoly4(self.space, _mul_terms(self.terms, other.terms))
+            return HomPoly4._trusted(self.space, _mul_terms(self.terms, other.terms))
         c = _as_fraction(other)
         return HomPoly4(self.space, {e: c * v for e, v in self.terms.items()})
 
@@ -346,7 +358,7 @@ class HomPoly4:
             raise ZeroDivisionError("division by the zero polynomial")
         lc = divisor.terms[divisor.leading_monomial()]
         quot = _divide_terms(self.terms, {e: c / lc for e, c in divisor.terms.items()})
-        return HomPoly4(self.space, {e: c / lc for e, c in quot.items()})
+        return HomPoly4._trusted(self.space, {e: c / lc for e, c in quot.items()})
 
 
 # -- pullbacks ----------------------------------------------------------
@@ -361,7 +373,7 @@ def _pullback(poly: HomPoly4, src: Space) -> HomPoly4:
     terms: dict[Exponents, int] = {}
     for (e0, e1, e2, e3), n in nums.items():
         _add_terms(terms, qpow[e0], -n if e0 % 2 else n, (e1 + e2 + e3, e1, e2, e3))
-    return HomPoly4(src.other, {e: Fraction(n, den) for e, n in terms.items()})
+    return HomPoly4._trusted(src.other, {e: Fraction(n, den) for e, n in terms.items()})
 
 
 def pedal_pullback(fstar: HomPoly4) -> HomPoly4:
@@ -405,7 +417,7 @@ def strip_exceptional(poly: HomPoly4) -> StripResult:
         k += 1
     if k:  # else the input's coefficients serve as they are
         terms = {e: Fraction(n, den) for e, n in reduced.items()}
-    return StripResult(HomPoly4(poly.space, terms), r, k)
+    return StripResult(HomPoly4._trusted(poly.space, terms), r, k)
 
 
 def degree_bookkeeping(fstar: HomPoly4) -> tuple[int, int, int, int]:
@@ -451,7 +463,7 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
     terms = {e: q * q * c for e, c in _square_terms(even).items()}
     _add_terms(terms, _mul_terms(_QUADFORM, _square_terms(odd)), -p * p)
     den = (den * q ** (2 * m + 1)) ** 2
-    return HomPoly4(Space.DUAL, {e: Fraction(c, den) for e, c in terms.items()})
+    return HomPoly4._trusted(Space.DUAL, {e: Fraction(c, den) for e, c in terms.items()})
 
 
 # -- canonical text form --------------------------------------------------
@@ -460,12 +472,15 @@ def format_poly(poly: HomPoly4) -> str:
     """Canonical text form: graded-lex descending, explicit exponents."""
     if poly.is_zero():
         return "0"
-    names = poly.space.variables
+    # one table of "vi^e" per variable, indexed by the exponent
+    p0, p1, p2, p3 = ([""] + [f"{v}^{e}" for e in range(1, poly.degree + 1)]
+                      for v in poly.space.variables)
     parts = []
     # one degree, so graded-lex order is lex order on the exponent tuples
     for exps in sorted(poly.terms, reverse=True):
         c = poly.terms[exps]
-        mono = "*".join([f"{v}^{e}" for v, e in zip(names, exps) if e])
+        e0, e1, e2, e3 = exps
+        mono = "*".join([s for s in (p0[e0], p1[e1], p2[e2], p3[e3]) if s])
         num, den = c.numerator, c.denominator
         mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
@@ -645,4 +660,8 @@ def parse_poly(text: str, space: Space | None = None) -> HomPoly4:
     terms = _parse_text(text, hooks)
     if hooks.space is None:
         raise ValueError("constant polynomial needs an explicit space")
-    return HomPoly4(hooks.space, terms)  # checks homogeneity of the result
+    # the hooks build no zero terms and no negative exponents
+    if len({sum(e) for e in terms}) > 1:
+        raise ValueError("terms of different total degree")
+    return HomPoly4._trusted(hooks.space, {e: Fraction(c) if type(c) is int else c
+                                           for e, c in terms.items()})

@@ -240,11 +240,18 @@ def _check_extras(rng, samples):
         de=lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
         domain=Domain(0.1, 1.2, 0.15, 0.85),
     )
-    F = ruledpedal.rational_offset_ruled(plu, 0.5)
+    F = ruledpedal.rational_offset_ruled(plu, 0.5)  # checks once that plu is skew
+    offsets = {0.5: F, -0.3: ruledpedal.RuledOffsetSurface(plu, -0.3, F.domain)}
     U, T = Domain(0.12, 1.18, 0.2, 0.8).grid(25, 25)
-    _, n, (y0, y1, _) = F.assemble(U, T)
-    worst = float(np.max(np.abs(np.sqrt(rowdot(n, n)) * y1 - y0)))
-    results.append(("ratnorm_ruled", {"max_dev": worst}, worst < 1e-9))
+    f, n, (y0, y1, _) = F.assemble(U, T)
+    length = np.sqrt(rowdot(n, n))
+    worst = float(np.max(np.abs(length * y1 - y0)))
+    # odd in d: the support at d lies d*|n| beyond the support f.n at d = 0
+    e0 = rowdot(f, n)
+    support = float(np.max([np.abs((G.e(U, T) - e0) / length - d)
+                            for d, G in offsets.items()]))
+    results.append(("ratnorm_ruled", {"max_dev": worst, "support_dev": support},
+                    worst < 1e-9 and support < WITNESS_BOUND))
     # the conoid's tangent normal g_u x g_v = (-2c sin u, 2c cos u, -v), c = cos 2u,
     # has the rational length w = 2c / sin T on the ray v = w cos T
     U, T = Domain(0.0, 2.0 * math.pi, 0.2, 1.4).grid(30, 30)

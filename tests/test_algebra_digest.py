@@ -16,8 +16,10 @@ written by substituting the pedal map into a dense dual text.
 """
 
 import hashlib
+import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ from pedalis.hompoly import (
     pedal_pullback,
     strip_exceptional,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def dense(n: int) -> str:
@@ -128,3 +132,34 @@ class TestCoefficientsAreFractions:
     def test_offset(self, d):
         for text in ("u0^2 + u1^2 - u2*u3", dense(3)):
             assert all_fractions(offset_dual_poly(parse_poly(text), d))
+
+
+def _raw(poly: HomPoly4) -> list:
+    return [[*e, c.numerator, c.denominator] for e, c in poly.terms.items()]
+
+
+def test_algebra_ops_meet_the_benchmark_checker(monkeypatch):
+    # one pass of the benchmark's algebra ops, recorded as its driver records
+    # them, must pass the benchmark's own exact checker
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from checks import ROUNDTRIP_TERMS, check_algebra
+    from workloads import algebra_ops
+
+    rng = random.Random(301)
+    for op in algebra_ops(random.Random(301)):
+        poly = parse_poly(op["text"])
+        if op["kind"] == "pedal":
+            image = pedal_pullback(poly)
+            stripped = strip_exceptional(image)
+            result = stripped.reduced
+        elif op["kind"] == "inverse":
+            result = inverse_pedal_pullback(poly)
+        else:
+            result = offset_dual_poly(poly, Fraction(op["d"]))
+        text = format_poly(result)
+        out = {"text": text, "result": _raw(result)}
+        if len(result.terms) <= ROUNDTRIP_TERMS:
+            out["roundtrip"] = _raw(parse_poly(text))
+        if op["kind"] == "pedal":
+            out.update(pullback=_raw(image), r=stripped.r, k=stripped.k)
+        assert check_algebra(op, out, rng) == [], (op["kind"], op["degree"], op["planted"])

@@ -551,6 +551,18 @@ class TestVerify:
         metrics, ok = check_result(verify._check_extras, "pentaspherical_lift")
         assert not ok and metrics["closed_form"] == 0.0
 
+    def test_flipped_ruled_offset_support_fails_ratnorm_ruled(self, monkeypatch):
+        # f.n - d*|n| in place of f.n + d*|n| is the support of the offset at -d;
+        # the conic witness max_dev does not depend on d and cannot see it
+        metrics, ok = check_result(verify._check_extras, "ratnorm_ruled")
+        assert ok and metrics["support_dev"] < 1e-15
+        surface = verify.ruledpedal.RuledOffsetSurface
+        monkeypatch.setattr(verify.ruledpedal, "RuledOffsetSurface",
+                            lambda R, d, domain: surface(R, -d, domain))
+        metrics, ok = check_result(verify._check_extras, "ratnorm_ruled")
+        assert not ok and metrics["support_dev"] == pytest.approx(1.0)
+        assert metrics["max_dev"] < 1e-9
+
     def test_verify_all_meets_the_benchmark_checker(self, monkeypatch, capsys):
         # the benchmark fails every op when this grammar breaks: a key outside
         # [a-z_]+, a 46th .pass name or a missing check

@@ -41,7 +41,8 @@ class Mutant:
 
     ``kind`` is ``flip`` (swap + and -, or negate), ``swap`` (exchange the
     elements i and j of a tuple or call, or the branches of an if-else
-    expression) or ``scale`` (multiply a constant or an expression by 1.0001).
+    expression), ``scale`` (multiply a constant or an expression by 1.0001)
+    or ``shift`` (add 1 to an integer expression).
     """
 
     name: str
@@ -95,6 +96,8 @@ MUTANTS = [
     Mutant("eval_grid coefficient scaled", "hompoly", "HomPoly4.eval_grid", "float(c)", "scale"),
     Mutant("monomial run coefficient sign", "hompoly", "_PolyHooks.monomial",
            "Fraction(int(p), int(q)) if q else int(p)", "flip"),
+    Mutant("kernel result degree off by one", "hompoly", "HomPoly4._trusted",
+           "sum(next(iter(terms)))", "shift"),
     # the construction modules
     Mutant("ruled point scaled", "ruledpedal", "RuledChart.point",
            "v * np.asarray(self.e(u), float)", "scale"),
@@ -141,6 +144,8 @@ def _rewrite(node: ast.expr, mutant: Mutant) -> ast.expr:
         if isinstance(node, ast.Constant):
             return ast.Constant(node.value * 1.0001)
         return ast.BinOp(ast.Constant(1.0001), ast.Mult(), node)
+    if mutant.kind == "shift":
+        return ast.BinOp(node, ast.Add(), ast.Constant(1))
     raise ValueError(f"unknown mutation kind {mutant.kind!r}")
 
 
