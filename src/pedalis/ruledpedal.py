@@ -248,12 +248,13 @@ class RuledOffsetSurface(DualSurface):
 
 
 def _check_skew(R: RuledChart, probes: int = 100):
-    scale = 0.0
-    worst = 0.0
-    for u in np.linspace(R.domain.umin, R.domain.umax, probes):
-        dc, e, de = R.dc(u), R.direction(u), R.de(u)
-        worst = max(worst, abs(float(np.linalg.det(np.vstack([dc, e, de])))))
-        scale = max(scale, np.linalg.norm(dc) * np.linalg.norm(e) * np.linalg.norm(de), 1.0)
+    u = np.linspace(R.domain.umin, R.domain.umax, probes)
+    dc, e, de = R.dc(u), R.direction(u), R.de(u)
+    for k in np.flatnonzero(np.isnan(e[:, 0])):
+        R.direction(u[k])  # raises ZeroDirection where the direction vanishes
+    # fmax skips NaN probes, as the scalar max over probes did
+    worst = np.fmax.reduce(np.abs(np.linalg.det(np.stack((dc, e, de), axis=1))), initial=0.0)
+    scale = np.fmax.reduce(np.sqrt(rowdot(dc, dc) * rowdot(e, e) * rowdot(de, de)), initial=1.0)
     if worst < 1e-10 * scale:
         raise DevelopableSurface("det(c', e, e') vanishes along the chart")
 

@@ -151,17 +151,25 @@ def sample_grid(value, domain: Domain, nu: int, nv: int):
     ``rows`` stacks the kept rows in grid order and ``valid`` is the
     (nu*nv,) mask of kept samples.
     """
-    U, V = domain.grid(nu, nv)
+    u = np.linspace(domain.umin, domain.umax, nu)
+    v = np.linspace(domain.vmin, domain.vmax, nv)
+    size = nu * nv
+    valid = np.empty(size, dtype=bool)
+    rows = None
     # non-finite samples are dropped by contract, so their warnings are noise
     with np.errstate(all="ignore"):
-        rows = np.concatenate([
-            np.asarray(value(U[k:k + BLOCK_ROWS], V[k:k + BLOCK_ROWS]), dtype=float)
-            for k in range(0, U.size, BLOCK_ROWS)])
-    if len(rows) != U.size:
-        raise ValueError(f"chart gave {len(rows)} rows for {U.size} samples")
-    # max-abs is NaN or inf exactly when some entry is; rows has len >= 1 here
-    valid = np.isfinite(row_max(np.abs(rows).reshape(len(rows), -1)))
-    return rows[valid], valid
+        for k in range(0, size, BLOCK_ROWS):
+            # the samples of domain.grid(nu, nv)[k:k + BLOCK_ROWS], float for float
+            i, j = np.divmod(np.arange(k, min(k + BLOCK_ROWS, size)), nv)
+            block = np.asarray(value(u[i], v[j]), dtype=float)
+            if rows is None:
+                rows = np.empty((size,) + block.shape[1:])
+            if block.shape != i.shape + rows.shape[1:]:
+                raise ValueError(f"chart gave rows of shape {block.shape} for {len(i)} samples")
+            rows[k:k + len(i)] = block
+            # max-abs is NaN or inf exactly when some entry is
+            valid[k:k + len(i)] = np.isfinite(row_max(np.abs(block).reshape(len(i), -1)))
+    return (rows if valid.all() else rows[valid]), valid
 
 
 def _probe_unit(n_chart: Chart, samples: int = 5):
@@ -501,13 +509,17 @@ def sample_mesh(S, nu: int, nv: int) -> Mesh:
     verts, valid = sample_grid(S.point, S.domain, nu, nv)
     if not valid.any():
         raise EmptyMesh("no valid samples on the grid")
-    index = np.full(nu * nv, -1)
-    index[valid] = np.arange(len(verts))
-    index = index.reshape(nu, nv)
-    quads = np.stack((index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]),
-                     axis=-1).reshape(-1, 4)
-    quads = quads[~row_max(quads < 0)]
-    faces = np.stack((quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]), axis=1).reshape(-1, 3)
+    # vertex numbers of the kept samples; a dropped sample's number is never read
+    index = np.cumsum(valid, dtype=np.int32 if nu * nv < 2**31 else np.int64).reshape(nu, nv)
+    index -= 1
+    ok = valid.reshape(nu, nv)
+    cells = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    faces = np.empty((np.count_nonzero(cells), 2, 3), dtype=index.dtype)
+    faces[:, 0, 0] = faces[:, 1, 0] = index[:-1, :-1][cells]
+    faces[:, 0, 1] = index[1:, :-1][cells]
+    faces[:, 0, 2] = faces[:, 1, 1] = index[1:, 1:][cells]
+    faces[:, 1, 2] = index[:-1, 1:][cells]
+    faces = faces.reshape(-1, 3)
     return Mesh(verts, faces)
 
 
@@ -518,9 +530,10 @@ def write_obj(mesh: Mesh, target) -> None:
     """
     is_path = isinstance(target, (str, bytes, os.PathLike))
     with open(target, "w", encoding="ascii") if is_path else nullcontext(target) as fh:
-        # one C-level % per block: '%.12g' % x is f"{x:.12g}" byte for byte
-        for record, rows in (("v %.12g %.12g %.12g\n", mesh.vertices),
-                             ("f %d %d %d\n", mesh.faces + 1)):
+        # one C-level % per block: '%.12g' % x is f"{x:.12g}" byte for byte;
+        # only faces are shifted, as adding 0 would print a vertex -0 as 0
+        for record, rows, base in (("v %.12g %.12g %.12g\n", mesh.vertices, 0),
+                                   ("f %d %d %d\n", mesh.faces, 1)):
             for k in range(0, len(rows), BLOCK_ROWS):
-                block = rows[k:k + BLOCK_ROWS]
+                block = rows[k:k + BLOCK_ROWS] + base if base else rows[k:k + BLOCK_ROWS]
                 fh.write(record * len(block) % tuple(block.ravel().tolist()))

@@ -233,10 +233,10 @@ def test_criterion_09_pentaspherical_lift():
 
 def test_criterion_10_rational_norms():
     plu = ruledpedal.RuledChart(
-        lambda u: np.array([0.0, 0.0, math.sin(2 * u)]),
-        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-        dc=lambda u: np.array([0.0, 0.0, 2 * math.cos(2 * u)]),
-        de=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
+        lambda u: surfkit.vector_rows(u, 0.0, 0.0, np.sin(2 * u)),
+        lambda u: surfkit.vector_rows(u, np.cos(u), np.sin(u), 0.0),
+        dc=lambda u: surfkit.vector_rows(u, 0.0, 0.0, 2 * np.cos(2 * u)),
+        de=lambda u: surfkit.vector_rows(u, -np.sin(u), np.cos(u), 0.0),
         domain=Domain(0.1, 1.2, 0.15, 0.85),
     )
     F = ruledpedal.rational_offset_ruled(plu, 0.5)

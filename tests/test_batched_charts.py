@@ -110,6 +110,23 @@ def test_construct_batch_matches_samples(name, construct):
     assert same_bits(rows, ref_rows)
 
 
+@pytest.mark.parametrize("width", [None, 3, 4])
+def test_row_shapes_match_samples_past_a_block(width):
+    # log|u - v| is -inf on the diagonal of the square grid, a NaN where
+    # u < v and finite elsewhere; 65x65 samples are two blocks
+    def f(u, v):
+        x = np.log(u - v)
+        return x if width is None else vector_rows(u, *(u, v, 1.0, x)[-width:])
+
+    square = Domain(0.0, 1.0, 0.0, 1.0)
+    assert 65 * 65 > BLOCK_ROWS
+    rows, valid = sample_grid(f, square, 65, 65)
+    ref_rows, ref_valid = per_sample(f, square, 65, 65)
+    assert rows.shape[1:] == (() if width is None else (width,))
+    assert np.array_equal(valid, ref_valid) and same_bits(rows, ref_rows)
+    assert not valid.reshape(65, 65).diagonal().any() and 0 < valid.sum() < 65 * 65
+
+
 # the paraboloid-offset plane family with its pole v = pi/2 on the grid edge:
 # the envelope is degenerate there and those samples drop
 POLE_DOM = Domain(0.0, 2.0 * math.pi, 0.2, 0.5 * math.pi)

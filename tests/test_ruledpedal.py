@@ -9,6 +9,7 @@ from pedalis.errors import (
     DegenerateSystem,
     DevelopableSurface,
     LineThroughOrigin,
+    ZeroDirection,
 )
 from pedalis.gallery import get_entry, residual_report
 from pedalis.ruledpedal import (
@@ -64,6 +65,17 @@ def cylinder_chart(a=2.0, b=1.0):
         dc=lambda u: vector_rows(u, -a * np.sin(u), b * np.cos(u), 0.0),
         de=lambda u: vector_rows(u, 0.0, 0.0, 0.0),
         domain=Domain(0.0, 2 * math.pi, -2.0, 2.0),
+    )
+
+
+def tangent_developable_chart():
+    # tangent developable of a circle: e = c'
+    return RuledChart(
+        lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
+        lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
+        dc=lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
+        de=lambda u: vector_rows(u, -np.cos(u), -np.sin(u), 0.0),
+        domain=Domain(0.0, 1.0, 0.1, 0.9),
     )
 
 
@@ -209,16 +221,35 @@ class TestRationalOffset:
         assert rep.max < 1e-8
 
     def test_developable_rejected(self):
-        # tangent developable of a circle: e = c'
-        R = RuledChart(
-            lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-            lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
-            dc=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
-            de=lambda u: np.array([-math.cos(u), -math.sin(u), 0.0]),
-            domain=Domain(0.0, 1.0, 0.1, 0.9),
-        )
         with pytest.raises(DevelopableSurface):
-            rational_offset_ruled(R, 0.0)
+            rational_offset_ruled(tangent_developable_chart(), 0.0)
+
+    @pytest.mark.parametrize("make,skew", [
+        (pluecker_chart, True), (helicoid_chart, True),
+        (tangent_developable_chart, False), (cylinder_chart, False)])
+    def test_skew_probe_decides_as_the_per_probe_loop(self, make, skew):
+        R = make()
+        u = np.linspace(R.domain.umin, R.domain.umax, 100)
+        det = np.linalg.det(np.stack((R.dc(u), R.direction(u), R.de(u)), axis=1))
+        # the loop of one 3x3 determinant per probe that the stack replaced
+        loop = np.array([np.linalg.det(np.vstack([R.dc(x), R.direction(x), R.de(x)]))
+                         for x in u])
+        assert det.tobytes() == loop.tobytes()
+        scale = max(max(np.linalg.norm(R.dc(x)) * np.linalg.norm(R.direction(x))
+                        * np.linalg.norm(R.de(x)) for x in u), 1.0)
+        assert (np.abs(loop).max() < 1e-10 * scale) is not skew
+        if skew:
+            rational_offset_ruled(R, 0.5)
+        else:
+            with pytest.raises(DevelopableSurface):
+                rational_offset_ruled(R, 0.5)
+
+    def test_skew_probe_on_a_vanishing_direction_raises(self):
+        # e(u) = u * (u, 1 - u, 1) vanishes at the first probe, u = 0
+        R = RuledChart(lambda u: vector_rows(u, 0.0, 0.0, 1.0 + u),
+                       lambda u: vector_rows(u, u * u, u * (1.0 - u), u))
+        with pytest.raises(ZeroDirection, match=r"at \(0\)"):
+            rational_offset_ruled(R, 0.5)
 
     def test_torsal_ruling_sample_dropped(self):
         # conoid with c'(0) = 0: a1 = |s' x e|^2 vanishes on the ruling u = 0 only

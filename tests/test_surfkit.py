@@ -1,9 +1,15 @@
 import io
 import math
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from pedalis import surfkit
 from pedalis.errors import (
     DegenerateEnvelope,
     EmptyGrid,
@@ -257,6 +263,34 @@ class TestCommutation:
                 commutation_check(n, e, d, grid=(6, 6))
 
 
+def loop_faces(keep):
+    """Faces of the per-cell double loop of the scalar mesher over the
+    (nu, nv) mask of kept samples."""
+    nu, nv = keep.shape
+    index = -np.ones((nu, nv), dtype=int)
+    index[keep] = np.arange(np.count_nonzero(keep))
+    faces = []
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+            if min(a, b, c, d) >= 0:
+                faces += [(a, b, c), (a, c, d)]
+    return faces
+
+
+@st.composite
+def drop_masks(draw):
+    """(nu, nv, block rows, dropped sample numbers, bad values) with a drop
+    in the first and in the last block."""
+    nu, nv = draw(st.integers(2, 9)), draw(st.integers(2, 7))
+    n = nu * nv
+    block = draw(st.integers(1, n))
+    drops = draw(st.sets(st.integers(0, n - 1)))
+    drops |= {draw(st.integers(0, block - 1)), draw(st.integers((n - 1) // block * block, n - 1))}
+    bad = np.array(draw(st.permutations([math.nan, math.inf, -math.inf])))
+    return nu, nv, block, sorted(drops), bad
+
+
 class TestMesh:
     def test_unit_sphere_grid(self):
         G = gamma(unit_sphere_normals(), constant_chart(1.0, SPHERE_DOM))
@@ -319,23 +353,72 @@ class TestMesh:
         S = PointSurface(Chart(lambda u, v: vector_rows(u, u, v, np.where(hole(u, v), np.nan, u * v)),
                                domain=dom))
         mesh = sample_mesh(S, nu, nv)
-        # reference: the per-cell double loop of the scalar mesher
-        index = -np.ones((nu, nv), dtype=int)
-        count = 0
-        for i, u in enumerate(np.linspace(dom.umin, dom.umax, nu)):
-            for j, v in enumerate(np.linspace(dom.vmin, dom.vmax, nv)):
-                if not hole(u, v):
-                    index[i, j] = count
-                    count += 1
-        faces = []
-        for i in range(nu - 1):
-            for j in range(nv - 1):
-                a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
-                if min(a, b, c, d) >= 0:
-                    faces += [(a, b, c), (a, c, d)]
+        keep = np.array([[not hole(u, v) for v in np.linspace(dom.vmin, dom.vmax, nv)]
+                         for u in np.linspace(dom.umin, dom.umax, nu)])
+        faces = loop_faces(keep)
+        count = np.count_nonzero(keep)
         assert 0 < count < nu * nv and 0 < len(faces) < 2 * (nu - 1) * (nv - 1)
         assert len(mesh.vertices) == count
         assert mesh.faces.tolist() == [list(f) for f in faces]
+
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None)
+    @given(drop_masks())
+    def test_random_drops_across_blocks_match_the_loop(self, case):
+        nu, nv, block, drops, bad = case
+        # integral parameters: the sample (u, v) is number u*nv + v of the grid
+        dom = Domain(0.0, nu - 1.0, 0.0, nv - 1.0)
+        dropped = np.zeros(nu * nv, dtype=bool)
+        dropped[drops] = True
+
+        def f(u, v):
+            k = (u * nv + v).astype(int)
+            rows = vector_rows(u, u, v, u * v)
+            hit = k[dropped[k]]
+            rows[dropped[k], hit % 3] = bad[hit // 3 % 3]
+            return rows
+
+        S = PointSurface(Chart(f, domain=dom))
+        buf = io.StringIO()
+        with mock.patch.object(surfkit, "BLOCK_ROWS", block):
+            if dropped.all():
+                with pytest.raises(EmptyMesh):
+                    sample_mesh(S, nu, nv)
+                return
+            mesh = sample_mesh(S, nu, nv)
+            write_obj(mesh, buf)
+        U, V = dom.grid(nu, nv)
+        verts = np.column_stack((U, V, U * V))[~dropped]
+        faces = np.array(loop_faces(~dropped.reshape(nu, nv)), dtype=int).reshape(-1, 3)
+        assert mesh.faces.dtype == np.int32
+        assert np.array_equal(mesh.vertices, verts) and np.array_equal(mesh.faces, faces)
+        assert buf.getvalue() == reference_obj(Mesh(verts, faces))
+
+    def test_wrong_row_count_in_a_later_block_raises(self):
+        # 70x70 samples are two blocks; the second one is a row short
+        def f(u, v):
+            rows = vector_rows(u, u, v, 0.0)
+            return rows if u[0] == 0.0 else rows[:-1]
+
+        assert 70 * 70 > BLOCK_ROWS
+        with pytest.raises(ValueError, match="rows of shape"):
+            sample_mesh(PointSurface(Chart(f, domain=UNIT_DOM)), 70, 70)
+
+    @pytest.mark.parametrize("name,construct", [("paraboloid-offset", "self"),
+                                                ("pluecker", "pedal")],
+                             ids=["envelope", "direct"])
+    def test_sample_and_write_hold_no_whole_grid_temporaries(self, name, construct):
+        # the mesh of 40,000 vertices and 79,202 int32 faces is about 1.9 MB
+        S = get_entry(name).construct(construct, 0.5)
+        tracemalloc.start()
+        try:
+            mesh = sample_mesh(S, 200, 200)
+            write_obj(mesh, os.devnull)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mesh.faces.dtype == np.int32 and mesh.faces.shape == (2 * 199 * 199, 3)
+        assert peak <= 3.5e6
 
     def test_obj_format(self):
         G = gamma(unit_sphere_normals(), constant_chart(1.0, SPHERE_DOM))

@@ -41,8 +41,9 @@ class Mutant:
 
     ``kind`` is ``flip`` (swap + and -, or negate), ``swap`` (exchange the
     elements i and j of a tuple or call, or the branches of an if-else
-    expression), ``scale`` (multiply a constant or an expression by 1.0001)
-    or ``shift`` (add 1 to an integer expression).
+    expression), ``scale`` (multiply a constant or an expression by 1.0001),
+    ``shift`` (add 1 to an integer expression) or ``unwrap`` (replace a
+    call by its first argument).
     """
 
     name: str
@@ -78,6 +79,7 @@ MUTANTS = [
     Mutant("dual htuple offset sign", "surfkit", "DualSurface.htuple", "-e[..., None]", "flip"),
     Mutant("tangent plane support scaled", "surfkit", "tangent_planes",
            "rowdot(np.asarray(g(u, v), float), n(u, v))", "scale"),
+    Mutant("grid drop test without abs", "surfkit", "sample_grid", "np.abs(block)", "unwrap"),
     # projmaps: the projective maps
     Mutant("quadratic map sign", "projmaps", "_quadratic_rows",
            "sign * (x1 * x1 + x2 * x2 + x3 * x3)", "flip"),
@@ -146,6 +148,8 @@ def _rewrite(node: ast.expr, mutant: Mutant) -> ast.expr:
         return ast.BinOp(ast.Constant(1.0001), ast.Mult(), node)
     if mutant.kind == "shift":
         return ast.BinOp(node, ast.Add(), ast.Constant(1))
+    if mutant.kind == "unwrap":
+        return node.args[0]
     raise ValueError(f"unknown mutation kind {mutant.kind!r}")
 
 
