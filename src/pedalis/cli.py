@@ -82,7 +82,7 @@ def _chart_call(name, arg):
     return lambda u, v: fn(arg(u, v))
 
 
-# hooks of hompoly._parse_text: each value is a closure over (u, v)
+# hooks of grammar.parse_text: each value is a closure over (u, v)
 _CHART_HOOKS = SimpleNamespace(
     number=lambda tok: _constant(np.float64(tok)),
     name=_chart_name,
@@ -98,8 +98,8 @@ _CHART_HOOKS = SimpleNamespace(
 
 def parse_expr(text, hooks=_CHART_HOOKS):
     """Chart expression over u, v with sin, cos, sqrt and pi."""
-    from .hompoly import _parse_text
-    return _parse_text(text, hooks)
+    from .grammar import parse_text
+    return parse_text(text, hooks)
 
 
 def _rational(text: str, what: str) -> Fraction:

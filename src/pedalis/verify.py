@@ -193,9 +193,20 @@ def _check_extras(rng, samples):
     results = []
     # envelope reconstruction of the focal paraboloid
     entry = gallery.get_entry("paraboloid-offset")
-    rep = gallery.residual_report(
-        surfkit.envelope_surface(entry.make_dual(0.0)), entry.point_poly, 40, 40)
-    results.append(("envelope_paraboloid", {"max_residual": rep.max}, rep.max < 1e-8))
+    envelope = surfkit.envelope_surface(entry.make_dual(0.0))
+    rep = gallery.residual_report(envelope, entry.point_poly, 40, 40)
+    # sample_grid drops a row whose only non-finite entry is -inf below finite ones
+    dom = envelope.domain
+
+    def planted(U, V):
+        rows = envelope.point(U, V)
+        rows[(U == dom.umin) & (V == dom.vmax), 0] = -np.inf  # sample 7 of 8x8
+        return rows
+
+    kept = [surfkit.sample_grid(f, dom, 8, 8)[1] for f in (envelope.point, planted)]
+    drop = float(np.flatnonzero(kept[0] != kept[1]).tolist() == [7])
+    results.append(("envelope_paraboloid", {"max_residual": rep.max, "planted_drop": drop},
+                    rep.max < 1e-8 and drop == 1.0))
     # inverse pedal of the quadratic cylinder against the closed form
     qc = gallery.get_entry("quadratic-cylinder")
     U, V = Domain(0.0, 2.0 * math.pi, -2.0, 2.0).grid(40, 40)

@@ -514,8 +514,8 @@ class TestVerify:
         ("n", verify._check_extras, "ratnorm_pluecker", "max_dev"),
     ])
     def test_scaled_tangent_plane_fails_its_check(self, monkeypatch, part, suite, check, key):
-        # the pluecker entry calls tangent_planes when it is built, for its
-        # "pedal of the point chart" case, so the patched entry is built afresh
+        # the pluecker entry calls tangent_planes when it builds its exact part,
+        # for its "pedal of the point chart" case, so the patched entry is built afresh
         tangent_planes = verify.surfkit.tangent_planes
 
         def scaled(G):
@@ -530,6 +530,19 @@ class TestVerify:
         monkeypatch.setattr(verify.gallery, "_CACHE", {})
         metrics, ok = check_result(suite, check)
         assert not ok and metrics[key] > 1e-6
+
+    def test_kept_minus_inf_row_fails_the_planted_drop(self, monkeypatch):
+        # what the mutant "grid drop test without abs" does: a row whose only
+        # non-finite entry is -inf, below finite ones, is kept
+        assert check_result(verify._check_extras, "envelope_paraboloid")[0]["planted_drop"] == 1
+        grid = verify.surfkit.sample_grid
+
+        def keeps_minus_inf(value, *args):
+            return grid(lambda U, V: np.where(np.isneginf(value(U, V)), 0.0, value(U, V)), *args)
+
+        monkeypatch.setattr(verify.surfkit, "sample_grid", keeps_minus_inf)
+        metrics, ok = check_result(verify._check_extras, "envelope_paraboloid")
+        assert not ok and metrics["planted_drop"] == 0
 
     def test_wrong_offset_family_fails_the_sphere_offset_pullback(self, monkeypatch):
         assert check_result(verify._check_gallery, "pullback_sphere-offset") == (

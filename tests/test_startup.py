@@ -13,6 +13,8 @@ import sys
 import pytest
 
 import pedalis
+from pedalis import gallery
+from pedalis.gallerynames import GALLERY_NAMES
 
 # run ``python -m pedalis ARGS`` and print the loaded modules as the last line
 _REPORT = """
@@ -41,7 +43,7 @@ PUBLIC = {
 }
 PUBLIC_NAMES = [name for names in PUBLIC.values() for name in names]
 
-MODULES = ["errors", "projmaps", "hompoly", "surfkit", "sphereatlas", "ruledpedal",
+MODULES = ["errors", "projmaps", "grammar", "hompoly", "surfkit", "sphereatlas", "ruledpedal",
            "quadricpedal", "gallerynames", "gallery", "verify", "cli"]
 
 
@@ -70,8 +72,9 @@ def test_bad_seed_env_var_exits_before_verify_loads(monkeypatch, value):
 
 
 def test_implicit_adds_only_hompoly():
+    # and the text grammar that parse_poly parses with
     code, mods = loaded("implicit", "--direction", "pedal", "--poly", "u0*u1^2 - u2^3")
-    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.hompoly"]))
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.grammar", "pedalis.hompoly"]))
 
 
 def test_gallery_sample_skips_verify_and_the_constructions(tmp_path):
@@ -90,8 +93,53 @@ def test_config_sample_skips_the_gallery(tmp_path):
                    "[domain]\numin = 0\numax = 2*pi\nvmin = 0.2\nvmax = 1.3\n")
     code, mods = loaded("sample", "--surface", str(cfg), "--construct", "conchoid:1/2",
                         "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
-    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.gallerynames", "pedalis.hompoly",
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.gallerynames", "pedalis.grammar",
                                        "pedalis.surfkit"]))
+
+
+# one construct per gallery entry, all five constructs among them; only
+# paraboloid-pedal takes its charts from quadricpedal, which needs hompoly
+SAMPLED = [("plane-conchoid", "conchoid:1/2"), ("paraboloid-offset", "self"),
+           ("sphere-offset", "offset:1/2"), ("sphere-bundle", "self"), ("pluecker", "pedal"),
+           ("parabola-cyclide", "conchoid:1/2"), ("sphere-inverse-pedal", "inverse-pedal"),
+           ("quadratic-cylinder", "inverse-pedal")]
+
+
+def test_sampled_covers_the_gallery_but_paraboloid_pedal():
+    assert sorted(name for name, _ in SAMPLED) == sorted(
+        name for name in GALLERY_NAMES if name != "paraboloid-pedal")
+
+
+@pytest.mark.parametrize("name, construct", SAMPLED)
+def test_gallery_sample_skips_the_exact_algebra(tmp_path, name, construct):
+    code, mods = loaded("sample", "--surface", name, "--construct", construct,
+                        "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
+    assert code == 0 and "pedalis.gallery" in mods
+    assert "pedalis.hompoly" not in mods and "pedalis.quadricpedal" not in mods
+
+
+def test_construct_leaves_the_exact_part_unbuilt():
+    # (exact fields in the entry, hompoly loaded) after get_entry and construct,
+    # with paraboloid-pedal, which loads hompoly for its charts, last
+    got = _fresh("from pedalis.gallery import EXACT, get_entry\n"
+                 "out = {}\n"
+                 f"for name in {sorted(GALLERY_NAMES, key=lambda n: n == 'paraboloid-pedal')}:\n"
+                 "    entry = get_entry(name)\n"
+                 "    entry.construct('self')\n"
+                 "    out[name] = [sorted(set(EXACT) & set(vars(entry))),\n"
+                 "                 'pedalis.hompoly' in sys.modules]\n"
+                 "print(json.dumps(out))")
+    assert got == {name: [[], name == "paraboloid-pedal"] for name in GALLERY_NAMES}
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_exact_part_is_built_once(name):
+    entry = gallery._BUILDERS[name]()  # a fresh entry, not the cached one
+    build, calls = entry.build_exact, []
+    object.__setattr__(entry, "build_exact", lambda: calls.append(name) or build())
+    first = entry.point_poly
+    assert entry.point_poly is first and entry.residual_cases is entry.residual_cases
+    assert calls == [name] and set(gallery.EXACT) <= set(vars(entry))
 
 
 def _fresh(code):

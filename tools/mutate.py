@@ -88,6 +88,9 @@ MUTANTS = [
     Mutant("polarity sign", "projmaps", "pi_rows", "-img[:, 0]", "flip"),
     Mutant("affine foot point scaled", "projmaps", "alpha_affine",
            "np.asarray(e, dtype=float) / rowdot(n, n)", "scale"),
+    # grammar: the text grammar of polynomials and config charts
+    Mutant("text sum and difference swapped", "grammar", "parse_text",
+           "hooks.add if op == '+' else hooks.sub", "swap"),
     # hompoly: the exact algebra
     Mutant("offset family sign", "hompoly", "offset_dual_poly", "-p * p", "flip"),
     Mutant("offset family q power", "hompoly", "offset_dual_poly", "m - j", "flip"),
