@@ -20,7 +20,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,58 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# -- expression grammar for config charts -------------------------------------
-
-# numpy scalars follow IEEE rules: a pole gives inf and sqrt of a negative
-# NaN, non-finite samples that the samplers drop, instead of an exception
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
-# ``^`` is numpy's scalar power, libm ``pow``, applied to each sample.  On
-# arrays ``**`` squares as x * x and uses a vectorized pow otherwise, which
-# round other last bits, so a sample would differ alone and in a grid.
-_power = np.frompyfunc(lambda a, b: np.float64(a) ** np.float64(b), 2, 1)
-
-
-def _constant(val):
-    return lambda u, v: val
-
-
-_NAMES = {"u": lambda u, v: u, "v": lambda u, v: v, "pi": _constant(np.float64(np.pi))}
-
-
-def _chart_name(tok):
-    if tok not in _NAMES:
-        raise ValueError(f"{tok} needs parentheses" if tok in _FUNCTIONS
-                         else f"unknown identifier {tok!r}")
-    return _NAMES[tok]
-
-
-def _chart_call(name, arg):
-    if name not in _FUNCTIONS:
-        raise ValueError(f"unknown function {name!r}")
-    fn = _FUNCTIONS[name]
-    return lambda u, v: fn(arg(u, v))
-
-
-# hooks of grammar.parse_text: each value is a closure over (u, v)
-_CHART_HOOKS = SimpleNamespace(
-    number=lambda tok: _constant(np.float64(tok)),
-    name=_chart_name,
-    call=_chart_call,
-    add=lambda a, b: lambda u, v: a(u, v) + b(u, v),
-    sub=lambda a, b: lambda u, v: a(u, v) - b(u, v),
-    mul=lambda a, b: lambda u, v: a(u, v) * b(u, v),
-    div=lambda a, b: lambda u, v: a(u, v) / b(u, v),
-    neg=lambda a: lambda u, v: -a(u, v),
-    power=lambda a, b: lambda u, v: _power(a(u, v), b(u, v)).astype(float),
-)
-
-
-def parse_expr(text, hooks=_CHART_HOOKS):
-    """Chart expression over u, v with sin, cos, sqrt and pi."""
-    from .grammar import parse_text
-    return parse_text(text, hooks)
-
-
 def _rational(text: str, what: str) -> Fraction:
     """Number text such as 3/4, -2 or 1e-3; 1/0 and 1e400 are input errors."""
     try:
@@ -110,112 +57,6 @@ def _rational(text: str, what: str) -> Fraction:
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"{what} {text.strip()!r} is not a finite number") from None
     return value
-
-
-# -- config files --------------------------------------------------------------
-
-
-def parse_config(path: str) -> dict:
-    """Read the [surface]/[domain] sections of a config file."""
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip().lower()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line or current is None:
-                raise ValueError(f"{path}:{lineno}: expected key = value inside a section")
-            key, value = line.split("=", 1)
-            sections[current][key.strip().lower()] = value.strip()
-    if "surface" not in sections:
-        raise ValueError(f"{path}: missing [surface] section")
-    return sections
-
-
-_DOMAIN_DEFAULTS = {"umin": "0", "umax": "1", "vmin": "0", "vmax": "1"}
-
-
-def _domain_bound(key: str, text: str) -> float:
-    """Value of a constant [domain] expression; naming u or v is an input error."""
-    def name(tok):
-        if tok in ("u", "v"):
-            raise ValueError(f"domain bound {key} = {text!r} names the parameter {tok}")
-        return _chart_name(tok)
-
-    hooks = SimpleNamespace(**{**vars(_CHART_HOOKS), "name": name})
-    # a bound like 1/0 is an input error, reported below, not a warning
-    with np.errstate(all="ignore"):
-        value = parse_expr(text, hooks)(0.0, 0.0)
-    if not np.isfinite(value):
-        raise ValueError(f"domain bound {key} = {text!r} is not finite")
-    return value
-
-
-def _config_domain(sections):
-    from .surfkit import Domain
-    dom = {**_DOMAIN_DEFAULTS, **sections.get("domain", {})}
-    unknown = [key for key in dom if key not in _DOMAIN_DEFAULTS]
-    if unknown:
-        raise ValueError(f"unknown [domain] key {unknown[0]!r}; "
-                         f"allowed: {', '.join(_DOMAIN_DEFAULTS)}")
-    return Domain(**{key: _domain_bound(key, text) for key, text in dom.items()})
-
-
-def _surface_value(sections, key) -> str:
-    """Text of one [surface] key; a missing key is an input error."""
-    surf = sections["surface"]
-    if key not in surf:
-        raise ValueError(f"missing chart expression {key!r}")
-    return surf[key]
-
-
-# a constant expression gives a scalar; the charts broadcast it over the samples
-def _vector_chart(sections, keys, domain):
-    from .surfkit import Chart, vector_rows
-    fx, fy, fz = (parse_expr(_surface_value(sections, key)) for key in keys)
-    return Chart(lambda u, v: vector_rows(u, fx(u, v), fy(u, v), fz(u, v)), domain=domain)
-
-
-def _scalar_config_chart(sections, key, domain):
-    from .surfkit import Chart
-    f = parse_expr(_surface_value(sections, key))
-    return Chart(lambda u, v: np.broadcast_to(f(u, v), np.shape(u)), domain=domain)
-
-
-def load_surface(sections):
-    """Surface object of a parsed config; (kind, surface)."""
-    from .surfkit import Chart, DualSurface, PointSurface, PolarSurface
-    kind = sections["surface"].get("kind")
-    domain = _config_domain(sections)
-    if kind == "point":
-        return kind, PointSurface(_vector_chart(sections, ("fx", "fy", "fz"), domain))
-    if kind == "polar":
-        return kind, PolarSurface(
-            _vector_chart(sections, ("sx", "sy", "sz"), domain),
-            _scalar_config_chart(sections, "r", domain))
-    if kind == "dual":
-        return kind, DualSurface(
-            _vector_chart(sections, ("nx", "ny", "nz"), domain),
-            _scalar_config_chart(sections, "e", domain))
-    if kind == "ruled":
-        from .ruledpedal import RuledChart
-        c = _vector_chart(sections, ("cx", "cy", "cz"), domain)
-        e = _vector_chart(sections, ("ex", "ey", "ez"), domain)
-        ruled = RuledChart(lambda u: c(u, 0.0), lambda u: e(u, 0.0), domain=domain)
-        return kind, PointSurface(Chart(ruled.point, domain=domain))
-    if kind == "quadric":
-        from .hompoly import Space
-        from .quadricpedal import QuadricForm
-        space = Space.POINT if sections["surface"].get("space", "dual") == "point" else Space.DUAL
-        rows = [r.strip() for r in _surface_value(sections, "matrix").split(";")]
-        A = [[_rational(x, "matrix entry") for x in row.split()] for row in rows]
-        return kind, QuadricForm(space, A)
-    raise ValueError(f"unknown surface kind {kind!r}")
 
 
 # -- map subcommand --------------------------------------------------------------
@@ -264,7 +105,8 @@ def cmd_map(args) -> int:
 def cmd_implicit(args) -> int:
     from . import hompoly
     if args.surface:
-        kind, surf = load_surface(parse_config(args.surface))
+        from . import config
+        kind, surf = config.load(args.surface)
         if kind != "quadric":
             raise ValueError("only quadric configs provide an input polynomial")
         poly = surf.as_poly()
@@ -314,7 +156,8 @@ def cmd_sample(args) -> int:
         from . import gallery
         surface = gallery.get_entry(args.surface).construct(construct, d)
     elif os.path.exists(args.surface):
-        kind, surf = load_surface(parse_config(args.surface))
+        from . import config
+        kind, surf = config.load(args.surface)
         if kind == "quadric":
             raise ValueError("quadric configs feed the implicit command, not sample")
         surface = surfkit.construct(surf, construct, d)

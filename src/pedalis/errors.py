@@ -77,10 +77,6 @@ class RankTooLow(GeometryError):
     """Quadric rank below what the construction supports."""
 
 
-class RankMismatch(GeometryError):
-    """Quadric rank differs from the one the construction requires."""
-
-
 class NotCyclideShape(GeometryError):
     """Polynomial does not have the cyclide normal form."""
 

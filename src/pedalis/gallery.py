@@ -520,15 +520,11 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
 def _build_sphere_inverse_pedal(m=2, r=1) -> GalleryEntry:
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
     mfl, rfl = float(m), float(r)
+    s = trig_s2(dom)
     sphere_chart = PointSurface(Chart(
-        lambda u, v: np.stack((mfl + rfl * np.cos(u) * np.cos(v),
-                               rfl * np.cos(v) * np.sin(u),
-                               rfl * np.sin(v)), axis=-1),
-        lambda u, v: vector_rows(u, -rfl * np.sin(u) * np.cos(v),
-                                 rfl * np.cos(v) * np.cos(u), 0.0),
-        lambda u, v: np.stack((-rfl * np.cos(u) * np.sin(v),
-                               -rfl * np.sin(u) * np.sin(v),
-                               rfl * np.cos(v)), axis=-1),
+        lambda u, v: rfl * s(u, v) + (mfl, 0.0, 0.0),
+        lambda u, v: rfl * s.du(u, v),
+        lambda u, v: rfl * s.dv(u, v),
         dom,
     ))
 

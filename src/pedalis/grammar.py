@@ -1,5 +1,5 @@
 """Text grammar shared by polynomial text (``hompoly.parse_poly``) and
-config chart expressions (``cli.parse_expr``), each with its own hooks.
+config chart expressions (``config.parse_expr``), each with its own hooks.
 
 A plain token is a number, a name or one other non-space character.  A
 monomial run, p[/q]*v^e*...*w (coefficient and exponents optional, no

@@ -100,26 +100,14 @@ def footpoint_curve(R: RuledChart):
     return d
 
 
-def _striction(R: RuledChart, u: float):
-    """(v_s, e, n1, n2) at u: striction parameter, ruling direction and the
-    normal components n1 = c' x e, n2 = e' x e."""
-    e = R.direction(u)
-    de = R.de(u)
-    n1 = np.cross(R.dc(u), e)
-    n2 = np.cross(de, e)
-    scale = np.maximum(rowdot(e, e) * rowdot(de, de), 1.0)
-    n2 = drop(rowdot(n2, n2) < 1e-20 * scale, n2, CylindricalRuling, "e' x e vanishes", u)
-    return -rowdot(n1, n2) / rowdot(n2, n2), e, n1, n2
-
-
 def striction_parameter(R: RuledChart, u: float) -> float:
     """Ruling parameter of the striction point on the line at u."""
-    return _striction(R, u)[0]
+    return striction_frame(R, u)[0]
 
 
 def striction_curve(R: RuledChart):
     """Striction curve s(u) = c(u) + v_s(u) e(u)."""
-    return lambda u: striction_frame(R, u)[0]
+    return lambda u: striction_frame(R, u)[1]
 
 
 @dataclass(frozen=True)
@@ -166,17 +154,22 @@ class ConicFamily:
 
 
 def striction_frame(R: RuledChart, u: float):
-    """(s, e, n_s, n2) at u: striction point, ruling direction and the
-    orthogonal normal components n_s = s' x e, n2 = e' x e.
+    """(v_s, s, e, n_s, n2) at u: striction parameter and point, ruling
+    direction and the orthogonal normal components n_s = s' x e, n2 = e' x e.
 
     Because e x e = 0, the striction-parameter derivative drops out of
-    s' x e = c' x e + v_s (e' x e); only first derivatives of the chart
-    enter, so the frame is analytic whenever dc and de are.
+    s' x e = c' x e + v_s (e' x e) with n1 = c' x e; only first derivatives
+    of the chart enter, so the frame is analytic whenever dc and de are.
     """
-    vs, e, n1, n2 = _striction(R, u)
-    vs = vs[..., None]
-    s = np.asarray(R.c(u), float) + vs * e
-    return s, e, n1 + vs * n2, n2
+    e = R.direction(u)
+    de = R.de(u)
+    n1 = np.cross(R.dc(u), e)
+    n2 = np.cross(de, e)
+    scale = np.maximum(rowdot(e, e) * rowdot(de, de), 1.0)
+    n2 = drop(rowdot(n2, n2) < 1e-20 * scale, n2, CylindricalRuling, "e' x e vanishes", u)
+    vs = -rowdot(n1, n2) / rowdot(n2, n2)
+    w = vs[..., None]
+    return vs, np.asarray(R.c(u), float) + w * e, e, n1 + w * n2, n2
 
 
 def conic_family(R: RuledChart) -> ConicFamily:
@@ -186,11 +179,11 @@ def conic_family(R: RuledChart) -> ConicFamily:
     """
 
     def a1(u):
-        ns = striction_frame(R, u)[2]
+        ns = striction_frame(R, u)[3]
         return rowdot(ns, ns)
 
     def a2(u):
-        n2 = striction_frame(R, u)[3]
+        n2 = striction_frame(R, u)[4]
         return rowdot(n2, n2)
 
     return ConicFamily(a1=a1, a2=a2)
@@ -241,7 +234,7 @@ class RuledOffsetSurface(DualSurface):
     def assemble(self, u, t):
         """(f, n, (y0, y1, y2)) at (u, t) from one striction frame: the
         contact point, the plane normal and the conic witnesses."""
-        su, e, ns, n2 = striction_frame(self.ruled, u)
+        _, su, e, ns, n2 = striction_frame(self.ruled, u)
         y = conic_point_param(rowdot(ns, ns), rowdot(n2, n2), t)
         v = (y[2] / y[1])[..., None]
         return su + v * e, ns + v * n2, y

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from pedalis import cli, ruledpedal
+from pedalis import config, ruledpedal
 from pedalis.errors import (
     CommonZero,
     CylindricalRuling,
@@ -267,7 +267,7 @@ def test_constant_config_expressions_broadcast(tmp_path, kind, text):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"[surface]\nkind = {kind}\n{text}"
                    "[domain]\numin = 0\numax = 6\nvmin = -1\nvmax = 1\n")
-    _, S = cli.load_surface(cli.parse_config(str(cfg)))
+    _, S = config.load(str(cfg))
     rows, valid = sample_grid(construct(S, "self").point, S.domain, 5, 7)
     ref_rows, ref_valid = per_sample(construct(S, "self").point, S.domain, 5, 7)
     assert valid.all() and np.array_equal(valid, ref_valid) and same_bits(rows, ref_rows)
@@ -282,19 +282,19 @@ def test_power_of_a_batch_is_the_power_of_each_sample(text):
     # random values: array ``**`` and scalar pow differ in a fraction of them
     rng = np.random.default_rng(5)
     U, V = rng.uniform(-2.0, 2.0, 10000), rng.uniform(-3.0, 3.0, 10000)
-    f = cli.parse_expr(text)
+    f = config.parse_expr(text)
     assert same_bits(f(U, V), [f(u, v) for u, v in zip(U, V)])
     if text == "u^3":
         assert same_bits(f(U, V), [np.float64(u) ** np.float64(3.0) for u in U])
 
 
-@pytest.mark.parametrize("config", ["power-point", "power-dual"])
+@pytest.mark.parametrize("source", ["power-point", "power-dual"])
 @pytest.mark.parametrize("name", CONSTRUCTS)
-def test_power_config_batch_matches_samples(tmp_path, config, name):
-    text, domain = CONFIGS[config]
+def test_power_config_batch_matches_samples(tmp_path, source, name):
+    text, domain = CONFIGS[source]
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"[surface]\n{text}[domain]\n{domain}")
-    _, S = cli.load_surface(cli.parse_config(str(cfg)))
+    _, S = config.load(str(cfg))
     P = construct(S, name, 0.5)
     rows, valid = sample_grid(P.point, P.domain, 12, 12)
     ref_rows, ref_valid = per_sample(P.point, P.domain, 12, 12)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from pedalis import cli, verify
-from pedalis.cli import parse_expr
+from pedalis.config import parse_expr
 from pedalis.gallery import get_entry
 from pedalis.surfkit import Chart, Domain, DualSurface, constant_chart
 

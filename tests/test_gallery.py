@@ -1,8 +1,10 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pedalis import gallery
 from pedalis.errors import EmptyGrid, NotFound
 from pedalis.gallery import GalleryEntry, get_entry, list_entries, residual_report
 from pedalis.hompoly import (
@@ -178,3 +180,33 @@ class TestDegreeData:
         source, image = entry.pullback_pair
         fwd = pedal_pullback if source.space is Space.DUAL else inverse_pedal_pullback
         assert strip_exceptional(fwd(source)).reduced.equals_up_to_scale(image)
+
+
+# every builder with parameters, away from its defaults; sphere-inverse-pedal
+# at r != 1 also checks the scaling of its sphere chart
+GENERIC = [
+    ("sphere_offset", (Fraction(5, 2), Fraction(3, 4))),
+    ("sphere_bundle", (Fraction(5, 2),)),
+    ("parabola_cyclide", (Fraction(3, 2), Fraction(2, 5))),
+    ("paraboloid_pedal", (2, 3, Fraction(1, 2))),
+    ("sphere_inverse_pedal", (Fraction(5, 2), Fraction(3, 4))),
+    ("quadratic_cylinder", (3, Fraction(1, 2))),
+]
+
+
+@pytest.mark.parametrize("builder, params", GENERIC, ids=[name for name, _ in GENERIC])
+def test_builder_at_generic_parameters(builder, params):
+    entry = getattr(gallery, f"_build_{builder}")(*params)  # a fresh entry, not the cached one
+    for case in entry.residual_cases:
+        rep = residual_report(case.surface, case.poly)
+        assert rep.max < 1e-8, (case.label, rep.max)
+    source, image = entry.pullback_pair
+    fwd = pedal_pullback if source.space is Space.DUAL else inverse_pedal_pullback
+    assert strip_exceptional(fwd(source)).reduced.equals_up_to_scale(image)
+    assert degree_bookkeeping(entry.expected_poly) == entry.expected
+
+
+def test_generic_parameters_cover_the_parameterized_builders():
+    assert sorted(f"_build_{name}" for name, _ in GENERIC) == sorted(
+        name for name, fn in vars(gallery).items()
+        if name.startswith("_build_") and inspect.signature(fn).parameters)

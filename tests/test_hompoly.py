@@ -384,7 +384,7 @@ class TestMonomialRuns:
         assert _outcome("0*x1") == ([], Space.POINT)
 
     def test_config_chart_values_keep_their_bits(self):
-        from pedalis.cli import parse_expr
+        from pedalis.config import parse_expr
 
         u, v = np.array([0.3, -1.7, 2.5]), np.array([1.1, 0.45, -3.25])
         got = parse_expr("2*u^2*v - 7/2*u*v^2")(u, v)

@@ -8,7 +8,6 @@ from pedalis.errors import (
     NotCyclideShape,
     OriginOnSurface,
     PoleInDomain,
-    RankMismatch,
     RankTooLow,
 )
 from pedalis.gallery import get_entry, residual_report
@@ -33,7 +32,6 @@ from pedalis.quadricpedal import (
     parabola_dual_quadric,
     paraboloid_dual_quadric,
     paraboloid_offset_chart,
-    pedal_of_conic,
     pedal_of_quadric,
     pentaspherical_lift,
     pentaspherical_point,
@@ -100,7 +98,7 @@ class TestPedalOfQuadric:
     def test_rank_too_low(self):
         Q = QuadricForm(Space.DUAL, [[1, 0, 0, 0], [0, 1, 0, 0],
                                      [0, 0, 0, 0], [0, 0, 0, 0]])
-        with pytest.raises(RankTooLow):
+        with pytest.raises(RankTooLow, match=r"^dual quadric of rank 2$"):
             pedal_of_quadric(Q)
 
 
@@ -130,24 +128,10 @@ class TestFocalDegeneracy:
 
 class TestParabolaPedal:
     def test_parabola_cyclide(self):
-        got = pedal_of_conic(parabola_dual_quadric(1, 1))
+        got = pedal_of_quadric(parabola_dual_quadric(1, 1))
         # z = a/2 u^2 + c parabola with a=1,c=1: x0(x1^2-2ac x3^2)+2a x3 q
         expect = get_entry("parabola-cyclide").point_poly
         assert got.equals_up_to_scale(expect)
-
-    def test_rank_mismatch(self):
-        with pytest.raises(RankMismatch):
-            pedal_of_conic(sphere_dual_quadric(2, 1))
-
-    def test_rank_errors_keep_their_messages(self):
-        # pedal_of_conic is pedal_of_quadric with rank=3
-        with pytest.raises(RankMismatch, match=r"^conics have dual rank 3, got 4$"):
-            pedal_of_conic(sphere_dual_quadric(2, 1))
-        with pytest.raises(RankTooLow, match=r"^dual quadric of rank 2$"):
-            pedal_of_quadric(QuadricForm(Space.DUAL, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                                      [0, 0, 0, 0], [0, 0, 0, 0]]))
-        assert pedal_of_conic(parabola_dual_quadric(1, 1)) == \
-            pedal_of_quadric(parabola_dual_quadric(1, 1), rank=3)
 
     def test_dupin_condition(self):
         assert is_parabola_dupin(1, Fraction(-1, 2))

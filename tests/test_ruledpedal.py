@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pedalis import cli
+from pedalis import config
 from pedalis.errors import (
     CylindricalRuling,
     DegenerateSystem,
@@ -120,7 +120,7 @@ class TestStriction:
         # defining property: striction normal orthogonal to e' x e
         from pedalis.ruledpedal import striction_frame
         for u in np.linspace(0.15, 1.15, 11):
-            _, _, ns, n2 = striction_frame(R, u)
+            _, _, _, ns, n2 = striction_frame(R, u)
             assert abs(float(ns @ n2)) < 1e-10
 
 
@@ -207,7 +207,7 @@ class TestRationalOffset:
         R = pluecker_chart()
         F = rational_offset_ruled(R, 0.0)
         for u in np.linspace(0.15, 1.15, 8):
-            s, e, _, _ = striction_frame(R, u)
+            _, s, e, _, _ = striction_frame(R, u)
             for t in np.linspace(0.2, 0.8, 8):
                 # contact point: v = y2/y1 along the ruling from the striction point
                 _, _, (_, y1, y2) = F.assemble(u, t)
@@ -325,7 +325,7 @@ class TestInversePedal:
         cfg.write_text("[surface]\nkind = ruled\ncx = 2*cos(u)\ncy = sin(u)\ncz = 0\n"
                        "ex = 0\ney = 0\nez = 1\n"
                        "[domain]\numin = 0\numax = 2*pi\nvmin = -2\nvmax = 2\n")
-        _, S = cli.load_surface(cli.parse_config(str(cfg)))
+        _, S = config.load(str(cfg))
         U, V = S.domain.grid(40, 40)
         got = construct(S, "inverse-pedal").point(U, V)
         closed = get_entry("quadratic-cylinder").extras["closed_form"]

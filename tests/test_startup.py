@@ -44,7 +44,7 @@ PUBLIC = {
 PUBLIC_NAMES = [name for names in PUBLIC.values() for name in names]
 
 MODULES = ["errors", "projmaps", "grammar", "hompoly", "surfkit", "sphereatlas", "ruledpedal",
-           "quadricpedal", "gallerynames", "gallery", "verify", "cli"]
+           "quadricpedal", "gallerynames", "gallery", "verify", "cli", "config"]
 
 
 def loaded(*args):
@@ -93,8 +93,25 @@ def test_config_sample_skips_the_gallery(tmp_path):
                    "[domain]\numin = 0\numax = 2*pi\nvmin = 0.2\nvmax = 1.3\n")
     code, mods = loaded("sample", "--surface", str(cfg), "--construct", "conchoid:1/2",
                         "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
-    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.gallerynames", "pedalis.grammar",
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.config", "pedalis.gallerynames",
+                                       "pedalis.grammar", "pedalis.surfkit"]))
+
+
+def test_ruled_config_sample_adds_ruledpedal(tmp_path):
+    cfg = tmp_path / "cylinder.cfg"
+    cfg.write_text("[surface]\nkind = ruled\ncx = 2*cos(u)\ncy = sin(u)\ncz = 0\n"
+                   "ex = 0\ney = 0\nez = 1\n"
+                   "[domain]\numin = 0\numax = 2*pi\nvmin = -2\nvmax = 2\n")
+    code, mods = loaded("sample", "--surface", str(cfg), "--construct", "inverse-pedal",
+                        "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.config", "pedalis.gallerynames",
+                                       "pedalis.grammar", "pedalis.ruledpedal",
                                        "pedalis.surfkit"]))
+
+
+def test_verify_skips_the_config_reader():
+    code, mods = loaded("verify", "--samples", "10")
+    assert code == 0 and "pedalis.verify" in mods and "pedalis.config" not in mods
 
 
 # one construct per gallery entry, all five constructs among them; only
@@ -116,6 +133,7 @@ def test_gallery_sample_skips_the_exact_algebra(tmp_path, name, construct):
                         "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
     assert code == 0 and "pedalis.gallery" in mods
     assert "pedalis.hompoly" not in mods and "pedalis.quadricpedal" not in mods
+    assert "pedalis.config" not in mods
 
 
 def test_construct_leaves_the_exact_part_unbuilt():
