@@ -57,7 +57,7 @@ class ResidualCase:
 
 
 # The exact part of an entry: point_poly, dual_poly (HomPoly4); expected, the
-# (n, r, k, deg) of expected_poly; residual_cases; pullback_pair, (source,
+# (n, r, k, deg) of pullback_pair[0]; residual_cases; pullback_pair, (source,
 # expected stripped pullback image) aligned with the source space;
 # point_family, dual_family (d -> HomPoly4) and extras, None when absent.
 EXACT = ("point_poly", "dual_poly", "expected", "residual_cases", "pullback_pair",
@@ -82,28 +82,11 @@ class GalleryEntry:
         self.__dict__.update(dict.fromkeys(EXACT), **self.build_exact())
         return self.__dict__[name]
 
-    @property
-    def expected_poly(self) -> HomPoly4:
-        """Polynomial the (n, r, k, deg) bookkeeping applies to."""
-        return self.pullback_pair[0]
-
-    def ne_charts(self) -> tuple[Chart, Chart]:
-        """Unit normal and support charts of the base plane family."""
-        return self.dual.n, self.dual.e
-
-    def make_dual(self, d: float) -> DualSurface:
-        """Plane family of the offset at distance d."""
-        return offset_map(self.dual, d)
-
-    def make_polar(self, d: float) -> PolarSurface:
-        """Polar chart of the conchoid at distance d."""
-        return conchoid_map(self.polar, d)
-
     def construct(self, name: str, d: float = 0.0) -> PointSurface:
         """``surfkit.construct`` on its member: ``self`` on the primary one,
         ``pedal`` on F (``dual``, else the point chart), ``inverse-pedal`` on
-        the point chart (else ``polar``); ``offset`` and ``conchoid`` are
-        ``self`` of ``make_dual(d)`` and ``make_polar(d)``."""
+        the point chart (else ``polar``), ``conchoid`` on ``polar``; ``offset``
+        is ``self`` of ``offset_map(dual, d)``, which keeps the unit normals."""
         base = None
         if name == "self":
             base = getattr(self, "point_chart" if self.primary == "point" else self.primary)
@@ -112,9 +95,9 @@ class GalleryEntry:
         elif name == "inverse-pedal":
             base = self.point_chart if self.point_chart is not None else self.polar
         elif name == "offset" and self.dual is not None:
-            base, name = self.make_dual(d), "self"
-        elif name == "conchoid" and self.polar is not None:
-            base, name = self.make_polar(d), "self"
+            base, name = offset_map(self.dual, d), "self"
+        elif name == "conchoid":
+            base = self.polar
         if base is None:
             raise ValueError(f"gallery entry {self.name!r} does not support construct {name!r}")
         return construct(base, name, d)
@@ -217,17 +200,23 @@ def _build_paraboloid_offset() -> GalleryEntry:
     )
 
 
-def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
+def _om_sphere(m) -> PolarSurface:
+    """Polar chart m cos u cos v * s of the sphere over OM, M = (m, 0, 0):
+    the pedal of the point M."""
     dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
-    n = trig_s2(dom)
-    e = Chart(
-        lambda u, v: float(m) * np.cos(u) * np.cos(v) + float(R),
+    return PolarSurface(trig_s2(dom), Chart(
+        lambda u, v: float(m) * np.cos(u) * np.cos(v),
         lambda u, v: -float(m) * np.sin(u) * np.cos(v),
         lambda u, v: -float(m) * np.cos(u) * np.sin(v),
         dom,
-    )
-    dual = DualSurface(n, e)
-    polar = PolarSurface(n, e)
+    ))
+
+
+def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
+    # the sphere about M is the offset at R of the point M, so its pedal is
+    # the conchoid at R of the sphere over OM; its planes (n, e) are its (s, r)
+    polar = conchoid_map(_om_sphere(m), float(R))
+    dual = DualSurface(polar.s, polar.r)
 
     def exact():
         from .hompoly import HomPoly4, Space
@@ -272,13 +261,7 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
 
 
 def _build_sphere_bundle(m=2) -> GalleryEntry:
-    dom = Domain(0.0, 2.0 * math.pi, -1.25, 1.25)
-    polar = PolarSurface(trig_s2(dom), Chart(
-        lambda u, v: float(m) * np.cos(u) * np.cos(v),
-        lambda u, v: -float(m) * np.sin(u) * np.cos(v),
-        lambda u, v: -float(m) * np.cos(u) * np.sin(v),
-        dom,
-    ))
+    polar = _om_sphere(m)
 
     def exact():
         from .hompoly import HomPoly4, Space

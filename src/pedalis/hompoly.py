@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NotDivisible, SpaceMismatch
 # the grammar of polynomial text; parse_poly gives it the _PolyHooks
-from .grammar import TEXT_TOKEN as _TEXT_TOKEN, parse_text as _parse_text  # noqa: F401
+from .grammar import parse_text as _parse_text
 from .projmaps import HPlane, HPoint
 
 Exponents = tuple[int, int, int, int]

@@ -89,10 +89,7 @@ def canonical_rows(rows) -> np.ndarray:
 
 def canonical(coords) -> np.ndarray:
     """Canonical representative of one projective tuple; see canonical_rows."""
-    v = np.asarray(coords, dtype=float)
-    if v.shape != (4,):
-        raise ValueError("projective tuples have exactly 4 components")
-    return canonical_rows(v[None])[0]
+    return canonical_rows(np.asarray(coords, dtype=float)[None])[0]
 
 
 class _HTuple:
@@ -137,11 +134,6 @@ class HPoint(_HTuple):
             raise ExceptionalElement("ideal point has no affine coordinates")
         return v[1:] / v[0]
 
-    @classmethod
-    def from_affine(cls, p) -> "HPoint":
-        p = np.asarray(p, dtype=float)
-        return cls(np.concatenate(([1.0], p)))
-
 
 class HPlane(_HTuple):
     """Plane R(u0,u1,u2,u3) of P^3, i.e. a point of the dual space."""
@@ -149,10 +141,6 @@ class HPlane(_HTuple):
     def to_affine(self) -> "AffPlane":
         v = self.canonical()
         return AffPlane(v[1:], -v[0])
-
-    @classmethod
-    def from_affine(cls, plane: "AffPlane") -> "HPlane":
-        return cls(np.concatenate(([-plane.offset], plane.normal)))
 
 
 class AffPlane:
@@ -174,7 +162,7 @@ class AffPlane:
         self.offset = float(offset)
 
     def hplane(self) -> HPlane:
-        return HPlane.from_affine(self)
+        return HPlane(np.concatenate(([-self.offset], self.normal)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffPlane):

@@ -33,8 +33,6 @@ from .surfkit import (
     PointSurface,
     PolarSurface,
     drop,
-    envelope_solve,
-    point_to_dual,
     vector_rows,
 )
 
@@ -42,6 +40,9 @@ _EPS = 1e-12
 
 # central-difference step for the curve derivatives of ruled charts
 _H = 1e-6
+
+# rulings on which rational_offset_ruled tests det(c', e, e') for skewness
+_SKEW_PROBES = 100
 
 
 def _derive(fn, u):
@@ -240,8 +241,8 @@ class RuledOffsetSurface(DualSurface):
         return su + v * e, ns + v * n2, y
 
 
-def _check_skew(R: RuledChart, probes: int = 100):
-    u = np.linspace(R.domain.umin, R.domain.umax, probes)
+def _check_skew(R: RuledChart):
+    u = np.linspace(R.domain.umin, R.domain.umax, _SKEW_PROBES)
     dc, e, de = R.dc(u), R.direction(u), R.de(u)
     for k in np.flatnonzero(np.isnan(e[:, 0])):
         R.direction(u[k])  # raises ZeroDirection where the direction vanishes
@@ -282,18 +283,6 @@ def polar_pedal_of_ruled(R: RuledChart, domain: Domain | None = None) -> PolarSu
         return rowdot(f, n) / (y0 / y1)
 
     return PolarSurface(Chart(s, domain=F.domain), Chart(r, domain=F.domain))
-
-
-def inverse_pedal_ruled(R: RuledChart, u, v) -> np.ndarray:
-    """Points of the inverse pedal surface of a ruled point chart.
-
-    Solves the envelope system of ``point_to_dual(R.surface)`` for
-    g = c + v e: the plane x.g = g.g and its two derivative planes, with
-    rows g, g_u = c' + v e' and g_v = e.  Samples where g is at O
-    (OriginOnSurface) or the system is singular (DegenerateEnvelope) are
-    NaN rows; a single sample raises instead.
-    """
-    return envelope_solve(point_to_dual(R.surface), u, v)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ COND_LIMIT = 1e12
 
 # Largest deviation of |n| from 1 that phi, gamma and offset_map accept.
 UNIT_TOL = 1e-9
+UNIT_PROBES = 5  # the unit length is probed on a UNIT_PROBES^2 grid
 
 # Samples per chart call in sample_grid and rows per % format in
 # write_obj: whole-grid arrays cost memory, small blocks cost calls.
@@ -172,16 +173,16 @@ def sample_grid(value, domain: Domain, nu: int, nv: int):
     return (rows if valid.all() else rows[valid]), valid
 
 
-def _probe_unit(n_chart: Chart, samples: int = 5):
+def _probe_unit(n_chart: Chart):
     dom = n_chart.domain
-    rows, valid = sample_grid(n_chart, dom, samples, samples)
+    rows, valid = sample_grid(n_chart, dom, UNIT_PROBES, UNIT_PROBES)
     if not valid.any():
         raise EmptyGrid("no valid sample to probe the unit length on")
     norms = np.linalg.norm(rows, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
     if bad.size:
         k = np.flatnonzero(valid)[bad[0]]
-        U, V = dom.grid(samples, samples)
+        U, V = dom.grid(UNIT_PROBES, UNIT_PROBES)
         raise NonUnitNormal(f"normal length {norms[bad[0]]:.6g} at ({U[k]:.3g},{V[k]:.3g})")
 
 
@@ -250,7 +251,9 @@ def gamma(s_chart: Chart, r_chart: Chart) -> PolarSurface:
 def _shift_chart(e: Chart, d: float) -> Chart:
     """The chart e + d; its partials are those of e."""
     f = e._f
-    return Chart(lambda u, v: np.asarray(f(u, v), float) + d, e.du, e.dv, e.domain)
+    return Chart(lambda u, v: np.asarray(f(u, v), float) + d,
+                 e._du if e._du is not None else e.du,
+                 e._dv if e._dv is not None else e.dv, e.domain)
 
 
 def offset_map(F: DualSurface, d: float) -> DualSurface:

@@ -84,7 +84,7 @@ def _check_diagrams(rng, samples):
     results = []
     for name in DIAGRAM_FAMILIES:
         entry = gallery.get_entry(name)
-        n, e = entry.ne_charts()
+        n, e = entry.dual.n, entry.dual.e
         worst = 0.0
         for d in DIAGRAM_DISTANCES:
             try:
@@ -182,7 +182,7 @@ def _check_degrees(rng, samples):
     results = []
     for name in gallery.list_entries():
         entry = gallery.get_entry(name)
-        got = degree_bookkeeping(entry.expected_poly)
+        got = degree_bookkeeping(entry.pullback_pair[0])
         ok = got == entry.expected
         results.append((f"degrees_{name}",
                         {"n": got[0], "r": got[1], "k": got[2], "deg": got[3]}, ok))
@@ -193,7 +193,7 @@ def _check_extras(rng, samples):
     results = []
     # envelope reconstruction of the focal paraboloid
     entry = gallery.get_entry("paraboloid-offset")
-    envelope = surfkit.envelope_surface(entry.make_dual(0.0))
+    envelope = surfkit.envelope_surface(surfkit.offset_map(entry.dual, 0.0))
     rep = gallery.residual_report(envelope, entry.point_poly, 40, 40)
     # sample_grid drops a row whose only non-finite entry is -inf below finite ones
     dom = envelope.domain
@@ -210,7 +210,7 @@ def _check_extras(rng, samples):
     # inverse pedal of the quadratic cylinder against the closed form
     qc = gallery.get_entry("quadratic-cylinder")
     U, V = Domain(0.0, 2.0 * math.pi, -2.0, 2.0).grid(40, 40)
-    got = ruledpedal.inverse_pedal_ruled(qc.extras["ruled"], U, V)
+    got = surfkit.construct(qc.extras["ruled"].surface, "inverse-pedal").point(U, V)
     worst = float(np.max(np.abs(got - qc.extras["closed_form"](U, V))))
     results.append(("envelope_quadratic_cylinder", {"max_dev": worst}, worst < 1e-7))
     # exact degeneracies

@@ -97,9 +97,9 @@ def test_criterion_03_commuting_diagrams():
     t0 = time.perf_counter()
     worst = 0.0
     for name in ("plane-conchoid", "sphere-offset", "paraboloid-offset"):
-        n, e = get_entry(name).ne_charts()
+        F = get_entry(name).dual
         for d in (-1.0, -0.3, 0.0, 0.5, 2.0):
-            worst = max(worst, surfkit.commutation_check(n, e, d, grid=(50, 50)))
+            worst = max(worst, surfkit.commutation_check(F.n, F.e, d, grid=(50, 50)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0
     report(3, "commuting-diagrams", ok,
@@ -155,11 +155,11 @@ def test_criterion_05_degree_bookkeeping():
     }
     ok = True
     for name, expect in expected.items():
-        ok = ok and degree_bookkeeping(get_entry(name).expected_poly) == expect
+        ok = ok and degree_bookkeeping(get_entry(name).pullback_pair[0]) == expect
     for name in gallery.list_entries():
         entry = get_entry(name)
         if entry.expected is not None:
-            ok = ok and degree_bookkeeping(entry.expected_poly) == entry.expected
+            ok = ok and degree_bookkeeping(entry.pullback_pair[0]) == entry.expected
     report(5, "degree-bookkeeping", ok)
 
 
@@ -180,14 +180,14 @@ def test_criterion_06_residual_suites():
 
 def test_criterion_07_envelope_solver():
     entry = get_entry("paraboloid-offset")
-    rep = residual_report(surfkit.envelope_surface(entry.make_dual(0.0)),
+    rep = residual_report(surfkit.envelope_surface(surfkit.offset_map(entry.dual, 0.0)),
                           entry.point_poly, 40, 40)
     qc = get_entry("quadratic-cylinder")
     ruled, closed = qc.extras["ruled"], qc.extras["closed_form"]
     worst = 0.0
     for u in np.linspace(0.0, 2.0 * math.pi, 40):
         for v in np.linspace(-2.0, 2.0, 40):
-            got = ruledpedal.inverse_pedal_ruled(ruled, u, v)
+            got = surfkit.construct(ruled.surface, "inverse-pedal").point(u, v)
             worst = max(worst, float(np.max(np.abs(got - closed(u, v)))))
     ok = rep.max < 1e-8 and worst < 1e-7
     report(7, "envelope-solver", ok,

@@ -219,7 +219,7 @@ def _inverse_pedal(v0):
     R = ruledpedal.RuledChart(lambda u: vector_rows(u, 0.0, u, 0.0),
                               lambda u: vector_rows(u, 1.0, 0.0, u),
                               domain=Domain(0.0, 1.0, v0, v0 + 1.0))
-    return (lambda u, v: ruledpedal.inverse_pedal_ruled(R, u, v)), R.domain, (0.0, v0)
+    return construct(R.surface, "inverse-pedal").point, R.domain, (0.0, v0)
 
 
 @pytest.mark.parametrize("build,error", [

@@ -10,7 +10,7 @@ import pytest
 from pedalis import cli, verify
 from pedalis.config import parse_expr
 from pedalis.gallery import get_entry
-from pedalis.surfkit import Chart, Domain, DualSurface, constant_chart
+from pedalis.surfkit import Chart, Domain, DualSurface, conchoid_map, constant_chart
 
 ROOT = Path(__file__).resolve().parent.parent
 CMD = [sys.executable, "-m", "pedalis"]
@@ -276,7 +276,7 @@ class TestSample:
         assert res.returncode == 0, res.stderr
         verts = np.array([[float(x) for x in l.split()[1:]]
                           for l in out.read_text().splitlines() if l.startswith("v ")])
-        base = get_entry("sphere-bundle").make_polar(0.0)
+        base = conchoid_map(get_entry("sphere-bundle").polar, 0.0)
         expect = np.array([(float(base.r(u, v)) + 0.5) * np.asarray(base.s(u, v))
                            for u, v in zip(*base.domain.grid(6, 6))])
         assert verts.shape == expect.shape
@@ -490,9 +490,7 @@ class TestVerify:
         dom = Domain(0.0, 1.0, 0.0, 1.0)
 
         class Singular:
-            def ne_charts(self):
-                n = constant_chart([0.0, 0.0, math.nan], dom)
-                return n, constant_chart(1.0, dom)
+            dual = DualSurface(constant_chart([0.0, 0.0, math.nan], dom), constant_chart(1.0, dom))
 
         monkeypatch.setattr(verify.gallery, "get_entry", lambda name: Singular())
         results = verify._check_diagrams(None, 1)

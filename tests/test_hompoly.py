@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from pedalis import hompoly
+from pedalis import grammar, hompoly
 from pedalis.errors import NotDivisible, SpaceMismatch
 from pedalis.hompoly import (
     HomPoly4,
@@ -341,7 +341,7 @@ class TestMonomialRuns:
         assert _outcome(text) == _outcome(text, _PlainHooks)
 
     def test_tokens(self):
-        assert hompoly._TEXT_TOKEN.findall("-20/3*x0*x2^2*x3^7 + x1^3*(x2 - 7*x0*x3)") == [
+        assert grammar.TEXT_TOKEN.findall("-20/3*x0*x2^2*x3^7 + x1^3*(x2 - 7*x0*x3)") == [
             "-", "20/3*x0*x2^2*x3^7", "+", "x1", "^", "3", "*", "(", "x2", "-", "7*x0*x3", ")"]
 
     def test_run_is_one_hook_call(self, monkeypatch):

@@ -17,7 +17,6 @@ from pedalis.ruledpedal import (
     conic_family,
     conic_point_param,
     footpoint_curve,
-    inverse_pedal_ruled,
     parabolic_cylinder_of_line,
     pedal_circle,
     polar_norm_reparam,
@@ -294,7 +293,7 @@ class TestInversePedal:
         poly = get_entry("paraboloid-offset").point_poly
         for u in np.linspace(-1.4, 1.4, 9):
             for v in np.linspace(-1.4, 1.4, 9):
-                x = inverse_pedal_ruled(R, u, v)
+                x = construct(R.surface, "inverse-pedal").point(u, v)
                 val = poly.eval((1.0, *x))
                 assert abs(float(val)) < 1e-8 * max(1.0, float(np.max(np.abs(x))) ** 2)
 
@@ -304,17 +303,17 @@ class TestInversePedal:
         worst = 0.0
         for u in np.linspace(0, 2 * math.pi, 25):
             for v in np.linspace(-2, 2, 25):
-                got = inverse_pedal_ruled(ruled, u, v)
+                got = construct(ruled.surface, "inverse-pedal").point(u, v)
                 worst = max(worst, float(np.max(np.abs(got - closed(u, v)))))
         assert worst < 1e-7
 
     def test_one_system_serves_both_paths(self):
-        # the ruled inverse pedal solves the envelope system of point_to_dual,
-        # so it equals the generic inverse-pedal construct bit for bit and
-        # meets the closed form to rounding
+        # the construct on the ruled chart's surface and on the entry's point
+        # chart, whose partials are written out, agree bit for bit and meet
+        # the closed form to rounding
         qc = get_entry("quadratic-cylinder")
         U, V = Domain(0.0, 2.0 * math.pi, -2.0, 2.0).grid(40, 40)
-        got = inverse_pedal_ruled(qc.extras["ruled"], U, V)
+        got = construct(qc.extras["ruled"].surface, "inverse-pedal").point(U, V)
         assert np.array_equal(got, qc.construct("inverse-pedal").point(U, V))
         assert np.max(np.abs(got - qc.extras["closed_form"](U, V))) <= 1e-12
 
@@ -335,7 +334,7 @@ class TestInversePedal:
         # rotational cylinder a=b: meridian parabola (-b^2+v^2, 0, 2v) at u=pi
         R = cylinder_chart(1.0, 1.0)
         for v in (0.3, 0.9, 1.5):
-            x = inverse_pedal_ruled(R, math.pi, v)
+            x = construct(R.surface, "inverse-pedal").point(math.pi, v)
             assert np.max(np.abs(x - [v * v - 1.0, 0.0, 2 * v])) < 1e-8
 
     def test_point_touches_parabolic_cylinder(self):
@@ -346,7 +345,7 @@ class TestInversePedal:
         for u in np.linspace(0.1, 6.0, 9):
             e = R.direction(u)
             for v in np.linspace(-1.5, 1.5, 9):
-                x = inverse_pedal_ruled(R, u, v)
+                x = construct(R.surface, "inverse-pedal").point(u, v)
                 g = d(u) + v * e
                 assert abs(float(x @ g) - (float(d(u) @ d(u)) + v * v)) < 1e-10
                 assert abs(float(x @ e) - 2.0 * v) < 1e-10
@@ -366,7 +365,7 @@ class TestInversePedal:
             de=lambda u: np.zeros(3),
         )
         with np.errstate(all="ignore"), pytest.raises(DegenerateSystem):
-            inverse_pedal_ruled(R, np.float64(0.0), 0.5)
+            construct(R.surface, "inverse-pedal").point(np.float64(0.0), 0.5)
 
 
 class TestParabolicCylinder:

@@ -113,7 +113,7 @@ class TestOffsetConchoidMaps:
 
     def test_sphere_offset_radius(self):
         entry = get_entry("sphere-offset")
-        n, e = entry.ne_charts()
+        n, e = entry.dual.n, entry.dual.e
         Fd = offset_map(DualSurface(n, e), 0.5)
         # support of the d-offset of a sphere is center.n + (R + d)
         u, v = 0.7, -0.4
@@ -143,7 +143,7 @@ class TestEnvelope:
         # the exact pole v = pi/2 is degenerate; just inside, the contact
         # point converges to the vertex (0,0,1)
         entry = get_entry("paraboloid-offset")
-        F = entry.make_dual(0.0)
+        F = offset_map(entry.dual, 0.0)
         x = envelope_solve(F, 0.0, 0.5 * math.pi - 1e-6)
         assert np.max(np.abs(x - [0, 0, 1])) < 1e-5
         poly = entry.point_poly
@@ -152,11 +152,11 @@ class TestEnvelope:
     def test_pole_is_degenerate(self):
         entry = get_entry("paraboloid-offset")
         with pytest.raises(DegenerateEnvelope):
-            envelope_solve(entry.make_dual(0.0), 0.0, 0.5 * math.pi)
+            envelope_solve(offset_map(entry.dual, 0.0), 0.0, 0.5 * math.pi)
 
     def test_sphere_envelope_geometric(self):
         entry = get_entry("sphere-offset")
-        n, e = entry.ne_charts()
+        n, e = entry.dual.n, entry.dual.e
         x = envelope_solve(DualSurface(n, e), 0.0, 0.0)
         assert np.max(np.abs(x - [3, 0, 0])) < 1e-9
 
@@ -203,13 +203,13 @@ class TestFootpointOnCharts:
 
     def test_paraboloid_dual_maps_to_plane(self):
         entry = get_entry("paraboloid-offset")
-        G = dual_to_point(entry.make_dual(0.0))
+        G = dual_to_point(offset_map(entry.dual, 0.0))
         for u, v in zip(*G.domain.grid(6, 6)):
             assert abs(G.point(u, v)[2] - 1.0) < 1e-12
 
     def test_pluecker_offset_pedal_residual(self):
         entry = get_entry("pluecker")
-        G = dual_to_point(entry.make_dual(0.5))
+        G = dual_to_point(offset_map(entry.dual, 0.5))
         rep = residual_report(G, entry.point_family(0.5), 30, 30)
         assert rep.max < 1e-8
 
@@ -224,7 +224,7 @@ class TestFootpointOnCharts:
 
     def test_point_to_dual_mirrors(self):
         entry = get_entry("plane-conchoid")
-        G = entry.make_polar(0.0)
+        G = conchoid_map(entry.polar, 0.0)
         F = point_to_dual(G)
         u, v = 0.8, 0.7
         g = G.point(u, v)
@@ -240,14 +240,14 @@ class TestCommutation:
     ])
     def test_diagrams(self, name, d):
         entry = get_entry(name)
-        n, e = entry.ne_charts()
+        n, e = entry.dual.n, entry.dual.e
         assert commutation_check(n, e, d, grid=(30, 30)) < 1e-9
 
     def test_all_unit_normal_entries(self):
         for name in ("plane-conchoid", "paraboloid-offset", "sphere-offset",
                      "pluecker", "parabola-cyclide", "paraboloid-pedal"):
             entry = get_entry(name)
-            n, e = entry.ne_charts()
+            n, e = entry.dual.n, entry.dual.e
             for d in (-1.0, -0.3, 0.0, 0.5, 2.0):
                 assert commutation_check(n, e, d, grid=(15, 15)) < 1e-9, (name, d)
 
@@ -300,7 +300,7 @@ class TestMesh:
 
     def test_plane_chart_mesh(self):
         entry = get_entry("plane-conchoid")
-        mesh = sample_mesh(entry.make_polar(0.0), 8, 8)
+        mesh = sample_mesh(conchoid_map(entry.polar, 0.0), 8, 8)
         assert np.max(np.abs(mesh.vertices[:, 2] - 1.0)) < 1e-12
 
     def test_conoid_mesh_residual(self):
@@ -439,7 +439,7 @@ class TestMesh:
 class TestEnvelopeSurface:
     def test_matches_pointwise_solve(self):
         entry = get_entry("paraboloid-offset")
-        F = entry.make_dual(0.3)
+        F = offset_map(entry.dual, 0.3)
         S = envelope_surface(F)
         u, v = 0.9, 0.8
         assert np.max(np.abs(S.point(u, v) - envelope_solve(F, u, v))) == 0.0
