@@ -339,22 +339,11 @@ def _build_pluecker() -> GalleryEntry:
             d = Fraction(d)
             return u3 ** 2 * w2_du ** 2 * QDU * d ** 2 - bstar ** 2
 
-        # conchoid family of the conoid itself (rational polar chart)
-        cdom = Domain(-1.25, 1.25, 0.12, 1.43)
-        s_a = Chart(
-            lambda u, v: np.stack((np.sin(u) * np.cos(v),
-                                   np.sin(u) * np.sin(v), np.cos(u)), axis=-1),
-            lambda u, v: np.stack((np.cos(u) * np.cos(v),
-                                   np.cos(u) * np.sin(v), -np.sin(u)), axis=-1),
-            lambda u, v: vector_rows(u, -np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), 0.0),
-            cdom,
-        )
-        conoid_polar = PolarSurface(s_a, Chart(
-            lambda u, v: np.sin(2 * v) / np.cos(u),
-            lambda u, v: np.sin(2 * v) * np.sin(u) / (np.cos(u) * np.cos(u)),
-            lambda u, v: 2.0 * np.cos(2 * v) / np.cos(u),
-            cdom,
-        ))
+        # conchoid family of the conoid itself (rational polar chart): the
+        # direction at azimuth u and polar angle pi/2 - v has radius sin 2u / sin v
+        cdom = Domain(0.12, 1.43, math.pi / 2 - 1.25, math.pi / 2 + 1.25)
+        conoid_polar = PolarSurface(trig_s2(cdom), Chart(
+            lambda u, v: np.sin(2 * u) / np.sin(v), domain=cdom))
         conoid_half = conchoid_map(conoid_polar, 0.5)
 
         cases = [

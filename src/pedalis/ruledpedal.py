@@ -138,7 +138,9 @@ def _plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pedal_circle(R: RuledChart, u: float) -> PedalCircle:
-    """Circle with diameter from O to the foot-point of the ruling at u."""
+    """Circle with diameter from O to the foot-point of the one ruling at u."""
+    if np.ndim(u) != 0:
+        raise ValueError(f"pedal_circle takes one ruling parameter, got shape {np.shape(u)}")
     d = footpoint_curve(R)(u)
     if np.linalg.norm(d) < _EPS:
         raise LineThroughOrigin(f"ruling line at u={u:.6g} passes through O")

@@ -37,7 +37,7 @@ from .projmaps import AffPlane, alpha_affine, exceptional_normal, row_max, rowdo
 # treated as degenerate (developable / plane / point cases).
 COND_LIMIT = 1e12
 
-# Largest deviation of |n| from 1 that phi, gamma and offset_map accept.
+# Largest deviation of |n| from 1 that phi and gamma accept.
 UNIT_TOL = 1e-9
 UNIT_PROBES = 5  # the unit length is probed on a UNIT_PROBES^2 grid
 
@@ -258,13 +258,12 @@ def _shift_chart(e: Chart, d: float) -> Chart:
 
 def offset_map(F: DualSurface, d: float) -> DualSurface:
     """Offset at distance d: same unit normals, supports e + d."""
-    _probe_unit(F.n)
-    return DualSurface(F.n, _shift_chart(F.e, d))
+    return phi(F.n, _shift_chart(F.e, d))
 
 
 def conchoid_map(G: PolarSurface, d: float) -> PolarSurface:
-    """Conchoid at distance d: same directions, radii r + d."""
-    return PolarSurface(G.s, _shift_chart(G.r, d))
+    """Conchoid at distance d: same unit directions, radii r + d."""
+    return gamma(G.s, _shift_chart(G.r, d))
 
 
 def point_conchoid(G: PointSurface, d: float) -> PointSurface:

@@ -130,11 +130,21 @@ def _offset_witness(entry):
                          for d in (0.5, -0.3)]))
 
 
-# Odd-in-d witnesses, by entry and metric key.  The gallery families hold d
-# only as d**2, so their residuals cannot tell a construct at d from one at -d.
+def _generic_witness(entry):
+    """The worst residual case of the entry rebuilt at (a, b, c) = (2, 3, 1/2)."""
+    generic = gallery._BUILDERS[entry.name](2, 3, Fraction(1, 2))
+    return max(gallery.residual_report(case.surface, case.poly, 20, 20).max
+               for case in generic.residual_cases)
+
+
+# Witnesses the default entries cannot give, by entry and metric key.  The
+# gallery families hold d only as d**2, so their residuals cannot tell a
+# construct at d from one at -d; paraboloid-pedal's defaults a = b = c = 1 make
+# every (a - b) term of its analytic partials zero, so a wrong one shows at a != b.
 WITNESSES = {
     "pluecker": ("conchoid_dev", _conchoid_witness),
     "sphere-offset": ("offset_dev", _offset_witness),
+    "paraboloid-pedal": ("generic_residual", _generic_witness),
 }
 WITNESS_BOUND = 1e-12
 

@@ -214,6 +214,26 @@ class TestSample:
               if l.startswith("v ")]
         assert max(abs(z - 1.0) for z in zs) < 1e-12
 
+    @pytest.mark.parametrize("construct, code", [("self", 0), ("conchoid:1/2", 2)])
+    def test_conchoid_of_polar_config_needs_unit_directions(self, tmp_path, construct, code):
+        # |s| = 2: the conchoid at 1/2 would move every point by 1, so
+        # conchoid_map probes s as offset_map probes n
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(
+            "[surface]\n"
+            "kind = polar\n"
+            "sx = 2*cos(u)*cos(v)\n"
+            "sy = 2*cos(v)*sin(u)\n"
+            "sz = 2*sin(v)\n"
+            "r = 1/sin(v)\n"
+            "[domain]\n"
+            "umin = 0\numax = 2*pi\nvmin = 0.2\nvmax = 1.3\n")
+        res = run("sample", "--surface", str(cfg), "--construct", construct,
+                  "--grid", "8x8", "--out", str(tmp_path / "x.obj"))
+        assert res.returncode == code, res.stderr
+        if code:
+            assert res.stderr == "exceptional: normal length 2 at (0,0.2)\n"
+
     def test_empty_mesh_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         # every sample evaluates sqrt of a negative number and is dropped
@@ -573,6 +593,25 @@ class TestVerify:
         metrics, ok = check_result(verify._check_extras, "ratnorm_ruled")
         assert not ok and metrics["support_dev"] == pytest.approx(1.0)
         assert metrics["max_dev"] < 1e-9
+
+    def test_wrong_paraboloid_partial_fails_the_generic_witness(self, monkeypatch):
+        # e_u of the paraboloid support carries a factor a - b, so at the
+        # defaults a = b = c = 1 a scaled e_u is still 0 and only the entry
+        # rebuilt at (2, 3, 1/2) can see it
+        metrics, ok = check_result(verify._check_gallery, "residual_paraboloid-pedal")
+        assert ok and metrics["generic_residual"] < verify.WITNESS_BOUND
+        chart = verify.quadricpedal.paraboloid_offset_chart
+
+        def scaled(*params):
+            F = chart(*params)
+            e = F.e
+            return DualSurface(F.n, Chart(e, lambda u, v: 1.0001 * e.du(u, v), e.dv, F.domain))
+
+        monkeypatch.setattr(verify.quadricpedal, "paraboloid_offset_chart", scaled)
+        monkeypatch.setattr(verify.gallery, "_CACHE", {})
+        metrics, ok = check_result(verify._check_gallery, "residual_paraboloid-pedal")
+        assert not ok and metrics["max_residual"] < 1e-8
+        assert metrics["generic_residual"] > verify.WITNESS_BOUND
 
     def test_verify_all_meets_the_benchmark_checker(self, monkeypatch, capsys):
         # the benchmark fails every op when this grammar breaks: a key outside

@@ -33,9 +33,3 @@ def test_missing_target_raises_lookup_error():
     m = mutate.Mutant("absent", "surfkit", "point_conchoid", "no_such_name + 1", "flip")
     with pytest.raises(LookupError):
         mutate.mutate_source((ROOT / "src" / "pedalis" / "surfkit.py").read_text(), m)
-
-
-@pytest.mark.parametrize("node", mutate.TIER1_TESTS)
-def test_tier1_tests_name_test_functions(node):
-    path, _, test = node.partition("::")
-    assert f"def {test.split('[')[0]}(" in (ROOT / path).read_text()

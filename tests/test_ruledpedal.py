@@ -138,6 +138,14 @@ class TestPedalCircle:
         with pytest.raises(LineThroughOrigin):
             pedal_circle(R, 0.0)
 
+    def test_array_of_rulings_rejected(self):
+        # np.linalg.norm of (2, 3) foot points would give both rows one radius
+        R = RuledChart(lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
+                       lambda u: vector_rows(u, -np.sin(u), np.cos(u), 1.0))
+        assert pedal_circle(R, 0.3).radius == pytest.approx(0.5)
+        with pytest.raises(ValueError):
+            pedal_circle(R, np.array([0.3, 0.5]))
+
     def test_circle_points_satisfy_equations(self):
         R = pluecker_chart()
         circ = pedal_circle(R, 0.5)

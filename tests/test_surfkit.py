@@ -71,7 +71,8 @@ class TestPhiGamma:
         lambda n: phi(n, constant_chart(1.0, SPHERE_DOM)),
         lambda n: gamma(n, constant_chart(1.0, SPHERE_DOM)),
         lambda n: offset_map(DualSurface(n, constant_chart(1.0, SPHERE_DOM)), 0.5),
-    ], ids=["phi", "gamma", "offset_map"])
+        lambda n: conchoid_map(PolarSurface(n, constant_chart(1.0, SPHERE_DOM)), 0.5),
+    ], ids=["phi", "gamma", "offset_map", "conchoid_map"])
     def test_no_probe_sample_raises_empty_grid(self, build):
         nan = constant_chart([np.nan] * 3, SPHERE_DOM)
         with pytest.raises(EmptyGrid):

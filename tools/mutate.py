@@ -3,22 +3,19 @@
     python tools/mutate.py
 
 Run it from the root of a source checkout; it needs Python 3.10+ and what
-pedalis needs, and pytest for ``TIER1_TESTS``.  For each mutant
-in ``MUTANTS`` it copies ``src/`` to a temporary directory, rewrites one
-expression of one function through ``ast`` and runs ``verify --suite all
---seed 7`` on the copy.  A mutant is
+pedalis needs.  For each mutant in ``MUTANTS`` it copies ``src/`` to a
+temporary directory, rewrites one expression of one function through
+``ast`` and runs ``verify --suite all --seed 7`` on the copy.  A mutant is
 
 * killed when verify exits non-zero (the failed checks are listed),
-* killed by tier-1 when verify passes but one of ``TIER1_TESTS`` fails
-  on the copy (the failed tests are listed),
-* surviving when verify and ``TIER1_TESTS`` pass,
+* surviving when verify passes,
 * not compiling when the rewritten module does not compile,
 * missing when its target text is no longer in its function.
 
-The unmutated copy must pass verify and ``TIER1_TESTS`` first.  The
-rewritten module is written back with ``ast.unparse``, so it loses its
-comments; nothing else changes.  This script is not part of the test
-suite: it runs one verify process per mutant.
+The unmutated copy must pass verify first.  The rewritten module is
+written back with ``ast.unparse``, so it loses its comments; nothing else
+changes.  This script is not part of the test suite: it runs one verify
+process per mutant.
 """
 
 from __future__ import annotations
@@ -56,13 +53,6 @@ class Mutant:
     kind: str
     swap: tuple[int, int] = (0, 1)
 
-
-# the tier-1 tests that run on a mutant that verify passes: they build
-# paraboloid-pedal at a != b, where the gallery defaults a = b hide errors
-TIER1_TESTS = (
-    "tests/test_gallery.py::test_analytic_partials_match_differences[generic-paraboloid_pedal]",
-    "tests/test_gallery.py::test_builder_at_generic_parameters[paraboloid_pedal]",
-)
 
 MUTANTS = [
     # surfkit: charts, envelope and the point-form constructs
@@ -122,7 +112,8 @@ MUTANTS = [
            "scale"),
     Mutant("paraboloid support sign", "quadricpedal", "paraboloid_offset_chart",
            "-_numer(s, t) / (2.0 * af * bf * np.sin(t))", "flip"),
-    # wrong analytic partials that the gallery defaults a = b = c = 1 hide
+    # wrong analytic partials that the gallery defaults a = b = c = 1 hide;
+    # residual_paraboloid-pedal.generic_residual rebuilds the entry at a != b
     Mutant("paraboloid e_s numerator over cos^2", "quadricpedal", "paraboloid_offset_chart",
            "(af - bf) * np.sin(2.0 * s) * (ct * ct)", "muldiv"),
     Mutant("paraboloid e_s times denominator", "quadricpedal", "paraboloid_offset_chart",
@@ -194,24 +185,11 @@ def mutate_source(source: str, mutant: Mutant) -> str:
     raise LookupError(f"{mutant.target!r} not found in {mutant.module}.{mutant.function}")
 
 
-def _run(src: Path, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-m", *args], cwd=ROOT, capture_output=True,
-                          text=True, env=env, timeout=300)
-
-
 def run_verify(src: Path) -> subprocess.CompletedProcess:
-    return _run(src, "pedalis", "verify", "--suite", "all", "--seed", str(SEED))
-
-
-def run_tests(src: Path, nodes) -> subprocess.CompletedProcess:
-    """The tier-1 tests ``nodes`` of this checkout against the pedalis in ``src``."""
-    return _run(src, "pytest", "-q", "-p", "no:cacheprovider", *nodes)
-
-
-def failed_tests(proc: subprocess.CompletedProcess) -> str:
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
-    return ", ".join(failed) or f"exit {proc.returncode}"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pedalis", "verify", "--suite", "all",
+                           "--seed", str(SEED)], cwd=ROOT, capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 def failed_checks(proc: subprocess.CompletedProcess) -> str:
@@ -224,18 +202,13 @@ def failed_checks(proc: subprocess.CompletedProcess) -> str:
 
 
 def main() -> int:
-    results = {"killed": [], "killed by tier-1": [], "surviving": [], "not compiling": [],
-               "missing": []}
+    results = {"killed": [], "surviving": [], "not compiling": [], "missing": []}
     with tempfile.TemporaryDirectory(prefix="pedalis-mutate-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         base = run_verify(src)
         if base.returncode != 0:
             print(f"unmutated verify fails ({failed_checks(base)}); nothing to measure")
-            return 2
-        base = run_tests(src, TIER1_TESTS)
-        if base.returncode != 0:
-            print(f"unmutated tier-1 tests fail ({failed_tests(base)}); nothing to measure")
             return 2
         for m in MUTANTS:
             path = src / "pedalis" / f"{m.module}.py"
@@ -254,22 +227,18 @@ def main() -> int:
             path.write_text(text)
             try:
                 proc = run_verify(src)
-                tests = run_tests(src, TIER1_TESTS) if proc.returncode == 0 else None
             finally:
                 path.write_text(original)
             if proc.returncode != 0:
                 results["killed"].append(m.name)
                 print(f"killed         {m.name}: {failed_checks(proc)}")
-            elif tests is not None and tests.returncode != 0:
-                results["killed by tier-1"].append(m.name)
-                print(f"killed by tier-1 {m.name}: {failed_tests(tests)}")
             else:
                 results["surviving"].append(m.name)
                 print(f"surviving      {m.name}")
     total = len(MUTANTS)
     print(f"killed {len(results['killed'])} of {total} by verify "
           f"({100.0 * len(results['killed']) / total:.0f}%)")
-    for outcome in ("killed by tier-1", "surviving", "not compiling", "missing"):
+    for outcome in ("surviving", "not compiling", "missing"):
         print(f"{outcome}: {', '.join(results[outcome]) or 'none'}")
     return 0
 
