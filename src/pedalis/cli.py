@@ -34,6 +34,11 @@ EXIT_EXCEPTIONAL = 2
 EXIT_EMPTY = 3
 # the names of verify.SUITES, in order, so that the parser needs no verify import
 SUITE_NAMES = ("involutions", "diagrams", "gallery", "degrees", "extras")
+# the gallery entries, in order, so that sample tells a name from a path without
+# importing gallery, which builds its table from them
+GALLERY_NAMES = ("plane-conchoid", "paraboloid-offset", "sphere-offset", "sphere-bundle",
+                 "pluecker", "parabola-cyclide", "paraboloid-pedal", "sphere-inverse-pedal",
+                 "quadratic-cylinder")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +144,6 @@ def cmd_implicit(args) -> int:
 
 def cmd_sample(args) -> int:
     from . import surfkit
-    from .gallerynames import GALLERY_NAMES
     m = re.fullmatch(r"(\d+)x(\d+)", args.grid)
     if not m:
         raise ValueError("--grid must look like 60x60")

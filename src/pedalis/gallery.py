@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyGrid, NotFound
-from .gallerynames import GALLERY_NAMES
+from .cli import GALLERY_NAMES
+from .errors import EmptyGrid, NotFound, PoleInDomain
 from .projmaps import row_max
 from .sphereatlas import trig_s2
 from .surfkit import (
@@ -31,9 +31,7 @@ from .surfkit import (
     PolarSurface,
     conchoid_map,
     construct,
-    envelope_surface,
     offset_map,
-    point_to_dual,
     sample_grid,
     vector_rows,
 )
@@ -47,13 +45,6 @@ class ResidualReport:
     max: float
     mean: float
     count: int
-
-
-@dataclass(frozen=True)
-class ResidualCase:
-    label: str
-    surface: object  # DualSurface | PolarSurface | PointSurface
-    poly: HomPoly4
 
 
 # The exact part of an entry: point_poly, dual_poly (HomPoly4); expected, the
@@ -115,9 +106,15 @@ def residual_report(surface, poly: HomPoly4, nu: int = 60, nv: int = 60) -> Resi
 
 
 # -- entry builders ----------------------------------------------------------
-# Each builder makes the charts and passes an ``exact`` closure that makes
-# the exact part.  Only the closures import hompoly, and quadricpedal, which
-# needs it, except for the paraboloid-pedal charts that come from there.
+# Each builder makes the charts and passes build_exact = partial(_exact, name,
+# parameters, charts), so only the first read of an EXACT name imports
+# galleryexact and, through it, hompoly and quadricpedal.
+
+
+def _exact(name, *args):
+    """The exact part of entry ``name``, from its ``galleryexact`` function."""
+    from . import galleryexact
+    return getattr(galleryexact, name.replace("-", "_"))(*args)
 
 
 def _plane_paraboloid_charts():
@@ -133,70 +130,25 @@ def _plane_paraboloid_charts():
     return n, e
 
 
-def _plane_paraboloid_polys():
-    """Shared polynomials of the plane/paraboloid correspondence."""
-    from .hompoly import HomPoly4, Space, parse_poly
-    QPT, QDU = HomPoly4.quadform(Space.POINT), HomPoly4.quadform(Space.DUAL)
-    plane = parse_poly("x3 - x0")
-    fstar = parse_poly("u1^2 + u2^2 + u3^2 + u0*u3")
-
-    def point_family(d):
-        d = Fraction(d)
-        x0 = HomPoly4.variable(Space.POINT, 0)
-        x3 = HomPoly4.variable(Space.POINT, 3)
-        return (x0 * x3) ** 2 * d ** 2 - QPT * (x0 - x3) ** 2
-
-    def dual_family(d):
-        d = Fraction(d)
-        u3 = HomPoly4.variable(Space.DUAL, 3)
-        base = QDU + HomPoly4.variable(Space.DUAL, 0) * u3
-        return u3 ** 2 * QDU * d ** 2 - base ** 2
-
-    return plane, fstar, point_family, dual_family
-
-
 def _build_plane_conchoid() -> GalleryEntry:
     n, e = _plane_paraboloid_charts()
     polar = PolarSurface(n, e)
-
-    def exact():
-        plane, fstar, point_family, dual_family = _plane_paraboloid_polys()
-        cases = [ResidualCase("conchoid d=0 vs plane", polar, plane)]
-        for d in (0.7, 0.5, -0.3):
-            cases.append(ResidualCase(f"conchoid d={d}", conchoid_map(polar, d), point_family(d)))
-        return dict(point_poly=plane, dual_poly=fstar, point_family=point_family,
-                    dual_family=dual_family, expected=(2, 1, 1, 1),
-                    residual_cases=tuple(cases), pullback_pair=(fstar, plane))
-
     return GalleryEntry(
         name="plane-conchoid", primary="polar",
         summary="conchoid family of the plane z=1 about the origin",
-        build_exact=exact, dual=DualSurface(n, e), polar=polar,
+        build_exact=partial(_exact, "plane-conchoid", polar), dual=DualSurface(n, e),
+        polar=polar,
     )
 
 
 def _build_paraboloid_offset() -> GalleryEntry:
     n, e = _plane_paraboloid_charts()
     dual = DualSurface(n, e)
-
-    def exact():
-        from .hompoly import parse_poly
-        plane, fstar, point_family, dual_family = _plane_paraboloid_polys()
-        paraboloid = parse_poly("x1^2 + x2^2 + 4*x0*x3 - 4*x0^2")
-        cases = [
-            ResidualCase("dual d=0", dual, fstar),
-            ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
-            ResidualCase("dual d=1", offset_map(dual, 1.0), dual_family(1)),
-            ResidualCase("envelope vs paraboloid", envelope_surface(dual), paraboloid),
-        ]
-        return dict(point_poly=paraboloid, dual_poly=fstar, point_family=point_family,
-                    dual_family=dual_family, expected=(2, 1, 1, 1),
-                    residual_cases=tuple(cases), pullback_pair=(fstar, plane))
-
     return GalleryEntry(
         name="paraboloid-offset", primary="dual",
         summary="offset family of the paraboloid x^2+y^2+4z=4 with focal point O",
-        build_exact=exact, dual=dual, polar=PolarSurface(n, e),
+        build_exact=partial(_exact, "paraboloid-offset", dual), dual=dual,
+        polar=PolarSurface(n, e),
     )
 
 
@@ -217,67 +169,20 @@ def _build_sphere_offset(m=2, R=1) -> GalleryEntry:
     # the conchoid at R of the sphere over OM; its planes (n, e) are its (s, r)
     polar = conchoid_map(_om_sphere(m), float(R))
     dual = DualSurface(polar.s, polar.r)
-
-    def exact():
-        from .hompoly import HomPoly4, Space
-        mf, Rf = Fraction(m), Fraction(R)
-        QPT = HomPoly4.quadform(Space.POINT)
-
-        def dual_family(d):
-            d = Fraction(d)
-            u0, u1, u2, u3 = (HomPoly4.variable(Space.DUAL, i) for i in range(4))
-            Rd = Rf + d
-            return (u1 ** 2 * (Rd * Rd - mf * mf) + (u2 ** 2 + u3 ** 2) * (Rd * Rd)
-                    - u0 * u1 * (2 * mf) - u0 ** 2)
-
-        def point_family(d):
-            d = Fraction(d)
-            x0, x1, x2, x3 = (HomPoly4.variable(Space.POINT, i) for i in range(4))
-            Rd = Rf + d
-            return (x0 ** 2 * (x1 ** 2 * (Rd * Rd - mf * mf) + (x2 ** 2 + x3 ** 2) * (Rd * Rd))
-                    + x0 * x1 * QPT * (2 * mf) - QPT ** 2)
-
-        fstar = dual_family(0)
-        gbar = point_family(0)
-        cases = [
-            ResidualCase("dual d=0", dual, fstar),
-            ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
-            ResidualCase("dual d=-0.3", offset_map(dual, -0.3), dual_family(Fraction(-3, 10))),
-            ResidualCase("conchoid d=0", polar, gbar),
-            ResidualCase("conchoid d=1/2", conchoid_map(polar, 0.5),
-                         point_family(Fraction(1, 2))),
-            ResidualCase("conchoid d=-0.3", conchoid_map(polar, -0.3),
-                         point_family(Fraction(-3, 10))),
-        ]
-        return dict(point_poly=gbar, dual_poly=fstar, point_family=point_family,
-                    dual_family=dual_family, expected=(2, 0, 0, 4),
-                    residual_cases=tuple(cases), pullback_pair=(fstar, gbar))
-
     return GalleryEntry(
         name="sphere-offset", primary="dual",
         summary=f"offsets of the sphere center ({m},0,0) radius {R} and their conchoids",
-        build_exact=exact, dual=dual, polar=polar,
+        build_exact=partial(_exact, "sphere-offset", m, R, dual, polar), dual=dual,
+        polar=polar,
     )
 
 
 def _build_sphere_bundle(m=2) -> GalleryEntry:
     polar = _om_sphere(m)
-
-    def exact():
-        from .hompoly import HomPoly4, Space
-        mf = Fraction(m)
-        u0, u1 = HomPoly4.variable(Space.DUAL, 0), HomPoly4.variable(Space.DUAL, 1)
-        fstar = u0 + u1 * mf
-        x0, x1 = HomPoly4.variable(Space.POINT, 0), HomPoly4.variable(Space.POINT, 1)
-        gbar = HomPoly4.quadform(Space.POINT) - x0 * x1 * mf
-        return dict(point_poly=gbar, dual_poly=fstar, expected=(1, 0, 0, 2),
-                    residual_cases=(ResidualCase("OM-sphere polar chart", polar, gbar),),
-                    pullback_pair=(fstar, gbar))
-
     return GalleryEntry(
         name="sphere-bundle", primary="polar",
         summary=f"degenerate bundle through ({m},0,0); image sphere with diameter OM",
-        build_exact=exact, polar=polar,
+        build_exact=partial(_exact, "sphere-bundle", m, polar), polar=polar,
     )
 
 
@@ -309,71 +214,11 @@ def _build_pluecker() -> GalleryEntry:
     )
     dual = DualSurface(n, e)
     polar = PolarSurface(n, e)  # its conchoids are the pedals of the offsets
-
-    def exact():
-        from .hompoly import HomPoly4, Space, parse_poly
-        QPT, QDU = HomPoly4.quadform(Space.POINT), HomPoly4.quadform(Space.DUAL)
-        conoid = parse_poly("x3*x1^2 + x3*x2^2 - 2*x0*x1*x2")
-        fstar = parse_poly("u0*u1^2 + u0*u2^2 - 2*u1*u2*u3")
-        gbar = parse_poly("2*x0*x1*x2*x3 + (x1^2 + x2^2)*(x1^2 + x2^2 + x3^2)")
-        bstar = parse_poly("u0*u3*(u1^2 + u2^2) + 2*u1*u2*(u1^2 + u2^2 + u3^2)")
-        w2_du = parse_poly("u1^2 + u2^2")
-        w2_pt = parse_poly("x1^2 + x2^2")
-        x0 = HomPoly4.variable(Space.POINT, 0)
-        x3 = HomPoly4.variable(Space.POINT, 3)
-        u3 = HomPoly4.variable(Space.DUAL, 3)
-
-        def dual_family(d):
-            d = Fraction(d)
-            return w2_du ** 2 * QDU * d ** 2 - fstar ** 2
-
-        def point_family(d):
-            d = Fraction(d)
-            return x0 ** 2 * w2_pt ** 2 * QPT * d ** 2 - gbar ** 2
-
-        def conchoid_family(d):
-            d = Fraction(d)
-            return w2_pt ** 2 * (x0 * x3) ** 2 * d ** 2 - QPT * conoid ** 2
-
-        def bdual_family(d):
-            d = Fraction(d)
-            return u3 ** 2 * w2_du ** 2 * QDU * d ** 2 - bstar ** 2
-
-        # conchoid family of the conoid itself (rational polar chart): the
-        # direction at azimuth u and polar angle pi/2 - v has radius sin 2u / sin v
-        cdom = Domain(0.12, 1.43, math.pi / 2 - 1.25, math.pi / 2 + 1.25)
-        conoid_polar = PolarSurface(trig_s2(cdom), Chart(
-            lambda u, v: np.sin(2 * u) / np.sin(v), domain=cdom))
-        conoid_half = conchoid_map(conoid_polar, 0.5)
-
-        cases = [
-            ResidualCase("point chart vs conoid", point_chart, conoid),
-            ResidualCase("dual d=0", dual, fstar),
-            ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
-            ResidualCase("dual d=1", offset_map(dual, 1.0), dual_family(1)),
-            ResidualCase("pedal d=0", polar, gbar),
-            ResidualCase("pedal d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
-            ResidualCase("pedal d=1", conchoid_map(polar, 1.0), point_family(1)),
-            ResidualCase("pedal construct", construct(dual, "pedal"), gbar),
-            ResidualCase("pedal of the point chart", construct(point_chart, "pedal"), gbar),
-            ResidualCase("conchoid d=0", conoid_polar, conoid),
-            ResidualCase("conchoid d=1/2", conoid_half, conchoid_family(Fraction(1, 2))),
-            ResidualCase("conchoid d=1", conchoid_map(conoid_polar, 1.0), conchoid_family(1)),
-            ResidualCase("inverse-pedal dual d=0", point_to_dual(conoid_polar), bstar),
-            ResidualCase("inverse-pedal dual d=1/2", point_to_dual(conoid_half),
-                         bdual_family(Fraction(1, 2))),
-        ]
-        extras = {"conoid": conoid, "conchoid_family": conchoid_family, "bstar": bstar,
-                  "bdual_family": bdual_family}
-        return dict(point_poly=gbar, dual_poly=fstar, point_family=point_family,
-                    dual_family=dual_family, expected=(3, 2, 0, 4),
-                    residual_cases=tuple(cases), pullback_pair=(fstar, gbar), extras=extras)
-
     return GalleryEntry(
         name="pluecker", primary="point",
         summary="Pluecker conoid: pedal, inverse pedal, offsets and conchoids",
-        build_exact=exact, dual=dual, polar=polar,
-        point_chart=point_chart,
+        build_exact=partial(_exact, "pluecker", point_chart, dual, polar), dual=dual,
+        polar=polar, point_chart=point_chart,
     )
 
 
@@ -401,44 +246,58 @@ def _build_parabola_cyclide(a=1, c=1) -> GalleryEntry:
     e_chart = Chart(e, e_ds, e_dt, dom)
     dual = DualSurface(n, e_chart)
     polar = PolarSurface(n, e_chart)
-
-    def exact():
-        from .hompoly import HomPoly4, Space
-        QPT, QDU = HomPoly4.quadform(Space.POINT), HomPoly4.quadform(Space.DUAL)
-        af, cf = Fraction(a), Fraction(c)
-        u0, u1, u3 = (HomPoly4.variable(Space.DUAL, i) for i in (0, 1, 3))
-        x0, x1, x3 = (HomPoly4.variable(Space.POINT, i) for i in (0, 1, 3))
-        fstar = u1 ** 2 - u0 * u3 * (2 * af) - u3 ** 2 * (2 * af * cf)
-        gbar = x0 * (x1 ** 2 - x3 ** 2 * (2 * af * cf)) + x3 * QPT * (2 * af)
-
-        def dual_family(d):
-            d = Fraction(d)
-            return fstar ** 2 - u3 ** 2 * QDU * (4 * af * af * d * d)
-
-        def point_family(d):
-            d = Fraction(d)
-            return gbar ** 2 - (x0 * x3) ** 2 * QPT * (4 * af * af * d * d)
-
-        cases = [
-            ResidualCase("dual d=0", dual, fstar),
-            ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
-            ResidualCase("pedal d=0", polar, gbar),
-            ResidualCase("pedal d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
-        ]
-        return dict(point_poly=gbar, dual_poly=fstar, point_family=point_family,
-                    dual_family=dual_family, expected=(2, 1, 0, 3),
-                    residual_cases=tuple(cases), pullback_pair=(fstar, gbar))
-
     return GalleryEntry(
         name="parabola-cyclide", primary="polar",
         summary=f"pedal of the parabola (u,0,{a}/2 u^2+{c}): a cubic cyclide",
-        build_exact=exact, dual=dual, polar=polar,
+        build_exact=partial(_exact, "parabola-cyclide", a, c, dual, polar), dual=dual,
+        polar=polar,
     )
 
 
-def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
-    from .quadricpedal import paraboloid_offset_chart
+def paraboloid_offset_chart(a, b, c, domain: Domain | None = None) -> DualSurface:
+    """Unit-normal dual chart of a paraboloid, the base of its offsets.
 
+    The surface is z = (a x^2 + b y^2)/2 + c reparameterized so the normal
+    direction is the sphere chart ``trig_s2``; ``PolarSurface(F.n, F.e)`` is
+    its polar pedal chart.  Poles of the reparameterization sit at sin t = 0
+    and must stay outside the domain.
+    """
+    if a * b * c == 0:
+        raise ValueError("paraboloid parameters must all be nonzero")
+    if domain is None:
+        domain = Domain(0.0, 2.0 * math.pi, 0.2, 1.35)
+    if not (0.0 < domain.vmin <= domain.vmax < math.pi):
+        raise PoleInDomain("t-range must stay inside (0, pi)")
+    if min(math.sin(domain.vmin), math.sin(domain.vmax)) <= 1e-6:
+        raise PoleInDomain("domain touches the sin t = 0 pole")
+
+    af, bf, cf = float(a), float(b), float(c)
+
+    def _numer(s, t):
+        cs, ss, ct, st = np.cos(s), np.sin(s), np.cos(t), np.sin(t)
+        ct2 = ct * ct
+        return bf * (cs * cs) * ct2 + af * (ss * ss) * ct2 - 2.0 * af * bf * cf * (st * st)
+
+    def e(s, t):
+        return -_numer(s, t) / (2.0 * af * bf * np.sin(t))
+
+    def e_ds(s, t):
+        ct = np.cos(t)
+        dn = (af - bf) * np.sin(2.0 * s) * (ct * ct)
+        return -dn / (2.0 * af * bf * np.sin(t))
+
+    def e_dt(s, t):
+        cs, ss, st, ct = np.cos(s), np.sin(s), np.sin(t), np.cos(t)
+        dn = (-2.0 * ct * st * (bf * (cs * cs) + af * (ss * ss))
+              - 4.0 * af * bf * cf * st * ct)
+        return -(dn * st - _numer(s, t) * ct) / (2.0 * af * bf * st * st)
+
+    n_chart = trig_s2(domain)
+    e_chart = Chart(e, e_ds, e_dt, domain)
+    return DualSurface(n_chart, e_chart)
+
+
+def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
     dual = paraboloid_offset_chart(a, b, c)
     polar = PolarSurface(dual.n, dual.e)
     pdom = Domain(-1.5, 1.5, -1.5, 1.5)
@@ -449,43 +308,11 @@ def _build_paraboloid_pedal(a=1, b=1, c=1) -> GalleryEntry:
         lambda u, v: vector_rows(u, 0.0, 1.0, bfl * v),
         pdom,
     ))
-
-    def exact():
-        from .hompoly import HomPoly4, Space, offset_dual_poly, pedal_pullback, strip_exceptional
-        from .quadricpedal import paraboloid_dual_quadric
-
-        # z = (a x^2 + b y^2)/2 + c; dual quadric via the halved parameters
-        Q = paraboloid_dual_quadric(Fraction(a, 2), Fraction(b, 2), Fraction(c))
-        fstar = Q.as_poly()
-        gbar = strip_exceptional(pedal_pullback(fstar)).reduced
-
-        def dual_family(d):
-            return offset_dual_poly(fstar, Fraction(d))
-
-        def point_family(d):
-            return strip_exceptional(pedal_pullback(dual_family(d))).reduced
-
-        x0, x1, x2, x3 = (HomPoly4.variable(Space.POINT, i) for i in range(4))
-        point_implicit = (x1 ** 2 * Fraction(a) + x2 ** 2 * Fraction(b)
-                          + x0 ** 2 * (2 * Fraction(c)) - x0 * x3 * 2)
-        cases = [
-            ResidualCase("dual d=0", dual, fstar),
-            ResidualCase("dual d=1/2", offset_map(dual, 0.5), dual_family(Fraction(1, 2))),
-            ResidualCase("pedal d=0", polar, gbar),
-            ResidualCase("pedal d=1/2", conchoid_map(polar, 0.5), point_family(Fraction(1, 2))),
-            ResidualCase("point chart vs paraboloid", point_chart, point_implicit),
-            ResidualCase("envelope vs paraboloid", envelope_surface(dual), point_implicit),
-        ]
-        return dict(point_poly=gbar, dual_poly=fstar, point_family=point_family,
-                    dual_family=dual_family, expected=(2, 1, 0, 3),
-                    residual_cases=tuple(cases), pullback_pair=(fstar, gbar),
-                    extras={"point_implicit": point_implicit})
-
     return GalleryEntry(
         name="paraboloid-pedal", primary="polar",
         summary=f"pedal family of the paraboloid z=({a}x^2+{b}y^2)/2+{c}",
-        build_exact=exact, dual=dual, polar=polar,
-        point_chart=point_chart,
+        build_exact=partial(_exact, "paraboloid-pedal", a, b, c, dual, polar, point_chart),
+        dual=dual, polar=polar, point_chart=point_chart,
     )
 
 
@@ -499,27 +326,11 @@ def _build_sphere_inverse_pedal(m=2, r=1) -> GalleryEntry:
         lambda u, v: rfl * s.dv(u, v),
         dom,
     ))
-
-    def exact():
-        from .quadricpedal import sphere_inverse_pedal_affine, sphere_point_quadric
-
-        mf, rf = Fraction(m), Fraction(r)
-        gsphere = sphere_point_quadric(mf, rf).as_poly()
-        result = sphere_inverse_pedal_affine(mf, rf)
-        planes = point_to_dual(sphere_chart)
-        cases = [
-            ResidualCase("sphere chart", sphere_chart, gsphere),
-            ResidualCase("image planes", planes, result.dual),
-            ResidualCase("image envelope", envelope_surface(planes), result.implicit),
-        ]
-        return dict(point_poly=gsphere, dual_poly=result.dual, expected=(2, 0, 1, 2),
-                    residual_cases=tuple(cases), pullback_pair=(gsphere, result.dual),
-                    extras={"result": result})
-
     return GalleryEntry(
         name="sphere-inverse-pedal", primary="point",
         summary=f"inverse pedal of the sphere center ({m},0,0) radius {r}",
-        build_exact=exact, point_chart=sphere_chart,
+        build_exact=partial(_exact, "sphere-inverse-pedal", m, r, sphere_chart),
+        point_chart=sphere_chart,
     )
 
 
@@ -542,15 +353,6 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
         rdom,
     ))
 
-    def closed_form(u, v):
-        cu, su = np.cos(u), np.sin(u)
-        return vector_rows(
-            u,
-            -(cu / afl) * ((afl ** 2 - bfl ** 2) * cu * cu + bfl ** 2 - 2 * afl ** 2 + v * v),
-            -(su / bfl) * ((afl ** 2 - bfl ** 2) * cu * cu - bfl ** 2 + v * v),
-            2.0 * v,
-        )
-
     # rational polar chart of the cylinder: foot-point curve (a cos u, b sin u, 0)
     tdom = Domain(0.0, 2.0 * math.pi, 0.2, 1.4)
 
@@ -564,30 +366,11 @@ def _build_quadratic_cylinder(a=2, b=1) -> GalleryEntry:
 
     polar = PolarSurface(Chart(lambda u, t: polar_parts(u, t)[0], domain=tdom),
                          Chart(lambda u, t: polar_parts(u, t)[1], domain=tdom))
-
-    def exact():
-        from .hompoly import HomPoly4, Space
-        af, bf = Fraction(a), Fraction(b)
-        x0, x1, x2 = (HomPoly4.variable(Space.POINT, i) for i in (0, 1, 2))
-        u0, u1, u2 = (HomPoly4.variable(Space.DUAL, i) for i in (0, 1, 2))
-        gcyl = x1 ** 2 * bf ** 2 + x2 ** 2 * af ** 2 - x0 ** 2 * (af * bf) ** 2
-        fstar = ((u0 * u1) ** 2 * bf ** 2 + (u0 * u2) ** 2 * af ** 2
-                 - HomPoly4.quadform(Space.DUAL) ** 2 * (af * bf) ** 2)
-        planes = point_to_dual(ruled_points)
-        cases = [
-            ResidualCase("ruled chart vs cylinder", ruled_points, gcyl),
-            ResidualCase("image planes vs quartic", planes, fstar),
-            ResidualCase("rational polar chart", polar, gcyl),
-        ]
-        return dict(point_poly=gcyl, dual_poly=fstar, expected=(2, 0, 0, 4),
-                    residual_cases=tuple(cases), pullback_pair=(gcyl, fstar),
-                    extras={"ruled": ruled, "closed_form": closed_form})
-
     return GalleryEntry(
         name="quadratic-cylinder", primary="point",
         summary=f"inverse pedal of the elliptic cylinder x^2/{a}^2+y^2/{b}^2=1",
-        build_exact=exact, polar=polar,
-        point_chart=ruled_points,
+        build_exact=partial(_exact, "quadratic-cylinder", a, b, ruled, ruled_points, polar),
+        polar=polar, point_chart=ruled_points,
     )
 
 

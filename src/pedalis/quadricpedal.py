@@ -14,7 +14,6 @@ quadratic form in pentaspherical coordinates.  All degeneracy checks
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ from .errors import (
     NotCyclideShape,
     NotDivisible,
     OriginOnSurface,
-    PoleInDomain,
     RankTooLow,
 )
 from .hompoly import (
@@ -34,15 +32,8 @@ from .hompoly import (
     pedal_pullback,
     strip_exceptional,
 )
-from .sphereatlas import trig_s2
 from .projmaps import rowdot
-from .surfkit import (
-    Chart,
-    Domain,
-    DualSurface,
-    PointSurface,
-    construct,
-)
+from .surfkit import Chart, PointSurface, construct
 
 
 def _frac_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -244,52 +235,6 @@ def focal_degeneracy_check(a, b, c):
         return None
     q = HomPoly4.quadform(Space.POINT)
     return q, q ** (stripped.k - 1) * stripped.reduced
-
-
-# -- rational offset charts of paraboloids -----------------------------------
-
-
-def paraboloid_offset_chart(a, b, c, domain: Domain | None = None) -> DualSurface:
-    """Unit-normal dual chart of a paraboloid, the base of its offsets.
-
-    The surface is z = (a x^2 + b y^2)/2 + c reparameterized so the normal
-    direction is the sphere chart ``trig_s2``; ``PolarSurface(F.n, F.e)`` is
-    its polar pedal chart.  Poles of the reparameterization sit at sin t = 0
-    and must stay outside the domain.
-    """
-    if a * b * c == 0:
-        raise ValueError("paraboloid parameters must all be nonzero")
-    if domain is None:
-        domain = Domain(0.0, 2.0 * math.pi, 0.2, 1.35)
-    if not (0.0 < domain.vmin <= domain.vmax < math.pi):
-        raise PoleInDomain("t-range must stay inside (0, pi)")
-    if min(math.sin(domain.vmin), math.sin(domain.vmax)) <= 1e-6:
-        raise PoleInDomain("domain touches the sin t = 0 pole")
-
-    af, bf, cf = float(a), float(b), float(c)
-
-    def _numer(s, t):
-        cs, ss, ct, st = np.cos(s), np.sin(s), np.cos(t), np.sin(t)
-        ct2 = ct * ct
-        return bf * (cs * cs) * ct2 + af * (ss * ss) * ct2 - 2.0 * af * bf * cf * (st * st)
-
-    def e(s, t):
-        return -_numer(s, t) / (2.0 * af * bf * np.sin(t))
-
-    def e_ds(s, t):
-        ct = np.cos(t)
-        dn = (af - bf) * np.sin(2.0 * s) * (ct * ct)
-        return -dn / (2.0 * af * bf * np.sin(t))
-
-    def e_dt(s, t):
-        cs, ss, st, ct = np.cos(s), np.sin(s), np.sin(t), np.cos(t)
-        dn = (-2.0 * ct * st * (bf * (cs * cs) + af * (ss * ss))
-              - 4.0 * af * bf * cf * st * ct)
-        return -(dn * st - _numer(s, t) * ct) / (2.0 * af * bf * st * st)
-
-    n_chart = trig_s2(domain)
-    e_chart = Chart(e, e_ds, e_dt, domain)
-    return DualSurface(n_chart, e_chart)
 
 
 # -- pentaspherical lift ------------------------------------------------------

@@ -130,9 +130,12 @@ def _offset_witness(entry):
                          for d in (0.5, -0.3)]))
 
 
+GENERIC_PARABOLOID = (2, 3, Fraction(1, 2))  # (a, b, c) of paraboloid-pedal's witness
+
+
 def _generic_witness(entry):
-    """The worst residual case of the entry rebuilt at (a, b, c) = (2, 3, 1/2)."""
-    generic = gallery._BUILDERS[entry.name](2, 3, Fraction(1, 2))
+    """The worst residual case of the entry rebuilt at (a, b, c) = GENERIC_PARABOLOID."""
+    generic = gallery._BUILDERS[entry.name](*GENERIC_PARABOLOID)
     return max(gallery.residual_report(case.surface, case.poly, 20, 20).max
                for case in generic.residual_cases)
 

@@ -157,9 +157,8 @@ class TestSample:
     def test_gallery_names_match_the_gallery(self):
         # sample tells a gallery name from a config path without importing gallery
         from pedalis import gallery
-        from pedalis.gallerynames import GALLERY_NAMES
-        assert list(gallery._BUILDERS) == list(GALLERY_NAMES)
-        assert gallery.list_entries() == sorted(GALLERY_NAMES)
+        assert list(gallery._BUILDERS) == list(cli.GALLERY_NAMES)
+        assert gallery.list_entries() == sorted(cli.GALLERY_NAMES)
 
     def test_pedal_mesh_satisfies_quartic(self, tmp_path):
         out = tmp_path / "pedal.obj"
@@ -600,14 +599,14 @@ class TestVerify:
         # rebuilt at (2, 3, 1/2) can see it
         metrics, ok = check_result(verify._check_gallery, "residual_paraboloid-pedal")
         assert ok and metrics["generic_residual"] < verify.WITNESS_BOUND
-        chart = verify.quadricpedal.paraboloid_offset_chart
+        chart = verify.gallery.paraboloid_offset_chart
 
         def scaled(*params):
             F = chart(*params)
             e = F.e
             return DualSurface(F.n, Chart(e, lambda u, v: 1.0001 * e.du(u, v), e.dv, F.domain))
 
-        monkeypatch.setattr(verify.quadricpedal, "paraboloid_offset_chart", scaled)
+        monkeypatch.setattr(verify.gallery, "paraboloid_offset_chart", scaled)
         monkeypatch.setattr(verify.gallery, "_CACHE", {})
         metrics, ok = check_result(verify._check_gallery, "residual_paraboloid-pedal")
         assert not ok and metrics["max_residual"] < 1e-8

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pedalis import gallery
+from pedalis import gallery, verify
 from pedalis.errors import EmptyGrid, NotFound
 from pedalis.gallery import GalleryEntry, get_entry, list_entries, residual_report
 from pedalis.hompoly import (
@@ -196,7 +196,7 @@ GENERIC = [
     ("sphere_offset", (Fraction(5, 2), Fraction(3, 4))),
     ("sphere_bundle", (Fraction(5, 2),)),
     ("parabola_cyclide", (Fraction(3, 2), Fraction(2, 5))),
-    ("paraboloid_pedal", (2, 3, Fraction(1, 2))),
+    ("paraboloid_pedal", verify.GENERIC_PARABOLOID),
     ("sphere_inverse_pedal", (Fraction(5, 2), Fraction(3, 4))),
     ("quadratic_cylinder", (3, Fraction(1, 2))),
 ]

@@ -10,7 +10,7 @@ from pedalis.errors import (
     PoleInDomain,
     RankTooLow,
 )
-from pedalis.gallery import get_entry, residual_report
+from pedalis.gallery import get_entry, paraboloid_offset_chart, residual_report
 from pedalis.hompoly import (
     HomPoly4,
     Space,
@@ -31,7 +31,6 @@ from pedalis.quadricpedal import (
     is_parabola_dupin,
     parabola_dual_quadric,
     paraboloid_dual_quadric,
-    paraboloid_offset_chart,
     pedal_of_quadric,
     pentaspherical_lift,
     pentaspherical_point,

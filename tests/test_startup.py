@@ -14,7 +14,7 @@ import pytest
 
 import pedalis
 from pedalis import gallery
-from pedalis.gallerynames import GALLERY_NAMES
+from pedalis.cli import GALLERY_NAMES
 
 # run ``python -m pedalis ARGS`` and print the loaded modules as the last line
 _REPORT = """
@@ -44,7 +44,7 @@ PUBLIC = {
 PUBLIC_NAMES = [name for names in PUBLIC.values() for name in names]
 
 MODULES = ["errors", "projmaps", "grammar", "hompoly", "surfkit", "sphereatlas", "ruledpedal",
-           "quadricpedal", "gallerynames", "gallery", "verify", "cli", "config"]
+           "quadricpedal", "gallery", "galleryexact", "verify", "cli", "config"]
 
 
 def loaded(*args):
@@ -93,8 +93,8 @@ def test_config_sample_skips_the_gallery(tmp_path):
                    "[domain]\numin = 0\numax = 2*pi\nvmin = 0.2\nvmax = 1.3\n")
     code, mods = loaded("sample", "--surface", str(cfg), "--construct", "conchoid:1/2",
                         "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
-    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.config", "pedalis.gallerynames",
-                                       "pedalis.grammar", "pedalis.surfkit"]))
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.config", "pedalis.grammar",
+                                       "pedalis.surfkit"]))
 
 
 def test_ruled_config_sample_adds_ruledpedal(tmp_path):
@@ -104,9 +104,8 @@ def test_ruled_config_sample_adds_ruledpedal(tmp_path):
                    "[domain]\numin = 0\numax = 2*pi\nvmin = -2\nvmax = 2\n")
     code, mods = loaded("sample", "--surface", str(cfg), "--construct", "inverse-pedal",
                         "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
-    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.config", "pedalis.gallerynames",
-                                       "pedalis.grammar", "pedalis.ruledpedal",
-                                       "pedalis.surfkit"]))
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.config", "pedalis.grammar",
+                                       "pedalis.ruledpedal", "pedalis.surfkit"]))
 
 
 def test_verify_skips_the_config_reader():
@@ -114,40 +113,41 @@ def test_verify_skips_the_config_reader():
     assert code == 0 and "pedalis.verify" in mods and "pedalis.config" not in mods
 
 
-# one construct per gallery entry, all five constructs among them; only
-# paraboloid-pedal takes its charts from quadricpedal, which needs hompoly
+# one construct per gallery entry, all five constructs among them
 SAMPLED = [("plane-conchoid", "conchoid:1/2"), ("paraboloid-offset", "self"),
            ("sphere-offset", "offset:1/2"), ("sphere-bundle", "self"), ("pluecker", "pedal"),
-           ("parabola-cyclide", "conchoid:1/2"), ("sphere-inverse-pedal", "inverse-pedal"),
-           ("quadratic-cylinder", "inverse-pedal")]
+           ("parabola-cyclide", "conchoid:1/2"), ("paraboloid-pedal", "pedal"),
+           ("sphere-inverse-pedal", "inverse-pedal"), ("quadratic-cylinder", "inverse-pedal")]
 
 
-def test_sampled_covers_the_gallery_but_paraboloid_pedal():
-    assert sorted(name for name, _ in SAMPLED) == sorted(
-        name for name in GALLERY_NAMES if name != "paraboloid-pedal")
+def test_sampled_covers_the_gallery():
+    assert sorted(name for name, _ in SAMPLED) == sorted(GALLERY_NAMES)
 
 
 @pytest.mark.parametrize("name, construct", SAMPLED)
 def test_gallery_sample_skips_the_exact_algebra(tmp_path, name, construct):
+    # no hompoly, quadricpedal, grammar or galleryexact: only the charts
     code, mods = loaded("sample", "--surface", name, "--construct", construct,
                         "--grid", "4x4", "--out", str(tmp_path / "mesh.obj"))
-    assert code == 0 and "pedalis.gallery" in mods
-    assert "pedalis.hompoly" not in mods and "pedalis.quadricpedal" not in mods
-    assert "pedalis.config" not in mods
+    charts = ["pedalis.gallery", "pedalis.sphereatlas", "pedalis.surfkit"]
+    if name == "quadratic-cylinder":
+        charts.append("pedalis.ruledpedal")
+    assert (code, mods) == (0, sorted([*MAP_LAYERS, *charts]))
 
 
 def test_construct_leaves_the_exact_part_unbuilt():
-    # (exact fields in the entry, hompoly loaded) after get_entry and construct,
-    # with paraboloid-pedal, which loads hompoly for its charts, last
+    # (exact fields in the entry, hompoly or galleryexact loaded) after
+    # get_entry and construct
     got = _fresh("from pedalis.gallery import EXACT, get_entry\n"
                  "out = {}\n"
-                 f"for name in {sorted(GALLERY_NAMES, key=lambda n: n == 'paraboloid-pedal')}:\n"
+                 f"for name in {list(GALLERY_NAMES)}:\n"
                  "    entry = get_entry(name)\n"
                  "    entry.construct('self')\n"
                  "    out[name] = [sorted(set(EXACT) & set(vars(entry))),\n"
-                 "                 'pedalis.hompoly' in sys.modules]\n"
+                 "                 'pedalis.hompoly' in sys.modules\n"
+                 "                 or 'pedalis.galleryexact' in sys.modules]\n"
                  "print(json.dumps(out))")
-    assert got == {name: [[], name == "paraboloid-pedal"] for name in GALLERY_NAMES}
+    assert got == {name: [[], False] for name in GALLERY_NAMES}
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)

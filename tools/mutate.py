@@ -110,19 +110,28 @@ MUTANTS = [
            "rowdot(f, n) + d * (y0 / y1)", "flip"),
     Mutant("bisector factor scaled", "quadricpedal", "bisector_from_inverse_pedal", "0.5",
            "scale"),
-    Mutant("paraboloid support sign", "quadricpedal", "paraboloid_offset_chart",
-           "-_numer(s, t) / (2.0 * af * bf * np.sin(t))", "flip"),
-    # wrong analytic partials that the gallery defaults a = b = c = 1 hide;
-    # residual_paraboloid-pedal.generic_residual rebuilds the entry at a != b
-    Mutant("paraboloid e_s numerator over cos^2", "quadricpedal", "paraboloid_offset_chart",
-           "(af - bf) * np.sin(2.0 * s) * (ct * ct)", "muldiv"),
-    Mutant("paraboloid e_s times denominator", "quadricpedal", "paraboloid_offset_chart",
-           "-dn / (2.0 * af * bf * np.sin(t))", "muldiv"),
-    Mutant("paraboloid e_t 4/a", "quadricpedal", "paraboloid_offset_chart", "4.0 * af",
-           "muldiv"),
     Mutant("pentaspherical lift sign", "quadricpedal", "pentaspherical_point", "s - 1.0", "flip"),
     Mutant("cyclide coupling sign", "quadricpedal", "_cyclide_form",
            "x0 * x0 * diag - x0 * q * bee", "flip"),
+    # gallery: the charts and the exact parts of the entries
+    Mutant("paraboloid support sign", "gallery", "paraboloid_offset_chart",
+           "-_numer(s, t) / (2.0 * af * bf * np.sin(t))", "flip"),
+    # wrong analytic partials that the gallery defaults a = b = c = 1 hide;
+    # residual_paraboloid-pedal.generic_residual rebuilds the entry at a != b
+    Mutant("paraboloid e_s numerator over cos^2", "gallery", "paraboloid_offset_chart",
+           "(af - bf) * np.sin(2.0 * s) * (ct * ct)", "muldiv"),
+    Mutant("paraboloid e_s times denominator", "gallery", "paraboloid_offset_chart",
+           "-dn / (2.0 * af * bf * np.sin(t))", "muldiv"),
+    Mutant("paraboloid e_t 4/a", "gallery", "paraboloid_offset_chart", "4.0 * af", "muldiv"),
+    # sphere-offset's dual_family, at R - d; offset_family is even in d and misses it
+    Mutant("sphere offset family sign", "galleryexact", "sphere_offset", "Rf + Fraction(d)",
+           "flip"),
+    Mutant("parabola cyclide family scaled", "galleryexact", "parabola_cyclide",
+           "4 * af * af * d * d", "scale"),
+    Mutant("pluecker conchoid family scaled", "galleryexact", "pluecker",
+           "w2_pt ** 2 * (X0 * X3) ** 2 * d ** 2", "scale"),
+    Mutant("cylinder closed form scaled", "galleryexact", "quadratic_cylinder", "2.0 * v",
+           "scale"),
 ]
 
 
