@@ -14,7 +14,6 @@ protocol of ``surfkit``: a 1-D array of N parameters gives (N, 3) rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,61 +100,6 @@ def footpoint_curve(R: RuledChart):
     return d
 
 
-def striction_parameter(R: RuledChart, u: float) -> float:
-    """Ruling parameter of the striction point on the line at u."""
-    return striction_frame(R, u)[0]
-
-
-def striction_curve(R: RuledChart):
-    """Striction curve s(u) = c(u) + v_s(u) e(u)."""
-    return lambda u: striction_frame(R, u)[1]
-
-
-@dataclass(frozen=True)
-class PedalCircle:
-    """Pedal circle of a ruling line: Thales circle over O and the foot."""
-
-    center: np.ndarray
-    radius: float
-    normal: np.ndarray  # unit normal of the carrier plane x.e = 0
-
-    def point(self, t: float) -> np.ndarray:
-        """Point of the circle at angle t, via a frame in the carrier plane."""
-        a, b = _plane_frame(self.normal)
-        return self.center + self.radius * (math.cos(t) * a + math.sin(t) * b)
-
-
-def _plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Gram-Schmidt against a fixed generic vector; continuity across
-    # parameter flips is not guaranteed at isolated u.
-    n = normal / np.linalg.norm(normal)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(n @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    a = ref - (ref @ n) * n
-    a = a / np.linalg.norm(a)
-    return a, np.cross(n, a)
-
-
-def pedal_circle(R: RuledChart, u: float) -> PedalCircle:
-    """Circle with diameter from O to the foot-point of the one ruling at u."""
-    if np.ndim(u) != 0:
-        raise ValueError(f"pedal_circle takes one ruling parameter, got shape {np.shape(u)}")
-    d = footpoint_curve(R)(u)
-    if np.linalg.norm(d) < _EPS:
-        raise LineThroughOrigin(f"ruling line at u={u:.6g} passes through O")
-    e = R.direction(u)
-    return PedalCircle(d / 2.0, float(np.linalg.norm(d)) / 2.0, e / np.linalg.norm(e))
-
-
-@dataclass(frozen=True)
-class ConicFamily:
-    """Conic family a1(u) y1^2 + a2(u) y2^2 - y0^2 = 0 with a1, a2 > 0."""
-
-    a1: object  # u -> float
-    a2: object
-
-
 def striction_frame(R: RuledChart, u: float):
     """(v_s, s, e, n_s, n2) at u: striction parameter and point, ruling
     direction and the orthogonal normal components n_s = s' x e, n2 = e' x e.
@@ -173,23 +117,6 @@ def striction_frame(R: RuledChart, u: float):
     vs = -rowdot(n1, n2) / rowdot(n2, n2)
     w = vs[..., None]
     return vs, np.asarray(R.c(u), float) + w * e, e, n1 + w * n2, n2
-
-
-def conic_family(R: RuledChart) -> ConicFamily:
-    """Squared-norm conics of the striction-framed normal field.
-
-    a1 = |s' x e|^2 and a2 = |e' x e|^2 encode |n|^2 = a1 + v^2 a2.
-    """
-
-    def a1(u):
-        ns = striction_frame(R, u)[3]
-        return rowdot(ns, ns)
-
-    def a2(u):
-        n2 = striction_frame(R, u)[4]
-        return rowdot(n2, n2)
-
-    return ConicFamily(a1=a1, a2=a2)
 
 
 def conic_point_param(a1: float, a2: float, t: float) -> tuple[float, float, float]:
@@ -273,6 +200,8 @@ def polar_pedal_of_ruled(R: RuledChart, domain: Domain | None = None) -> PolarSu
 
     g(u,t) = (f.n/|n|) n/|n| with the rational normal length of
     ``rational_offset_ruled``; ``conchoid_map`` gives the conchoid g_d.
+    The feet of the ruling at u lie on its pedal circle: in the plane
+    x.e(u) = 0, at distance |d(u)|/2 from d(u)/2 (d = ``footpoint_curve``).
     """
     F = rational_offset_ruled(R, 0.0, domain)
 

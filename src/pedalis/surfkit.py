@@ -250,10 +250,7 @@ def gamma(s_chart: Chart, r_chart: Chart) -> PolarSurface:
 
 def _shift_chart(e: Chart, d: float) -> Chart:
     """The chart e + d; its partials are those of e."""
-    f = e._f
-    return Chart(lambda u, v: np.asarray(f(u, v), float) + d,
-                 e._du if e._du is not None else e.du,
-                 e._dv if e._dv is not None else e.dv, e.domain)
+    return Chart(lambda u, v: np.asarray(e(u, v), float) + d, e.du, e.dv, e.domain)
 
 
 def offset_map(F: DualSurface, d: float) -> DualSurface:

@@ -257,10 +257,12 @@ def _check_extras(rng, samples):
     results.append(("pentaspherical_lift", {"max_dev": worst, "closed_form": float(closed)},
                     worst < 1e-9 and closed))
     # rational-norm identities for ruled offsets
+    # the Pluecker conoid, its directrix moved half a unit along each ruling,
+    # off the striction line and off the foot-point curve (0, 0, sin 2u)
     plu = ruledpedal.RuledChart(
-        lambda u: vector_rows(u, 0.0, 0.0, np.sin(2 * u)),
+        lambda u: vector_rows(u, np.cos(u) / 2, np.sin(u) / 2, np.sin(2 * u)),
         lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
-        dc=lambda u: vector_rows(u, 0.0, 0.0, 2 * np.cos(2 * u)),
+        dc=lambda u: vector_rows(u, -np.sin(u) / 2, np.cos(u) / 2, 2 * np.cos(2 * u)),
         de=lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
         domain=Domain(0.1, 1.2, 0.15, 0.85),
     )
@@ -274,8 +276,15 @@ def _check_extras(rng, samples):
     e0 = rowdot(f, n)
     support = float(np.max([np.abs((G.e(U, T) - e0) / length - d)
                             for d, G in offsets.items()]))
-    results.append(("ratnorm_ruled", {"max_dev": worst, "support_dev": support},
-                    worst < 1e-9 and support < WITNESS_BOUND))
+    # pedal circles: the feet of the ruling at u lie in the plane x.e = 0, at
+    # distance |d|/2 from d/2; |d.e| catches a foot point moved along e
+    x = ruledpedal.polar_pedal_of_ruled(plu).point(U, T)
+    d, e = ruledpedal.footpoint_curve(plu)(U), plu.direction(U)
+    circle = float(np.max(np.abs(_length(x - d / 2) - _length(d) / 2)
+                          + np.abs(rowdot(x, e)) + np.abs(rowdot(d, e))))
+    results.append(("ratnorm_ruled",
+                    {"max_dev": worst, "support_dev": support, "pedal_circle_dev": circle},
+                    worst < 1e-9 and support < WITNESS_BOUND and circle < WITNESS_BOUND))
     # the conoid's tangent normal g_u x g_v = (-2c sin u, 2c cos u, -v), c = cos 2u,
     # has the rational length w = 2c / sin T on the ray v = w cos T
     U, T = Domain(0.0, 2.0 * math.pi, 0.2, 1.4).grid(30, 30)

@@ -12,19 +12,16 @@ from pedalis.errors import (
     ZeroDirection,
 )
 from pedalis.gallery import get_entry, residual_report
+from pedalis.projmaps import rowdot
 from pedalis.ruledpedal import (
     RuledChart,
-    conic_family,
     conic_point_param,
     footpoint_curve,
     parabolic_cylinder_of_line,
-    pedal_circle,
     polar_norm_reparam,
     polar_pedal_of_ruled,
     rational_offset_ruled,
-    striction_curve,
     striction_frame,
-    striction_parameter,
 )
 from pedalis.surfkit import (
     Domain,
@@ -104,74 +101,45 @@ class TestFootpointCurve:
 
 class TestStriction:
     def test_helicoid_striction_is_axis(self):
-        R = helicoid_chart()
-        assert abs(striction_parameter(R, 0.4)) < 1e-12
-        s = striction_curve(R)
-        assert np.max(np.abs(s(0.4) - [0, 0, 0.4])) < 1e-12
+        vs, s, _, _, _ = striction_frame(helicoid_chart(), 0.4)
+        assert abs(vs) < 1e-12
+        assert np.max(np.abs(s - [0, 0, 0.4])) < 1e-12
 
     def test_cylinder_rejected(self):
         with pytest.raises(CylindricalRuling):
-            striction_parameter(cylinder_chart(), 0.3)
+            striction_frame(cylinder_chart(), 0.3)
 
     def test_pluecker_striction_property(self):
         R = pluecker_chart()
-        fam = conic_family(R)
         # defining property: striction normal orthogonal to e' x e
-        from pedalis.ruledpedal import striction_frame
         for u in np.linspace(0.15, 1.15, 11):
             _, _, _, ns, n2 = striction_frame(R, u)
             assert abs(float(ns @ n2)) < 1e-10
 
 
-class TestPedalCircle:
-    def test_line_circle(self):
-        R = RuledChart(lambda u: np.array([0.0, 1.0, 0.0]),
-                       lambda u: np.array([1.0, 0.0, 0.0]))
-        circ = pedal_circle(R, 0.0)
-        assert np.allclose(circ.center, [0, 0.5, 0])
-        assert abs(circ.radius - 0.5) < 1e-15
-        assert np.allclose(circ.normal, [1, 0, 0])
-
-    def test_line_through_origin_degenerate(self):
-        R = RuledChart(lambda u: np.array([0.0, 0.0, 0.0]),
-                       lambda u: np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(LineThroughOrigin):
-            pedal_circle(R, 0.0)
-
-    def test_array_of_rulings_rejected(self):
-        # np.linalg.norm of (2, 3) foot points would give both rows one radius
-        R = RuledChart(lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
-                       lambda u: vector_rows(u, -np.sin(u), np.cos(u), 1.0))
-        assert pedal_circle(R, 0.3).radius == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            pedal_circle(R, np.array([0.3, 0.5]))
-
-    def test_circle_points_satisfy_equations(self):
-        R = pluecker_chart()
-        circ = pedal_circle(R, 0.5)
-        e = R.direction(0.5)
-        for t in np.linspace(0, 2 * math.pi, 17):
-            p = circ.point(t)
-            assert abs(float((p - circ.center) @ (p - circ.center)) - circ.radius ** 2) < 1e-10
-            assert abs(float(p @ e)) < 1e-10
+def conic_coefficients(R, u):
+    """(a1, a2) = (|s' x e|^2, |e' x e|^2), as RuledOffsetSurface.assemble
+    passes them to conic_point_param: |n|^2 = a1 + v^2 a2."""
+    _, _, _, ns, n2 = striction_frame(R, u)
+    return rowdot(ns, ns), rowdot(n2, n2)
 
 
 class TestConicFamily:
     def test_helicoid_unit_coefficients(self):
-        fam = conic_family(helicoid_chart())
-        assert abs(fam.a1(0.7) - 1.0) < 1e-12
-        assert abs(fam.a2(0.7) - 1.0) < 1e-12
+        a1, a2 = conic_coefficients(helicoid_chart(), 0.7)
+        assert abs(a1 - 1.0) < 1e-12
+        assert abs(a2 - 1.0) < 1e-12
 
     def test_pluecker_coefficients(self):
-        fam = conic_family(pluecker_chart())
         for u in np.linspace(0.15, 1.1, 9):
-            assert abs(fam.a1(u) - 4.0 * math.cos(2 * u) ** 2) < 1e-12
-            assert abs(fam.a2(u) - 1.0) < 1e-12
+            a1, a2 = conic_coefficients(pluecker_chart(), u)
+            assert abs(a1 - 4.0 * math.cos(2 * u) ** 2) < 1e-12
+            assert abs(a2 - 1.0) < 1e-12
 
     def test_positive(self):
-        fam = conic_family(pluecker_chart())
         for u in np.linspace(0.15, 1.1, 9):
-            assert fam.a1(u) > 0 and fam.a2(u) > 0
+            a1, a2 = conic_coefficients(pluecker_chart(), u)
+            assert a1 > 0 and a2 > 0
 
 
 class TestConicPointParam:
@@ -280,12 +248,16 @@ class TestPolarPedal:
         assert residual_report(G, entry.point_family(0.5), 30, 30).max < 1e-8
 
     def test_pedal_points_in_carrier_planes(self):
+        # the tangent planes along the ruling at u map to its pedal circle: the
+        # feet lie in the plane x.e(u) = 0, at distance |d(u)|/2 from d(u)/2
         R = pluecker_chart()
-        G = polar_pedal_of_ruled(R)
-        for u in np.linspace(0.15, 1.15, 9):
-            e = R.direction(u)
-            for t in np.linspace(0.2, 0.8, 9):
-                assert abs(float(G.point(u, t) @ e)) < 1e-9
+        d = footpoint_curve(R)
+        for G in (polar_pedal_of_ruled(R), construct(R.surface, "pedal")):
+            U, T = G.domain.grid(9, 9)
+            x, du, e = G.point(U, T), d(U), R.direction(U)
+            assert np.max(np.abs(rowdot(x, e))) <= 1e-12
+            assert np.max(np.abs(np.sqrt(rowdot(x - du / 2, x - du / 2))
+                                 - np.sqrt(rowdot(du, du)) / 2)) <= 1e-12
 
 
 class TestInversePedal:

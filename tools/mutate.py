@@ -61,7 +61,7 @@ MUTANTS = [
     Mutant("offset sign", "surfkit", "point_offset",
            "G.point(u, v) + d * n / np.sqrt(rowdot(n, n))[..., None]", "flip"),
     Mutant("pedal foot point scaled", "surfkit", "dual_to_point", "alpha_affine(n, e)", "scale"),
-    Mutant("shifted chart sign", "surfkit", "_shift_chart", "np.asarray(f(u, v), float) + d",
+    Mutant("shifted chart sign", "surfkit", "_shift_chart", "np.asarray(e(u, v), float) + d",
            "flip"),
     Mutant("envelope rows n_u, n_v swapped", "surfkit", "envelope_solve",
            "(F.n(u, v), F.n.du(u, v), F.n.dv(u, v))", "swap", (1, 2)),
@@ -108,6 +108,12 @@ MUTANTS = [
            "v * np.asarray(self.e(u), float)", "scale"),
     Mutant("ruled offset support sign", "ruledpedal", "RuledOffsetSurface.__init__",
            "rowdot(f, n) + d * (y0 / y1)", "flip"),
+    Mutant("striction parameter sign", "ruledpedal", "striction_frame",
+           "-rowdot(n1, n2) / rowdot(n2, n2)", "flip"),
+    Mutant("polar pedal radius scaled", "ruledpedal", "polar_pedal_of_ruled",
+           "rowdot(f, n) / (y0 / y1)", "scale"),
+    Mutant("foot point scaled", "ruledpedal", "footpoint_curve",
+           "rowdot(c, e) / rowdot(e, e)", "scale"),
     Mutant("bisector factor scaled", "quadricpedal", "bisector_from_inverse_pedal", "0.5",
            "scale"),
     Mutant("pentaspherical lift sign", "quadricpedal", "pentaspherical_point", "s - 1.0", "flip"),
