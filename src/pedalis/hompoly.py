@@ -56,12 +56,11 @@ def _as_fraction(c) -> Fraction:
 
 
 # -- term-dict arithmetic -------------------------------------------------
-# Exact arithmetic runs on plain {exponents: coefficient} dicts.  The hot
-# loops (powers, pullback, strip, offset family) scale their input once to
-# integer numerators over one common denominator, run on ints, and build
-# the Fractions, and the HomPoly4, once per result: ``HomPoly4._trusted``
-# takes the terms as they are, because the kernel built them from
-# validated input.
+# Exact arithmetic runs on plain {exponents: coefficient} dicts.  A HomPoly4
+# holds integer numerators over one common denominator, so the hot loops
+# (powers, pullback, strip, offset family) run on ints from end to end and
+# build one HomPoly4 per result: ``HomPoly4._trusted`` takes the numerators
+# as they are, because the kernel built them from validated input.
 
 _CONST: Exponents = (0, 0, 0, 0)
 # the exceptional quadric v1^2 + v2^2 + v3^2 of either space
@@ -180,9 +179,11 @@ def _divide_terms(dividend: dict, divisor: dict) -> dict:
 
 
 class HomPoly4:
-    """Homogeneous polynomial in 4 variables with exact coefficients."""
+    """Homogeneous polynomial in 4 variables with exact coefficients: the
+    integers ``_nums`` over one denominator ``_den > 0``, with no common
+    factor, so equal polynomials hold equal numerators and denominators."""
 
-    __slots__ = ("space", "terms", "degree")
+    __slots__ = ("space", "_nums", "_den", "_terms", "degree")
 
     def __init__(self, space: Space, terms):
         clean: dict[Exponents, Fraction] = {}
@@ -204,19 +205,31 @@ class HomPoly4:
                 raise ValueError("terms of different total degree")
             clean[exps] = coeff
         self.space = space
-        self.terms = clean
+        self._nums, self._den = _numerators(clean)  # reduced, as each Fraction is
+        self._terms = clean
         # degree of the zero polynomial is -1 by convention
         self.degree = -1 if degree is None else degree
 
     @classmethod
-    def _trusted(cls, space: Space, terms: dict) -> "HomPoly4":
-        """A kernel result, taken as it is: Fraction coefficients, no zero
-        terms and one total degree, which the building code guarantees."""
+    def _trusted(cls, space: Space, nums: dict, den: int) -> "HomPoly4":
+        """A kernel result nums / den (ints, no zero terms, one total degree,
+        den > 0, as the building code guarantees) with the gcd taken out."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
         poly = object.__new__(cls)
         poly.space = space
-        poly.terms = terms
-        poly.degree = sum(next(iter(terms))) if terms else -1
+        poly._nums, poly._den, poly._terms = nums, den, None
+        poly.degree = sum(next(iter(nums))) if nums else -1
         return poly
+
+    @property
+    def terms(self) -> dict:
+        """{exponents: Fraction} view of _nums / _den, cached on first read; do not modify."""
+        if self._terms is None:
+            self._terms = {e: Fraction(n, self._den) for e, n in self._nums.items()}
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -242,58 +255,68 @@ class HomPoly4:
             raise SpaceMismatch("operands live in different spaces")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
+
+    def _add(self, other: "HomPoly4", sign: int) -> "HomPoly4":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_space(other)
+        if self._nums and other._nums and self.degree != other.degree:
+            raise ValueError("terms of different total degree")
+        den = math.lcm(self._den, other._den)
+        nums = {e: den // self._den * n for e, n in self._nums.items()}
+        _add_terms(nums, other._nums, sign * (den // other._den))
+        return HomPoly4._trusted(self.space, nums, den)
 
     def __add__(self, other: "HomPoly4") -> "HomPoly4":
-        self._check_space(other)
-        return HomPoly4(self.space, _add_terms(dict(self.terms), other.terms))
+        return self._add(other, 1)
 
     def __sub__(self, other: "HomPoly4") -> "HomPoly4":
-        self._check_space(other)
-        return HomPoly4(self.space, _add_terms(dict(self.terms), other.terms, -1))
+        return self._add(other, -1)
 
     def __neg__(self) -> "HomPoly4":
-        return HomPoly4._trusted(self.space, {e: -c for e, c in self.terms.items()})
+        return HomPoly4._trusted(self.space, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, HomPoly4):
             self._check_space(other)
-            return HomPoly4._trusted(self.space, _mul_terms(self.terms, other.terms))
-        c = _as_fraction(other)
-        return HomPoly4(self.space, {e: c * v for e, v in self.terms.items()})
+            return HomPoly4._trusted(self.space, _mul_terms(self._nums, other._nums),
+                                     self._den * other._den)
+        p, q = _as_fraction(other).as_integer_ratio()  # p == 0 gives no terms
+        return HomPoly4._trusted(self.space, {e: p * n for e, n in self._nums.items() if p},
+                                 q * self._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "HomPoly4":
         if n < 0:
             raise ValueError("negative power")
-        return HomPoly4(self.space, _pow_terms(self.terms, n))
+        return HomPoly4._trusted(self.space, _pow_terms(self._nums, n), self._den ** n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomPoly4):
             return NotImplemented
-        return self.space is other.space and self.terms == other.terms
+        return self.space is other.space and (self._den, self._nums) == (other._den, other._nums)
 
     def __hash__(self):
         raise TypeError("HomPoly4 is unhashable")
 
     def equals_up_to_scale(self, other: "HomPoly4") -> bool:
         """Exact equality up to one nonzero rational factor."""
-        if self.space is not other.space:
+        mine, theirs = self._nums, other._nums
+        if self.space is not other.space or mine.keys() != theirs.keys():
             return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
+        if not mine:
+            return True
         lead = self.leading_monomial()
-        if lead not in other.terms:
-            return False
-        lam = other.terms[lead] / self.terms[lead]
-        return other == self * lam
+        # the numerators of other are those of self times a / b
+        a, b = theirs[lead], mine[lead]
+        return all(b * theirs[e] == a * n for e, n in mine.items())
 
     def leading_monomial(self) -> Exponents:
         """Largest exponent tuple in graded-lexicographic order."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda e: (sum(e), e))
+        return max(self._nums, key=lambda e: (sum(e), e))
 
     # -- evaluation ----------------------------------------------------
 
@@ -359,7 +382,7 @@ class HomPoly4:
             raise ZeroDivisionError("division by the zero polynomial")
         lc = divisor.terms[divisor.leading_monomial()]
         quot = _divide_terms(self.terms, {e: c / lc for e, c in divisor.terms.items()})
-        return HomPoly4._trusted(self.space, {e: c / lc for e, c in quot.items()})
+        return HomPoly4(self.space, {e: c / lc for e, c in quot.items()})
 
 
 # -- pullbacks ----------------------------------------------------------
@@ -369,12 +392,12 @@ def _pullback(poly: HomPoly4, src: Space) -> HomPoly4:
     """Substitute v0 <- -(quadform), vi <- w0*wi into a polynomial."""
     if poly.space is not src:
         raise SpaceMismatch(f"expected a {src.name} polynomial")
-    nums, den = _numerators(poly.terms)
+    nums = poly._nums
     qpow = _quadform_powers(max((e[0] for e in nums), default=0))
     terms: dict[Exponents, int] = {}
     for (e0, e1, e2, e3), n in nums.items():
         _add_terms(terms, qpow[e0], -n if e0 % 2 else n, (e1 + e2 + e3, e1, e2, e3))
-    return HomPoly4._trusted(src.other, {e: Fraction(n, den) for e, n in terms.items()})
+    return HomPoly4._trusted(src.other, terms, poly._den)
 
 
 def pedal_pullback(fstar: HomPoly4) -> HomPoly4:
@@ -405,10 +428,9 @@ def strip_exceptional(poly: HomPoly4) -> StripResult:
     """
     if poly.is_zero():
         raise ValueError("cannot strip the zero polynomial")
-    r = min(e[0] for e in poly.terms)
-    terms = {(e0 - r, e1, e2, e3): c for (e0, e1, e2, e3), c in poly.terms.items()}
+    r = min(e[0] for e in poly._nums)
+    reduced = {(e0 - r, e1, e2, e3): n for (e0, e1, e2, e3), n in poly._nums.items()}
     # the quadform is monic, so every quotient of integer numerators is integral
-    reduced, den = _numerators(terms)
     k = 0
     while True:
         try:
@@ -416,9 +438,7 @@ def strip_exceptional(poly: HomPoly4) -> StripResult:
         except NotDivisible:
             break
         k += 1
-    if k:  # else the input's coefficients serve as they are
-        terms = {e: Fraction(n, den) for e, n in reduced.items()}
-    return StripResult(HomPoly4._trusted(poly.space, terms), r, k)
+    return StripResult(HomPoly4._trusted(poly.space, reduced, poly._den), r, k)
 
 
 def degree_bookkeeping(fstar: HomPoly4) -> tuple[int, int, int, int]:
@@ -451,7 +471,7 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
     # t = d*sqrt(Q) with t^2 = d^2*Q; expand fstar(u0 + t, u) = even + t*odd.
     # With m = max(e0) // 2, even and odd are integers over den*q^(2m): the
     # t^(2j) part of a term carries p^(2j) * q^(2(m-j)) * Q^j.
-    nums, den = _numerators(fstar.terms)
+    nums, den = fstar._nums, fstar._den
     m = max((e[0] for e in nums), default=0) // 2
     qpow = _quadform_powers(m)
     scale = [p ** (2 * j) * q ** (2 * (m - j)) for j in range(m + 1)]
@@ -463,8 +483,7 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
     # (even + t*odd) * (even - t*odd) = (q^2*even^2 - p^2*Q*odd^2) / (den*q^(2m)*q)^2
     terms = {e: q * q * c for e, c in _square_terms(even).items()}
     _add_terms(terms, _mul_terms(_QUADFORM, _square_terms(odd)), -p * p)
-    den = (den * q ** (2 * m + 1)) ** 2
-    return HomPoly4._trusted(Space.DUAL, {e: Fraction(c, den) for e, c in terms.items()})
+    return HomPoly4._trusted(Space.DUAL, terms, (den * q ** (2 * m + 1)) ** 2)
 
 
 # -- canonical text form --------------------------------------------------
@@ -477,13 +496,15 @@ def format_poly(poly: HomPoly4) -> str:
     p0, p1, p2, p3 = ([""] + [f"{v}^{e}" for e in range(1, poly.degree + 1)]
                       for v in poly.space.variables)
     parts = []
+    nums, den = poly._nums, poly._den
     # one degree, so graded-lex order is lex order on the exponent tuples
-    for exps in sorted(poly.terms, reverse=True):
-        c = poly.terms[exps]
+    for exps in sorted(nums, reverse=True):
+        num = nums[exps]
+        g = math.gcd(num, den)
+        num, q = num // g, den // g
         e0, e1, e2, e3 = exps
         mono = "*".join([s for s in (p0[e0], p1[e1], p2[e2], p3[e3]) if s])
-        num, den = c.numerator, c.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        mag = str(abs(num)) if q == 1 else f"{abs(num)}/{q}"
         if not mono:
             body = mag
         elif mag == "1":
@@ -577,5 +598,4 @@ def parse_poly(text: str, space: Space | None = None) -> HomPoly4:
     # the hooks build no zero terms and no negative exponents
     if len({sum(e) for e in terms}) > 1:
         raise ValueError("terms of different total degree")
-    return HomPoly4._trusted(hooks.space, {e: Fraction(c) if type(c) is int else c
-                                           for e, c in terms.items()})
+    return HomPoly4._trusted(hooks.space, *_numerators(terms))  # int and Fraction terms

@@ -231,7 +231,7 @@ def _check_extras(rng, samples):
     ok_focal = focal is not None
     if ok_focal:
         q, lin = focal
-        expect = parse_poly("4*x3 + x0")
+        expect = parse_poly("8*x3 + 2*x0")  # at scale 2, so a wrong scale shows
         ok_focal = lin.equals_up_to_scale(expect)
     ok_focal = ok_focal and quadricpedal.focal_degeneracy_check(1, 1, 1) is None
     results.append(("focal_factorization", {"exact": float(ok_focal)}, ok_focal))

@@ -1,13 +1,15 @@
 """Kernel results skip the validating constructor; they must still be valid.
 
-``HomPoly4._trusted`` takes the terms of a result as the kernel built
-them.  Every such result must look exactly like what the validating
-``HomPoly4(space, terms)`` makes of the same terms: Fraction coefficients,
-no zero terms and one total degree.  The validating constructor itself
-still rejects bad caller input with the same messages.
+``HomPoly4._trusted`` takes the integer numerators of a result as the
+kernel built them, over one denominator.  Every such result must look
+exactly like what the validating ``HomPoly4(space, terms)`` makes of the
+same terms: one reduced integer form, Fraction coefficients in its
+``terms`` view, no zero terms and one total degree.  The validating
+constructor itself still rejects bad caller input with the same messages.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,11 @@ def assert_valid(poly: HomPoly4):
         assert sum(e) == poly.degree
     if not poly.terms:
         assert poly.degree == -1
+    assert type(poly._den) is int and poly._den >= 1
+    assert all(type(n) is int for n in poly._nums.values())
+    assert math.gcd(poly._den, *poly._nums.values()) == 1
+    assert list(poly._nums) == list(poly.terms)
+    assert all(Fraction(n, poly._den) == poly.terms[e] for e, n in poly._nums.items())
     rebuilt = HomPoly4(poly.space, dict(poly.terms))
     assert rebuilt == poly and rebuilt.degree == poly.degree
     assert list(rebuilt.terms) == list(poly.terms)  # same order, so the same text
@@ -93,6 +100,43 @@ class TestKernelResults:
         q = parse_poly("u0 - 2*u1")
         for poly in (-p, p * q, (p * q).exact_divide(q), p ** 2, p + q * q, p - p, p * 0):
             assert_valid(poly)
+
+
+class TestIntegerForm:
+    def test_chains_never_build_the_terms_view(self, monkeypatch):
+        """The timed chains run on numerators from parse to format."""
+        dual = "u0^2*(u1^2 + u2^2 + u3^2)*(u0 - u1/2 + 3/5*u3)"
+
+        def chains():
+            return [format_poly(strip_exceptional(pedal_pullback(parse_poly(dual))).reduced),
+                    format_poly(offset_dual_poly(parse_poly(dual), Fraction(3, 7))),
+                    format_poly(inverse_pedal_pullback(parse_poly("x0*x1 - x3^2/3")))]
+
+        def no_view(poly):
+            raise AssertionError("a kernel read the Fraction view")
+
+        expected = chains()
+        monkeypatch.setattr(HomPoly4, "terms", property(no_view))
+        assert chains() == expected
+
+    @pytest.mark.parametrize("scale", [Fraction(-3, 7), 5])
+    def test_equals_up_to_scale(self, scale):
+        p = parse_poly("u0^2 - u1*u3/2 + 3*u2^2")
+        assert p.equals_up_to_scale(p * scale) and (p * scale).equals_up_to_scale(p)
+        assert not p.equals_up_to_scale(p * scale + parse_poly("u1^2"))
+        assert not p.equals_up_to_scale(parse_poly("u0^2 - u1*u3/2"))
+
+    def test_sum_of_mixed_degrees(self):
+        with pytest.raises(ValueError, match=r"^terms of different total degree$"):
+            parse_poly("u0 + u1") + parse_poly("u1^2")
+        with pytest.raises(ValueError, match=r"^terms of different total degree$"):
+            parse_poly("u0") - parse_poly("u1^2")
+
+    def test_times_zero(self):
+        zero = parse_poly("u0^2 - u1*u3/2") * 0
+        assert zero.is_zero() and zero.degree == -1 and zero == HomPoly4.zero(Space.DUAL)
+        assert zero._den == 1
+        assert_valid(zero)
 
 
 class TestValidatingConstructor:

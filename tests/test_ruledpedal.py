@@ -34,11 +34,13 @@ from pedalis.surfkit import (
 )
 
 
-def pluecker_chart(domain=Domain(0.1, 1.2, 0.15, 0.85)):
+def pluecker_chart(domain=Domain(0.1, 1.2, 0.15, 0.85), along=0.0):
+    """The Pluecker conoid; its directrix sits ``along`` units along each
+    ruling from the striction line (0, 0, sin 2u)."""
     return RuledChart(
-        lambda u: vector_rows(u, 0.0, 0.0, np.sin(2 * u)),
+        lambda u: vector_rows(u, along * np.cos(u), along * np.sin(u), np.sin(2 * u)),
         lambda u: vector_rows(u, np.cos(u), np.sin(u), 0.0),
-        dc=lambda u: vector_rows(u, 0.0, 0.0, 2 * np.cos(2 * u)),
+        dc=lambda u: vector_rows(u, -along * np.sin(u), along * np.cos(u), 2 * np.cos(2 * u)),
         de=lambda u: vector_rows(u, -np.sin(u), np.cos(u), 0.0),
         domain=domain,
     )
@@ -108,6 +110,13 @@ class TestStriction:
     def test_cylinder_rejected(self):
         with pytest.raises(CylindricalRuling):
             striction_frame(cylinder_chart(), 0.3)
+
+    def test_moved_directrix_striction(self):
+        # verify's ratnorm_ruled chart: the striction line lies half a unit back
+        U = np.linspace(0.1, 1.2, 12)
+        vs, s, _, _, _ = striction_frame(pluecker_chart(along=0.5), U)
+        assert np.max(np.abs(vs + 0.5)) < 1e-12
+        assert np.max(np.abs(s - vector_rows(U, 0.0, 0.0, np.sin(2 * U)))) < 1e-12
 
     def test_pluecker_striction_property(self):
         R = pluecker_chart()

@@ -43,7 +43,8 @@ class Mutant:
     elements i and j of a tuple or call, or the branches of an if-else
     expression), ``scale`` (multiply a constant or an expression by 1.0001),
     ``shift`` (add 1 to an integer expression), ``unwrap`` (replace a
-    call by its first argument) or ``muldiv`` (swap * and /).
+    call by its first argument), ``muldiv`` (swap * and /) or ``one``
+    (replace an expression by 1).
     """
 
     name: str
@@ -102,7 +103,12 @@ MUTANTS = [
     Mutant("monomial run coefficient sign", "hompoly", "_PolyHooks.monomial",
            "Fraction(int(p), int(q)) if q else int(p)", "flip"),
     Mutant("kernel result degree off by one", "hompoly", "HomPoly4._trusted",
-           "sum(next(iter(terms)))", "shift"),
+           "sum(next(iter(nums)))", "shift"),
+    Mutant("kernel result left unreduced", "hompoly", "HomPoly4._trusted",
+           "math.gcd(den, *nums.values())", "one"),
+    # every comparison of verify but focal_factorization meets at scale +-1
+    Mutant("scale factor inverted", "hompoly", "HomPoly4.equals_up_to_scale",
+           "(theirs[lead], mine[lead])", "swap"),
     # the construction modules
     Mutant("ruled point scaled", "ruledpedal", "RuledChart.point",
            "v * np.asarray(self.e(u), float)", "scale"),
@@ -179,6 +185,8 @@ def _rewrite(node: ast.expr, mutant: Mutant) -> ast.expr:
     if mutant.kind == "muldiv":
         node.op = ast.Div() if isinstance(node.op, ast.Mult) else ast.Mult()
         return node
+    if mutant.kind == "one":
+        return ast.Constant(1)
     raise ValueError(f"unknown mutation kind {mutant.kind!r}")
 
 
