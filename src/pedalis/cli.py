@@ -21,12 +21,8 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-# the other layers are imported by the commands that run them
-from . import projmaps
+# numpy and the other layers are imported by the commands that run them
 from .errors import EmptyMesh, GeometryError
-from .projmaps import HPlane, HPoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +67,7 @@ def _parse_tuple(text, n):
     parts = text.split(",")
     if len(parts) != n or not all(p.strip() for p in parts):
         raise ValueError(f"expected {n} comma-separated numbers, got {text!r}")
-    return np.array([float(_rational(p, "coordinate")) for p in parts])
+    return [float(_rational(p, "coordinate")) for p in parts]
 
 
 def _format_tuple(values):
@@ -79,6 +75,8 @@ def _format_tuple(values):
 
 
 def cmd_map(args) -> int:
+    from . import projmaps
+    from .projmaps import HPlane, HPoint
     fn, kind, option = {
         "alpha": (projmaps.alpha_hom, HPlane, "plane"),
         "alpha-star": (projmaps.alpha_star_hom, HPoint, "point"),
@@ -92,7 +90,7 @@ def cmd_map(args) -> int:
         raise ValueError(f"--op {args.op} needs --{option}")
     tup = kind(_parse_tuple(text, 4))
     if args.op == "alpha-z":
-        z = _parse_tuple(args.z, 3) if args.z else np.zeros(3)
+        z = _parse_tuple(args.z, 3) if args.z else [0.0, 0.0, 0.0]
         print(_format_tuple(fn(tup.to_affine(), z)))
     elif not args.dehomogenize:
         print(_format_tuple(fn(tup).canonical()))
@@ -100,7 +98,7 @@ def cmd_map(args) -> int:
         out = fn(tup)
         if not isinstance(out, HPoint):
             raise ValueError("--dehomogenize applies to point results")
-        print(_format_tuple(np.concatenate(([1.0], out.dehomogenize()))))
+        print(_format_tuple([1.0, *out.dehomogenize()]))
     return EXIT_OK
 
 
@@ -122,6 +120,8 @@ def cmd_implicit(args) -> int:
             poly = hompoly.parse_poly(fh.read())
     else:
         poly = hompoly.parse_poly(sys.stdin.read())
+    if poly.degree < 1:
+        raise ValueError("implicit needs a polynomial of degree at least 1, not a constant")
     if args.direction == "pedal":
         if poly.space is not hompoly.Space.DUAL:
             raise ValueError("pedal pullbacks start from a dual polynomial (u0..u3)")
@@ -187,6 +187,7 @@ def cmd_verify(args) -> int:
             seed = _nonnegative_int(os.environ.get("PEDALIS_SEED", "0"))
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"PEDALIS_SEED {exc}") from None
+    import numpy as np
     from . import verify
     samples = args.samples
     rng = np.random.default_rng(seed)

@@ -24,12 +24,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import NotDivisible, SpaceMismatch
 # the grammar of polynomial text; parse_poly gives it the _PolyHooks
 from .grammar import parse_text as _parse_text
-from .projmaps import HPlane, HPoint
 
 Exponents = tuple[int, int, int, int]
 
@@ -183,7 +180,7 @@ class HomPoly4:
     integers ``_nums`` over one denominator ``_den > 0``, with no common
     factor, so equal polynomials hold equal numerators and denominators."""
 
-    __slots__ = ("space", "_nums", "_den", "_terms", "degree")
+    __slots__ = ("space", "_nums", "_den", "degree")
 
     def __init__(self, space: Space, terms):
         clean: dict[Exponents, Fraction] = {}
@@ -206,7 +203,6 @@ class HomPoly4:
             clean[exps] = coeff
         self.space = space
         self._nums, self._den = _numerators(clean)  # reduced, as each Fraction is
-        self._terms = clean
         # degree of the zero polynomial is -1 by convention
         self.degree = -1 if degree is None else degree
 
@@ -220,16 +216,14 @@ class HomPoly4:
             den //= g
         poly = object.__new__(cls)
         poly.space = space
-        poly._nums, poly._den, poly._terms = nums, den, None
+        poly._nums, poly._den = nums, den
         poly.degree = sum(next(iter(nums))) if nums else -1
         return poly
 
     @property
     def terms(self) -> dict:
-        """{exponents: Fraction} view of _nums / _den, cached on first read; do not modify."""
-        if self._terms is None:
-            self._terms = {e: Fraction(n, self._den) for e, n in self._nums.items()}
-        return self._terms
+        """{exponents: Fraction} view of _nums / _den, built on each read."""
+        return {e: Fraction(n, self._den) for e, n in self._nums.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -325,6 +319,7 @@ class HomPoly4:
 
         HPoint/HPlane arguments are checked against the space tag.
         """
+        from .projmaps import HPlane, HPoint
         if isinstance(point, HPoint):
             if self.space is not Space.POINT:
                 raise SpaceMismatch("dual polynomial evaluated at a point")
@@ -344,19 +339,21 @@ class HomPoly4:
             total += c * coords[0] ** e0 * coords[1] ** e1 * coords[2] ** e2 * coords[3] ** e3
         return total
 
-    def eval_grid(self, tuples: np.ndarray) -> np.ndarray:
+    def eval_grid(self, tuples):
         """Vectorized float evaluation at an (N, 4) array of tuples.
 
         Each power t_i^e is computed once per call, as |t_i|^e with the sign
         of t_i for odd e: numpy's ``**`` on a negative base can fall back
         from a SIMD ``pow`` to a much slower scalar one.  Products and sums
-        run in term order, left to right.
+        run in term order, left to right.  ``n / den`` rounds as ``float(Fraction)``.
         """
+        import numpy as np
         T = np.asarray(tuples, dtype=float)
         powers: dict[tuple[int, int], np.ndarray] = {}
         out = np.zeros(T.shape[0])
-        for exps, c in self.terms.items():
-            term = np.full(T.shape[0], float(c))
+        den = self._den
+        for exps, n in self._nums.items():
+            term = np.full(T.shape[0], n / den)
             for i, e in enumerate(exps):
                 if e:
                     if (i, e) not in powers:
@@ -368,10 +365,10 @@ class HomPoly4:
 
     def coeff_norm(self) -> float:
         """1-norm of the coefficient vector (used for residual scaling)."""
-        return float(sum(abs(c) for c in self.terms.values()))
+        return sum(map(abs, self._nums.values())) / self._den
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._nums.get(tuple(exps), 0), self._den)
 
     # -- exact division -------------------------------------------------
 
@@ -380,8 +377,9 @@ class HomPoly4:
         self._check_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        lc = divisor.terms[divisor.leading_monomial()]
-        quot = _divide_terms(self.terms, {e: c / lc for e, c in divisor.terms.items()})
+        dterms = divisor.terms
+        lc = dterms[divisor.leading_monomial()]
+        quot = _divide_terms(self.terms, {e: c / lc for e, c in dterms.items()})
         return HomPoly4(self.space, {e: c / lc for e, c in quot.items()})
 
 

@@ -152,6 +152,17 @@ class TestImplicit:
         assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("strip", [(), ("--strip",)], ids=["image", "strip"])
+    @pytest.mark.parametrize("direction, text", [
+        ("pedal", "u0 - u0"), ("pedal", "u0^0"),
+        ("inverse-pedal", "x1 - x1"), ("inverse-pedal", "3*x2^0")])
+    def test_constant_input_is_an_input_error(self, direction, text, strip):
+        # the zero and the nonzero constant alike, with and without --strip
+        res = run("implicit", "--direction", direction, *strip, "--poly", text)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == ("error: implicit needs a polynomial of degree at least 1, "
+                              "not a constant\n")
+
 
 class TestSample:
     def test_gallery_names_match_the_gallery(self):

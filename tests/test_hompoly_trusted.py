@@ -104,13 +104,17 @@ class TestKernelResults:
 
 class TestIntegerForm:
     def test_chains_never_build_the_terms_view(self, monkeypatch):
-        """The timed chains run on numerators from parse to format."""
+        """The timed chains run on numerators from parse to format, and so do
+        the float readers eval_grid and coeff_norm and coefficient."""
         dual = "u0^2*(u1^2 + u2^2 + u3^2)*(u0 - u1/2 + 3/5*u3)"
 
         def chains():
-            return [format_poly(strip_exceptional(pedal_pullback(parse_poly(dual))).reduced),
-                    format_poly(offset_dual_poly(parse_poly(dual), Fraction(3, 7))),
-                    format_poly(inverse_pedal_pullback(parse_poly("x0*x1 - x3^2/3")))]
+            p = parse_poly(dual)
+            return [format_poly(strip_exceptional(pedal_pullback(p)).reduced),
+                    format_poly(offset_dual_poly(p, Fraction(3, 7))),
+                    format_poly(inverse_pedal_pullback(parse_poly("x0*x1 - x3^2/3"))),
+                    p.eval_grid([[1.0, 0.5, -2.0, 3.0]]).tolist(), p.coeff_norm(),
+                    p.coefficient((2, 3, 0, 0)), p.coefficient((0, 5, 0, 0))]
 
         def no_view(poly):
             raise AssertionError("a kernel read the Fraction view")

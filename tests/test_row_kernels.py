@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from pedalis.hompoly import HomPoly4, Space
+from pedalis.hompoly import HomPoly4, Space, offset_dual_poly
 from pedalis.projmaps import (
     EPS_EXCEPTIONAL,
     _quadratic_rows,
@@ -224,6 +224,9 @@ def random_poly(rng, degree, terms, space=Space.POINT):
 
 POLYS = [random_poly(np.random.default_rng(d), d, t)
          for d, t in ((1, 4), (2, 8), (3, 12), (5, 30), (8, 60), (10, 80))]
+# the offset family at 3/7 of a dense dual cubic: a large denominator, not a power of two
+POLYS.append(offset_dual_poly(random_poly(np.random.default_rng(6), 3, 20, Space.DUAL),
+                              Fraction(3, 7)))
 
 
 class TestEvalGrid:
@@ -234,6 +237,7 @@ class TestEvalGrid:
         got = poly.eval_grid(T)
         assert np.isfinite(got).all()
         assert same_bits(got, reduce_eval_grid(poly, T))
+        assert poly.coeff_norm() == float(sum(abs(c) for c in poly.terms.values()))
 
     def test_each_power_within_one_ulp_on_mixed_signs(self):
         rng = np.random.default_rng(8)

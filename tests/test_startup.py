@@ -1,8 +1,9 @@
 """Start-up cost: which pedalis modules a command loads, and the lazy package.
 
 Each command runs in a fresh interpreter, as ``python -m pedalis`` does, and
-reports the sorted ``pedalis*`` entries of ``sys.modules`` at exit.  The sets
-are deterministic, so these tests involve no timing.
+reports the sorted ``pedalis*`` entries of ``sys.modules`` at exit, with
+``numpy`` among them when it was imported.  The sets are deterministic, so
+these tests involve no timing.
 """
 
 import importlib
@@ -25,7 +26,11 @@ sys.argv = ["pedalis", *sys.argv[1:]]
 runpy.run_module("pedalis", run_name="__main__", alter_sys=True)
 """
 
-MAP_LAYERS = ["pedalis", "pedalis.cli", "pedalis.errors", "pedalis.projmaps"]
+# the argument parser and the error types: all that --help or a usage error needs
+CLI_LAYERS = ["pedalis", "pedalis.cli", "pedalis.errors"]
+MAP_LAYERS = sorted([*CLI_LAYERS, "numpy", "pedalis.projmaps"])
+# the exact algebra stands alone: no projmaps and no numpy
+EXACT_LAYERS = sorted([*CLI_LAYERS, "pedalis.grammar", "pedalis.hompoly"])
 
 # the public names of the package, by defining module
 PUBLIC = {
@@ -47,34 +52,42 @@ MODULES = ["errors", "projmaps", "grammar", "hompoly", "surfkit", "sphereatlas",
            "quadricpedal", "gallery", "galleryexact", "verify", "cli", "config"]
 
 
-def loaded(*args):
-    """(exit code, pedalis modules) of ``python -m pedalis ARGS``."""
+def loaded(*args, stdin=None):
+    """(exit code, pedalis modules and "numpy" if loaded) of ``python -m pedalis ARGS``."""
     res = subprocess.run([sys.executable, "-c", _REPORT, *args], capture_output=True,
-                         text=True)
+                         text=True, input=stdin)
     mods = json.loads(res.stdout.splitlines()[-1])
-    return res.returncode, [m for m in mods if m.split(".")[0] == "pedalis"]
+    return res.returncode, [m for m in mods if m.split(".")[0] == "pedalis" or m == "numpy"]
+
+
+def test_map_loads_only_the_maps():
+    assert loaded("map", "--op", "alpha", "--plane", "-1,0,0,1") == (0, MAP_LAYERS)
 
 
 @pytest.mark.parametrize("args, code", [
-    (("map", "--op", "alpha", "--plane", "-1,0,0,1"), 0),
     (("--help",), 0),
     (("map", "--op", "bogus"), 1),
     (("verify", "--seed", "-1"), 1),
-])
-def test_short_commands_load_only_the_maps(args, code):
-    assert loaded(*args) == (code, MAP_LAYERS)
+], ids=["help", "bad-op", "bad-seed"])
+def test_help_and_usage_errors_load_only_the_parser(args, code):
+    assert loaded(*args) == (code, CLI_LAYERS)
 
 
 @pytest.mark.parametrize("value", ["abc", "-3"])
 def test_bad_seed_env_var_exits_before_verify_loads(monkeypatch, value):
     monkeypatch.setenv("PEDALIS_SEED", value)
-    assert loaded("verify") == (1, MAP_LAYERS)
+    assert loaded("verify") == (1, CLI_LAYERS)
 
 
-def test_implicit_adds_only_hompoly():
-    # and the text grammar that parse_poly parses with
-    code, mods = loaded("implicit", "--direction", "pedal", "--poly", "u0*u1^2 - u2^3")
-    assert (code, mods) == (0, sorted([*MAP_LAYERS, "pedalis.grammar", "pedalis.hompoly"]))
+def test_implicit_adds_only_hompoly(tmp_path):
+    # and the text grammar that parse_poly parses with, from each source
+    text = "u0*u1^2 - u2^3"
+    path = tmp_path / "poly.txt"
+    path.write_text(text)
+    args = ("implicit", "--direction", "pedal", "--strip")
+    assert loaded(*args, "--poly", text) == (0, EXACT_LAYERS)
+    assert loaded(*args, "--in", str(path)) == (0, EXACT_LAYERS)
+    assert loaded(*args, stdin=text) == (0, EXACT_LAYERS)
 
 
 def test_gallery_sample_skips_verify_and_the_constructions(tmp_path):

@@ -99,7 +99,9 @@ MUTANTS = [
            "swap", (1, 2)),
     Mutant("eval_grid odd sign", "hompoly", "HomPoly4.eval_grid",
            "np.copysign(p, T[:, i]) if e % 2 else p", "swap"),
-    Mutant("eval_grid coefficient scaled", "hompoly", "HomPoly4.eval_grid", "float(c)", "scale"),
+    Mutant("eval_grid coefficient scaled", "hompoly", "HomPoly4.eval_grid", "n / den", "scale"),
+    Mutant("eval_grid coefficient times denominator", "hompoly", "HomPoly4.eval_grid",
+           "n / den", "muldiv"),
     Mutant("monomial run coefficient sign", "hompoly", "_PolyHooks.monomial",
            "Fraction(int(p), int(q)) if q else int(p)", "flip"),
     Mutant("kernel result degree off by one", "hompoly", "HomPoly4._trusted",
