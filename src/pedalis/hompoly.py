@@ -52,19 +52,60 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
 
 
+# -- packed monomial keys -------------------------------------------------
+# A monomial v0^e0*v1^e1*v2^e2*v3^e3 is keyed by one int, e0 in the top
+# slot: e0 << 24 | e1 << 16 | e2 << 8 | e3.  Each 8-bit slot keeps its top
+# bit (the guard) clear: every exponent and every total degree stays below
+# DEGREE_BOUND, which the constructors and the degree-raising operations
+# check.  So a product of monomials is a sum of keys with no carry from one
+# slot into the next, and key order is lex order on the exponent tuples.
+
+_W = 8  # bits per slot
+DEGREE_BOUND = 1 << (_W - 1)  # 128; exponents and degrees stay below it
+_TOP = 3 * _W  # the shift of the v0 slot
+_SLOT = (1 << _W) - 1
+_LOW = (1 << _TOP) - 1  # the slots of v1, v2, v3
+_GUARD = sum(DEGREE_BOUND << (k * _W) for k in range(4))
+_ONES = sum(1 << (k * _W) for k in range(4))  # key * _ONES sums the slots into the top one
+
+
+def _pack(exps) -> int:
+    """The key of an exponent tuple whose degree is below DEGREE_BOUND."""
+    e0, e1, e2, e3 = exps
+    return e0 << _TOP | e1 << 2 * _W | e2 << _W | e3
+
+
+def _unpack(key: int) -> Exponents:
+    return key >> _TOP, key >> 2 * _W & _SLOT, key >> _W & _SLOT, key & _SLOT
+
+
+def _degree(key: int) -> int:
+    return key * _ONES >> _TOP & _SLOT
+
+
+def _check_degree(degree: int) -> None:
+    """ValueError for a result degree the key layout cannot hold."""
+    if degree >= DEGREE_BOUND:
+        raise ValueError(f"degree {degree} is not below the bound {DEGREE_BOUND}")
+
+
+def _max_degree(terms: dict) -> int:
+    return max(map(_degree, terms), default=0)
+
+
 # -- term-dict arithmetic -------------------------------------------------
-# Exact arithmetic runs on plain {exponents: coefficient} dicts.  A HomPoly4
+# Exact arithmetic runs on plain {key: coefficient} dicts.  A HomPoly4
 # holds integer numerators over one common denominator, so the hot loops
 # (powers, pullback, strip, offset family) run on ints from end to end and
 # build one HomPoly4 per result: ``HomPoly4._trusted`` takes the numerators
-# as they are, because the kernel built them from validated input.
+# as they are, because the kernel built them from validated input.  The
+# callers check the degree bound before a kernel can exceed it.
 
-_CONST: Exponents = (0, 0, 0, 0)
+_CONST = 0  # the key of the constant monomial
 # the exceptional quadric v1^2 + v2^2 + v3^2 of either space
-_QUADFORM = {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1}
-# variable name -> (space, exponents), e.g. "u1" -> (Space.DUAL, (0, 1, 0, 0))
-_VARIABLES = {name: (sp, tuple(int(i == k) for i in range(4)))
-              for sp in Space for k, name in enumerate(sp.variables)}
+_QUADFORM = {2 << 2 * _W: 1, 2 << _W: 1, 2: 1}
+# variable name -> (space, shift of its slot), e.g. "u1" -> (Space.DUAL, 16)
+_VARIABLES = {name: (sp, (3 - k) * _W) for sp in Space for k, name in enumerate(sp.variables)}
 
 
 def _numerators(terms: dict) -> tuple[dict, int]:
@@ -73,11 +114,10 @@ def _numerators(terms: dict) -> tuple[dict, int]:
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
-def _add_terms(acc: dict, terms: dict, scale=1, shift: Exponents = _CONST) -> dict:
+def _add_terms(acc: dict, terms: dict, scale=1, shift: int = _CONST) -> dict:
     """acc += scale * var**shift * terms in place, dropping zeros; returns acc."""
-    s0, s1, s2, s3 = shift
-    for (a0, a1, a2, a3), c in terms.items():
-        e = (s0 + a0, s1 + a1, s2 + a2, s3 + a3)
+    for e, c in terms.items():
+        e += shift
         v = acc.get(e, 0) + c * scale
         if v:
             acc[e] = v
@@ -88,11 +128,12 @@ def _add_terms(acc: dict, terms: dict, scale=1, shift: Exponents = _CONST) -> di
 
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two term dicts."""
-    out: dict[Exponents, Fraction] = {}
-    for (a0, a1, a2, a3), ca in a.items():
-        for (b0, b1, b2, b3), cb in b.items():
-            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            out[e] = out.get(e, 0) + ca * cb
+    out: dict[int, Fraction] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
 
@@ -104,14 +145,15 @@ def _square_terms(a: dict) -> dict:
     pass integer numerators.
     """
     items = list(a.items())
-    out: dict[Exponents, int] = {}
-    for i, ((a0, a1, a2, a3), ca) in enumerate(items):
-        e = (2 * a0, 2 * a1, 2 * a2, 2 * a3)
-        out[e] = out.get(e, 0) + ca * ca
+    out: dict[int, int] = {}
+    get = out.get
+    for i, (ea, ca) in enumerate(items):
+        e = ea << 1
+        out[e] = get(e, 0) + ca * ca
         twice = 2 * ca
-        for (b0, b1, b2, b3), cb in items[i + 1:]:
-            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            out[e] = out.get(e, 0) + twice * cb
+        for eb, cb in items[i + 1:]:
+            e = ea + eb
+            out[e] = get(e, 0) + twice * cb
     return {e: c for e, c in out.items() if c}
 
 
@@ -119,7 +161,7 @@ def _pow_terms(a: dict, n: int) -> dict:
     """a**n by squaring integer numerators; a monomial keeps its coefficient type."""
     if len(a) == 1:
         ((e, c),) = a.items()
-        return {tuple(n * x for x in e): c ** n}
+        return {e * n: c ** n}
     a, den = _numerators(a)
     den **= n
     result = {_CONST: 1}
@@ -144,46 +186,49 @@ def _divide_terms(dividend: dict, divisor: dict) -> dict:
     """Exact quotient by a divisor with leading coefficient 1; NotDivisible
     on any remainder.  No step divides, so integer operands stay integral.
 
-    The operands are homogeneous, so graded-lex order is lex order, and each
-    lead comes off a max-heap of negated exponent tuples.  A popped monomial
-    no longer in the remainder (cancelled, or a repeated entry) is skipped.
+    The operands are homogeneous, so graded-lex order is key order, and each
+    lead comes off a max-heap of negated keys.  A popped monomial no longer
+    in the remainder (cancelled, or a repeated entry) is skipped.  The lead
+    is a multiple of the divisor's lead l when no slot of lead - l borrows,
+    that is, when every guard bit survives subtracting l from lead | _GUARD.
     """
-    l0, l1, l2, l3 = max(divisor)
+    l = max(divisor)
     rem = dict(dividend)
-    heap = [(-e0, -e1, -e2, -e3) for e0, e1, e2, e3 in rem]
+    heap = [-e for e in rem]
     heapq.heapify(heap)
-    quot: dict[Exponents, Fraction] = {}
+    quot: dict[int, Fraction] = {}
     while rem:
-        n0, n1, n2, n3 = heapq.heappop(heap)
-        lead = (-n0, -n1, -n2, -n3)
+        lead = -heapq.heappop(heap)
         if lead not in rem:
             continue
-        q = q0, q1, q2, q3 = (-n0 - l0, -n1 - l1, -n2 - l2, -n3 - l3)
-        if min(q) < 0:
+        if (lead | _GUARD) - l & _GUARD != _GUARD:
             raise NotDivisible("exact division failed")
+        q = lead - l
         qc = quot[q] = rem[lead]  # leads strictly decrease, so each q comes once
-        for (d0, d1, d2, d3), dc in divisor.items():
-            e = (q0 + d0, q1 + d1, q2 + d2, q3 + d3)
+        for d, dc in divisor.items():
+            e = q + d
             old = rem.get(e)
             v = -qc * dc if old is None else old - qc * dc
             if not v:
                 del rem[e]
                 continue
             if old is None:
-                heapq.heappush(heap, (-e[0], -e[1], -e[2], -e[3]))
+                heapq.heappush(heap, -e)
             rem[e] = v
     return quot
 
 
 class HomPoly4:
     """Homogeneous polynomial in 4 variables with exact coefficients: the
-    integers ``_nums`` over one denominator ``_den > 0``, with no common
-    factor, so equal polynomials hold equal numerators and denominators."""
+    integers ``_nums`` (keyed by packed monomials) over one denominator
+    ``_den > 0``, with no common factor, so equal polynomials hold equal
+    numerators and denominators.  The public API takes and gives exponent
+    tuples; the degree stays below DEGREE_BOUND."""
 
     __slots__ = ("space", "_nums", "_den", "degree")
 
     def __init__(self, space: Space, terms):
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         degree = None
         for exps, coeff in (terms if isinstance(terms, dict) else dict(terms)).items():
             try:
@@ -197,10 +242,11 @@ class HomPoly4:
                 continue
             d = sum(exps)
             if degree is None:
+                _check_degree(d)
                 degree = d
             elif d != degree:
                 raise ValueError("terms of different total degree")
-            clean[exps] = coeff
+            clean[_pack(exps)] = coeff
         self.space = space
         self._nums, self._den = _numerators(clean)  # reduced, as each Fraction is
         # degree of the zero polynomial is -1 by convention
@@ -217,13 +263,13 @@ class HomPoly4:
         poly = object.__new__(cls)
         poly.space = space
         poly._nums, poly._den = nums, den
-        poly.degree = sum(next(iter(nums))) if nums else -1
+        poly.degree = _degree(next(iter(nums))) if nums else -1
         return poly
 
     @property
     def terms(self) -> dict:
         """{exponents: Fraction} view of _nums / _den, built on each read."""
-        return {e: Fraction(n, self._den) for e, n in self._nums.items()}
+        return {_unpack(e): Fraction(n, self._den) for e, n in self._nums.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -240,7 +286,7 @@ class HomPoly4:
     @classmethod
     def quadform(cls, space: Space) -> "HomPoly4":
         """The exceptional quadric x1^2+x2^2+x3^2 (resp. u1^2+u2^2+u3^2)."""
-        return cls(space, _QUADFORM)
+        return cls._trusted(space, dict(_QUADFORM), 1)
 
     # -- ring operations ----------------------------------------------
 
@@ -273,6 +319,7 @@ class HomPoly4:
     def __mul__(self, other):
         if isinstance(other, HomPoly4):
             self._check_space(other)
+            _check_degree(self.degree + other.degree)  # a zero factor has degree -1
             return HomPoly4._trusted(self.space, _mul_terms(self._nums, other._nums),
                                      self._den * other._den)
         p, q = _as_fraction(other).as_integer_ratio()  # p == 0 gives no terms
@@ -284,6 +331,7 @@ class HomPoly4:
     def __pow__(self, n: int) -> "HomPoly4":
         if n < 0:
             raise ValueError("negative power")
+        _check_degree(self.degree * n)
         return HomPoly4._trusted(self.space, _pow_terms(self._nums, n), self._den ** n)
 
     def __eq__(self, other) -> bool:
@@ -301,7 +349,7 @@ class HomPoly4:
             return False
         if not mine:
             return True
-        lead = self.leading_monomial()
+        lead = max(mine)
         # the numerators of other are those of self times a / b
         a, b = theirs[lead], mine[lead]
         return all(b * theirs[e] == a * n for e, n in mine.items())
@@ -310,7 +358,7 @@ class HomPoly4:
         """Largest exponent tuple in graded-lexicographic order."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._nums, key=lambda e: (sum(e), e))
+        return _unpack(max(self._nums))  # one degree: key order is graded-lex order
 
     # -- evaluation ----------------------------------------------------
 
@@ -352,9 +400,9 @@ class HomPoly4:
         powers: dict[tuple[int, int], np.ndarray] = {}
         out = np.zeros(T.shape[0])
         den = self._den
-        for exps, n in self._nums.items():
+        for key, n in self._nums.items():
             term = np.full(T.shape[0], n / den)
-            for i, e in enumerate(exps):
+            for i, e in enumerate(_unpack(key)):
                 if e:
                     if (i, e) not in powers:
                         p = np.abs(T[:, i]) ** e
@@ -368,7 +416,10 @@ class HomPoly4:
         return sum(map(abs, self._nums.values())) / self._den
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return Fraction(self._nums.get(tuple(exps), 0), self._den)
+        exps = tuple(exps)
+        if len(exps) != 4 or not all(0 <= e < DEGREE_BOUND for e in exps):
+            return Fraction(0)  # no key holds it
+        return Fraction(self._nums.get(_pack(exps), 0), self._den)
 
     # -- exact division -------------------------------------------------
 
@@ -377,10 +428,13 @@ class HomPoly4:
         self._check_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        dterms = divisor.terms
-        lc = dterms[divisor.leading_monomial()]
-        quot = _divide_terms(self.terms, {e: c / lc for e, c in dterms.items()})
-        return HomPoly4(self.space, {e: c / lc for e, c in quot.items()})
+        dnums = divisor._nums
+        lc = dnums[max(dnums)]
+        # (nums / den) / (dnums / dden) == (nums / den) / (dnums / lc) * (dden / lc)
+        quot = _divide_terms({e: Fraction(n, self._den) for e, n in self._nums.items()},
+                             {e: Fraction(n, lc) for e, n in dnums.items()})
+        scale = Fraction(divisor._den, lc)
+        return HomPoly4._trusted(self.space, *_numerators({e: c * scale for e, c in quot.items()}))
 
 
 # -- pullbacks ----------------------------------------------------------
@@ -390,11 +444,14 @@ def _pullback(poly: HomPoly4, src: Space) -> HomPoly4:
     """Substitute v0 <- -(quadform), vi <- w0*wi into a polynomial."""
     if poly.space is not src:
         raise SpaceMismatch(f"expected a {src.name} polynomial")
-    nums = poly._nums
-    qpow = _quadform_powers(max((e[0] for e in nums), default=0))
-    terms: dict[Exponents, int] = {}
-    for (e0, e1, e2, e3), n in nums.items():
-        _add_terms(terms, qpow[e0], -n if e0 % 2 else n, (e1 + e2 + e3, e1, e2, e3))
+    nums, deg = poly._nums, poly.degree
+    _check_degree(2 * deg)
+    qpow = _quadform_powers(max(nums, default=0) >> _TOP)
+    terms: dict[int, int] = {}
+    for e, n in nums.items():
+        # v0^e0 * v^e -> (-quadform)^e0 * w0^(deg - e0) * w^e
+        e0 = e >> _TOP
+        _add_terms(terms, qpow[e0], -n if e0 % 2 else n, (deg - e0) << _TOP | e & _LOW)
     return HomPoly4._trusted(src.other, terms, poly._den)
 
 
@@ -426,8 +483,8 @@ def strip_exceptional(poly: HomPoly4) -> StripResult:
     """
     if poly.is_zero():
         raise ValueError("cannot strip the zero polynomial")
-    r = min(e[0] for e in poly._nums)
-    reduced = {(e0 - r, e1, e2, e3): n for (e0, e1, e2, e3), n in poly._nums.items()}
+    r = min(poly._nums) >> _TOP  # key order: the least key has the least e0
+    reduced = {e - (r << _TOP): n for e, n in poly._nums.items()}
     # the quadform is monic, so every quotient of integer numerators is integral
     k = 0
     while True:
@@ -470,14 +527,16 @@ def offset_dual_poly(fstar: HomPoly4, d) -> HomPoly4:
     # With m = max(e0) // 2, even and odd are integers over den*q^(2m): the
     # t^(2j) part of a term carries p^(2j) * q^(2(m-j)) * Q^j.
     nums, den = fstar._nums, fstar._den
-    m = max((e[0] for e in nums), default=0) // 2
+    _check_degree(2 * fstar.degree)
+    m = (max(nums, default=0) >> _TOP) // 2
     qpow = _quadform_powers(m)
     scale = [p ** (2 * j) * q ** (2 * (m - j)) for j in range(m + 1)]
     even, odd = {}, {}
-    for (e0, e1, e2, e3), n in nums.items():
+    for e, n in nums.items():
+        e0 = e >> _TOP
         for k in range(e0 + 1):
             _add_terms(odd if k % 2 else even, qpow[k // 2],
-                       n * math.comb(e0, k) * scale[k // 2], (e0 - k, e1, e2, e3))
+                       n * math.comb(e0, k) * scale[k // 2], e - (k << _TOP))
     # (even + t*odd) * (even - t*odd) = (q^2*even^2 - p^2*Q*odd^2) / (den*q^(2m)*q)^2
     terms = {e: q * q * c for e, c in _square_terms(even).items()}
     _add_terms(terms, _mul_terms(_QUADFORM, _square_terms(odd)), -p * p)
@@ -490,18 +549,18 @@ def format_poly(poly: HomPoly4) -> str:
     """Canonical text form: graded-lex descending, explicit exponents."""
     if poly.is_zero():
         return "0"
-    # one table of "vi^e" per variable, indexed by the exponent
-    p0, p1, p2, p3 = ([""] + [f"{v}^{e}" for e in range(1, poly.degree + 1)]
+    # one table of "*vi^e" per variable, indexed by the exponent
+    p0, p1, p2, p3 = ([""] + [f"*{v}^{e}" for e in range(1, poly.degree + 1)]
                       for v in poly.space.variables)
     parts = []
     nums, den = poly._nums, poly._den
-    # one degree, so graded-lex order is lex order on the exponent tuples
-    for exps in sorted(nums, reverse=True):
-        num = nums[exps]
+    # one degree, so graded-lex order is key order
+    for key in sorted(nums, reverse=True):
+        num = nums[key]
         g = math.gcd(num, den)
         num, q = num // g, den // g
-        e0, e1, e2, e3 = exps
-        mono = "*".join([s for s in (p0[e0], p1[e1], p2[e2], p3[e3]) if s])
+        mono = (p0[key >> _TOP] + p1[key >> 2 * _W & _SLOT] + p2[key >> _W & _SLOT]
+                + p3[key & _SLOT])[1:]
         mag = str(abs(num)) if q == 1 else f"{abs(num)}/{q}"
         if not mono:
             body = mag
@@ -519,11 +578,26 @@ class _PolyHooks:
     variables of one space, division by a nonzero constant only and
     exponents that are nonnegative integer constants."""
 
-    add = staticmethod(_add_terms)  # in place: a += b
-    mul = staticmethod(_mul_terms)
-
     def __init__(self, space: Space | None):
         self.space = space
+
+    @staticmethod
+    def add(a, b):
+        """a += b in place, dropping zeros; returns a."""
+        for e, c in b.items():
+            v = a.get(e)
+            if v is None:
+                a[e] = c
+            elif v := v + c:
+                a[e] = v
+            else:
+                del a[e]
+        return a
+
+    @staticmethod
+    def mul(a, b):
+        _check_degree(_max_degree(a) + _max_degree(b))
+        return _mul_terms(a, b)
 
     def number(self, tok):
         if "." in tok:
@@ -531,13 +605,18 @@ class _PolyHooks:
         return {_CONST: int(tok)} if int(tok) else {}  # no zero coefficients
 
     def name(self, tok):
+        return {1 << self._shift(tok): 1}
+
+    def _shift(self, tok):
+        """The shift of a variable's slot; the first variable sets the space."""
         if tok not in _VARIABLES:
             raise ValueError(f"unknown variable {tok!r}")
-        sp, exps = _VARIABLES[tok]
-        if self.space not in (None, sp):
-            raise ValueError("mixed point and dual variables")
-        self.space = sp
-        return {exps: 1}
+        sp, shift = _VARIABLES[tok]
+        if sp is not self.space:
+            if self.space is not None:
+                raise ValueError("mixed point and dual variables")
+            self.space = sp
+        return shift
 
     def monomial(self, run):
         """The term of a run p[/q]*v^e*..., with an int coefficient unless
@@ -549,12 +628,16 @@ class _PolyHooks:
             if q and not int(q):
                 raise ValueError("division by zero")
             coeff = Fraction(int(p), int(q)) if q else int(p)
-        exps = [0, 0, 0, 0]
+        key = degree = 0
         for factor in factors:
             var, _, e = factor.partition("^")
-            (unit,) = self.name(var)
-            exps[unit.index(1)] += int(e) if e else 1
-        return {tuple(exps): coeff} if coeff else {}
+            shift = self._shift(var)
+            e = int(e) if e else 1
+            degree += e
+            if degree >= DEGREE_BOUND:
+                _check_degree(degree)
+            key += e << shift
+        return {key: coeff} if coeff else {}
 
     def call(self, name, arg):
         raise ValueError(f"polynomial text has no function {name!r}")
@@ -575,10 +658,12 @@ class _PolyHooks:
         n = self.constant(b, "exponent must be a nonnegative integer")
         if n < 0 or n.denominator != 1:
             raise ValueError("exponent must be a nonnegative integer")
-        return _pow_terms(a, int(n))
+        n = int(n)
+        _check_degree(_max_degree(a) * n)
+        return _pow_terms(a, n)
 
     def constant(self, terms, message):
-        if any(e != _CONST for e in terms):
+        if any(terms):  # a nonzero key is a nonconstant monomial
             raise ValueError(message)
         return terms.get(_CONST, 0)
 
@@ -594,6 +679,6 @@ def parse_poly(text: str, space: Space | None = None) -> HomPoly4:
     if hooks.space is None:
         raise ValueError("constant polynomial needs an explicit space")
     # the hooks build no zero terms and no negative exponents
-    if len({sum(e) for e in terms}) > 1:
+    if len(set(map(_degree, terms))) > 1:
         raise ValueError("terms of different total degree")
     return HomPoly4._trusted(hooks.space, *_numerators(terms))  # int and Fraction terms

@@ -287,13 +287,14 @@ class _PlainHooks(hompoly._PolyHooks):
 
 
 def _outcome(text, hooks_class=hompoly._PolyHooks):
-    """Terms in order with their coefficient types and the space, or the message."""
+    """Terms in order with their exponent tuples, their coefficient types and
+    the space, or the message."""
     hooks = hooks_class(None)
     try:
         terms = hompoly._parse_text(text, hooks)
     except ValueError as exc:
         return str(exc)
-    return [(e, c, type(c)) for e, c in terms.items()], hooks.space
+    return [(hompoly._unpack(e), c, type(c)) for e, c in terms.items()], hooks.space
 
 
 @st.composite

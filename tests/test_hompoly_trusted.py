@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from pedalis.hompoly import (
     HomPoly4,
     Space,
+    _unpack,
     format_poly,
     inverse_pedal_pullback,
     offset_dual_poly,
@@ -39,8 +40,8 @@ def assert_valid(poly: HomPoly4):
     assert type(poly._den) is int and poly._den >= 1
     assert all(type(n) is int for n in poly._nums.values())
     assert math.gcd(poly._den, *poly._nums.values()) == 1
-    assert list(poly._nums) == list(poly.terms)
-    assert all(Fraction(n, poly._den) == poly.terms[e] for e, n in poly._nums.items())
+    assert [_unpack(e) for e in poly._nums] == list(poly.terms)
+    assert all(Fraction(n, poly._den) == poly.terms[_unpack(e)] for e, n in poly._nums.items())
     rebuilt = HomPoly4(poly.space, dict(poly.terms))
     assert rebuilt == poly and rebuilt.degree == poly.degree
     assert list(rebuilt.terms) == list(poly.terms)  # same order, so the same text

@@ -43,8 +43,9 @@ class Mutant:
     elements i and j of a tuple or call, or the branches of an if-else
     expression), ``scale`` (multiply a constant or an expression by 1.0001),
     ``shift`` (add 1 to an integer expression), ``unwrap`` (replace a
-    call by its first argument), ``muldiv`` (swap * and /) or ``one``
-    (replace an expression by 1).
+    call by its first argument), ``muldiv`` (swap * and /), ``one``
+    (replace an expression by 1) or ``replace`` (replace an expression by
+    the expression ``text``).
     """
 
     name: str
@@ -53,6 +54,7 @@ class Mutant:
     target: str
     kind: str
     swap: tuple[int, int] = (0, 1)
+    text: str = ""
 
 
 MUTANTS = [
@@ -95,8 +97,14 @@ MUTANTS = [
     # hompoly: the exact algebra
     Mutant("offset family sign", "hompoly", "offset_dual_poly", "-p * p", "flip"),
     Mutant("offset family q power", "hompoly", "offset_dual_poly", "m - j", "flip"),
-    Mutant("pullback variables swapped", "hompoly", "_pullback", "(e1 + e2 + e3, e1, e2, e3)",
-           "swap", (1, 2)),
+    # the packed keys: e0 << 24 | e1 << 16 | e2 << 8 | e3
+    Mutant("pullback variables swapped", "hompoly", "_pullback", "e & _LOW", "replace",
+           text="(e >> _W & _SLOT) << 2 * _W | (e >> 2 * _W & _SLOT) << _W | e & _SLOT"),
+    # inverted, not only relaxed: relaxed, the loop runs long division on the key
+    # as one int, which still ends in NotDivisible where the quadform does not divide
+    Mutant("division accepts a negative quotient slot", "hompoly", "_divide_terms",
+           "(lead | _GUARD) - l & _GUARD != _GUARD", "replace",
+           text="(lead | _GUARD) - l & _GUARD == _GUARD"),
     Mutant("eval_grid odd sign", "hompoly", "HomPoly4.eval_grid",
            "np.copysign(p, T[:, i]) if e % 2 else p", "swap"),
     Mutant("eval_grid coefficient scaled", "hompoly", "HomPoly4.eval_grid", "n / den", "scale"),
@@ -105,7 +113,7 @@ MUTANTS = [
     Mutant("monomial run coefficient sign", "hompoly", "_PolyHooks.monomial",
            "Fraction(int(p), int(q)) if q else int(p)", "flip"),
     Mutant("kernel result degree off by one", "hompoly", "HomPoly4._trusted",
-           "sum(next(iter(nums)))", "shift"),
+           "_degree(next(iter(nums)))", "shift"),
     Mutant("kernel result left unreduced", "hompoly", "HomPoly4._trusted",
            "math.gcd(den, *nums.values())", "one"),
     # every comparison of verify but focal_factorization meets at scale +-1
@@ -189,6 +197,8 @@ def _rewrite(node: ast.expr, mutant: Mutant) -> ast.expr:
         return node
     if mutant.kind == "one":
         return ast.Constant(1)
+    if mutant.kind == "replace":
+        return ast.parse(mutant.text, mode="eval").body
     raise ValueError(f"unknown mutation kind {mutant.kind!r}")
 
 
