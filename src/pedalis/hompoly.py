@@ -106,11 +106,18 @@ _CONST = 0  # the key of the constant monomial
 _QUADFORM = {2 << 2 * _W: 1, 2 << _W: 1, 2: 1}
 # variable name -> (space, shift of its slot), e.g. "u1" -> (Space.DUAL, 16)
 _VARIABLES = {name: (sp, (3 - k) * _W) for sp in Space for k, name in enumerate(sp.variables)}
+# A monomial run sums one increment per factor: e << shift for a factor
+# v^e, plus e in a degree field above the key.  A run of degree below the
+# bound carries out of no slot, and one of degree at or above it reads at
+# least that degree there, so one compare per run checks the bound.
+_RUN_DEGREE = 4 * _W  # shift of the degree field
+_RUN_BOUND = DEGREE_BOUND << _RUN_DEGREE
+_KEY_MASK = (1 << _RUN_DEGREE) - 1
 
 
 def _numerators(terms: dict) -> tuple[dict, int]:
     """(nums, den) with integer nums and terms == nums / den term by term."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
+    den = math.lcm(*{c.denominator for c in terms.values()})  # each distinct one once
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
@@ -552,25 +559,29 @@ def format_poly(poly: HomPoly4) -> str:
     # one table of "*vi^e" per variable, indexed by the exponent
     p0, p1, p2, p3 = ([""] + [f"*{v}^{e}" for e in range(1, poly.degree + 1)]
                       for v in poly.space.variables)
-    parts = []
     nums, den = poly._nums, poly._den
+    gcd, top, mid, low, slot = math.gcd, _TOP, 2 * _W, _W, _SLOT
+    parts = []
+    append = parts.append
     # one degree, so graded-lex order is key order
     for key in sorted(nums, reverse=True):
         num = nums[key]
-        g = math.gcd(num, den)
-        num, q = num // g, den // g
-        mono = (p0[key >> _TOP] + p1[key >> 2 * _W & _SLOT] + p2[key >> _W & _SLOT]
-                + p3[key & _SLOT])[1:]
-        mag = str(abs(num)) if q == 1 else f"{abs(num)}/{q}"
-        if not mono:
-            body = mag
-        elif mag == "1":
-            body = mono
+        mono = p0[key >> top] + p1[key >> mid & slot] + p2[key >> low & slot] + p3[key & slot]
+        g = gcd(num, den)
+        q = den // g
+        if num < 0:
+            sign, num = "- ", -num // g
         else:
-            body = f"{mag}*{mono}"
-        parts.append(f"{'-' if num < 0 else '+'} {body}")
-    out = " ".join(parts)
-    return out[2:] if out[0] == "+" else "-" + out[2:]
+            sign, num = "+ ", num // g
+        if q != 1:
+            append(f"{sign}{num}/{q}{mono}")
+        elif num != 1 or not mono:
+            append(f"{sign}{num}{mono}")
+        else:  # a unit coefficient is not written
+            append(sign + mono[1:])
+    first = parts[0]
+    parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+    return " ".join(parts)
 
 
 class _PolyHooks:
@@ -580,6 +591,7 @@ class _PolyHooks:
 
     def __init__(self, space: Space | None):
         self.space = space
+        self._increments = {}  # factor text -> increment, as the text is parsed
 
     @staticmethod
     def add(a, b):
@@ -621,13 +633,28 @@ class _PolyHooks:
     def monomial(self, run):
         """The term of a run p[/q]*v^e*..., with an int coefficient unless
         it has a '/', checked in the order of its plain tokens."""
-        factors = run.split("*")
         coeff = 1
-        if factors[0][0].isdecimal():
-            p, _, q = factors.pop(0).partition("/")
+        if run[0].isdecimal():
+            head, _, run = run.partition("*")
+            p, _, q = head.partition("/")
             if q and not int(q):
                 raise ValueError("division by zero")
             coeff = Fraction(int(p), int(q)) if q else int(p)
+        factors = run.split("*")
+        increments = self._increments
+        total = 0
+        try:
+            for factor in factors:
+                total += increments[factor]
+        except KeyError:  # a factor this text has not keyed yet
+            total = _RUN_BOUND
+        key = total & _KEY_MASK if total < _RUN_BOUND else self._run_key(factors)
+        return {key: coeff} if coeff else {}
+
+    def _run_key(self, factors):
+        """The key of a run's factors, one at a time: each name sets or
+        checks the space, and the degree is checked after each factor.
+        Each factor keyed goes into the increments of the text."""
         key = degree = 0
         for factor in factors:
             var, _, e = factor.partition("^")
@@ -637,13 +664,24 @@ class _PolyHooks:
             if degree >= DEGREE_BOUND:
                 _check_degree(degree)
             key += e << shift
-        return {key: coeff} if coeff else {}
+            self._increments[factor] = e << _RUN_DEGREE | e << shift
+        return key
 
     def call(self, name, arg):
         raise ValueError(f"polynomial text has no function {name!r}")
 
-    def sub(self, a, b):
-        return _add_terms(a, b, -1)
+    @staticmethod
+    def sub(a, b):
+        """a -= b in place, as add inserts: no multiply per term."""
+        for e, c in b.items():
+            v = a.get(e)
+            if v is None:
+                a[e] = -c
+            elif v := v - c:
+                a[e] = v
+            else:
+                del a[e]
+        return a
 
     def div(self, a, b):
         c = self.constant(b, "division by a non-constant polynomial")

@@ -67,14 +67,18 @@ def trig_s2(domain: Domain | None = None) -> Chart:
     if domain is None:
         domain = Domain(0.0, 2.0 * math.pi, -0.5 * math.pi, 0.5 * math.pi)
 
+    # each sine and cosine once per call
     def f(u, v):
-        return np.stack((np.cos(u) * np.cos(v), np.cos(v) * np.sin(u), np.sin(v)), axis=-1)
+        cv = np.cos(v)
+        return np.stack((np.cos(u) * cv, cv * np.sin(u), np.sin(v)), axis=-1)
 
     def fu(u, v):
-        return vector_rows(u, -np.sin(u) * np.cos(v), np.cos(v) * np.cos(u), 0.0)
+        cv = np.cos(v)
+        return vector_rows(u, -np.sin(u) * cv, cv * np.cos(u), 0.0)
 
     def fv(u, v):
-        return np.stack((-np.cos(u) * np.sin(v), -np.sin(u) * np.sin(v), np.cos(v)), axis=-1)
+        sv = np.sin(v)
+        return np.stack((-np.cos(u) * sv, -np.sin(u) * sv, np.cos(v)), axis=-1)
 
     return Chart(f, fu, fv, domain)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -362,6 +363,9 @@ class TestMonomialRuns:
         ("007*u1^03", {(0, 3, 0, 0): 7}),
         ("2 * u1", {(0, 1, 0, 0): 2}),
         ("4/2*u1 + u1^0*u2^1", {(0, 1, 0, 0): Fraction(2), (0, 0, 1, 0): 1}),
+        ("u1^1", {(0, 1, 0, 0): 1}),
+        # the second run sums the increments the first keyed, one below the bound
+        ("u0^64*u1^63 + u1^63*u0^64", {(64, 63, 0, 0): 2}),
     ])
     def test_pinned_values(self, text, terms):
         got = _outcome(text)
@@ -377,12 +381,45 @@ class TestMonomialRuns:
         ("1/0*y1", "division by zero"),
         ("u1 2*u2", "unexpected token '2'"),
         ("1_000*u1", "unexpected token '_000'"),
+        # at the degree bound in a run's first factors, keyed one at a time
+        ("u1^128", "degree 128 is not below the bound 128"),
+        ("u0^64*u1^64", "degree 128 is not below the bound 128"),
+        # at the bound in the sum of factors keyed by earlier runs of the text
+        ("u1^126 + u1^2 + u1^126*u1^2", "degree 128 is not below the bound 128"),
+        ("u0^64 + u1^64 + u0^64*u1^64", "degree 128 is not below the bound 128"),
+        # 256 in one slot carries into the next; the degree field still sees it
+        ("u1^100 + u1^56 + u1^100*u1^100*u1^56", "degree 200 is not below the bound 128"),
+        ("u1*u2 - 2*u1^2*x1", "mixed point and dual variables"),  # after the space is set
+        ("x1*x2 + x0*y1", "unknown variable 'y1'"),
     ])
     def test_pinned_messages(self, text, message):
         assert _outcome(text) == _outcome(text, _PlainHooks) == message
 
     def test_zero_coefficient_still_sets_the_space(self):
         assert _outcome("0*x1") == ([], Space.POINT)
+
+    def test_dense_output_keys_each_factor_once(self, monkeypatch):
+        """A run goes through the per-factor code only if it has a factor
+        the text has not keyed yet; the other runs sum keyed increments."""
+        rng = random.Random(5)
+        exps = [(a, b, c, 10 - a - b - c) for a in range(11) for b in range(11 - a)
+                for c in range(11 - a - b)]
+        poly = HomPoly4(Space.DUAL, {e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 3))
+                                     for e in exps})
+        text = format_poly(poly)
+        shifts, slow = [], []
+        shift, run_key = hompoly._PolyHooks._shift, hompoly._PolyHooks._run_key
+        monkeypatch.setattr(hompoly._PolyHooks, "_shift",
+                            lambda self, tok: shifts.append(tok) or shift(self, tok))
+        monkeypatch.setattr(hompoly._PolyHooks, "_run_key",
+                            lambda self, factors: slow.append(factors) or run_key(self, factors))
+        assert parse_poly(text) == poly
+        keyed = set()
+        for factors in slow:
+            assert not keyed.issuperset(factors)
+            keyed.update(factors)
+        assert len(keyed) == 40  # u0 .. u3, each to the powers 1 .. 10
+        assert len(shifts) == sum(map(len, slow)) < len(exps) / 2
 
     def test_config_chart_values_keep_their_bits(self):
         from pedalis.config import parse_expr

@@ -203,6 +203,19 @@ class TestGuardedSolveReductions:
         assert same_bits(_well_conditioned(M), reduce_well_conditioned(M))
         assert _well_conditioned(M[:0]).shape == (0,)
 
+    def test_screen_accepts_only_what_the_svd_accepts(self):
+        # U diag(1, s1, s2) V with cond 1 .. 1e13 about the screen's 1e10, at
+        # scales 1e-300 .. 1e300
+        rng = np.random.default_rng(8)
+        U, V = (np.linalg.qr(rng.standard_normal((3000, 3, 3)))[0] for _ in range(2))
+        s = np.ones((3000, 3))
+        s[:, 1] = 10.0 ** rng.uniform(-1, 0, 3000)
+        s[:, 2] = 10.0 ** rng.uniform(-13, 0, 3000)
+        M = U @ (s[:, :, None] * V) * 10.0 ** rng.uniform(-300, 300, (3000, 1, 1))
+        ok = _well_conditioned(M)
+        assert 0 < ok.sum() < len(M)
+        assert (np.linalg.cond(M[ok]) <= COND_LIMIT / 100 * (1 + 1e-9)).all()
+
     def test_a_non_finite_entry_anywhere_drops_the_system(self):
         M = np.tile(np.eye(3), (20, 1, 1))
         for k in range(9):

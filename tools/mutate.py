@@ -112,6 +112,10 @@ MUTANTS = [
            "n / den", "muldiv"),
     Mutant("monomial run coefficient sign", "hompoly", "_PolyHooks.monomial",
            "Fraction(int(p), int(q)) if q else int(p)", "flip"),
+    # the increments later runs of a text sum: "u1^e" -> e in the u1 slot
+    Mutant("run increment exponent off by one", "hompoly", "_PolyHooks._run_key",
+           "e << _RUN_DEGREE | e << shift", "replace", text="e << _RUN_DEGREE | e + 1 << shift"),
+    Mutant("text difference not negated", "hompoly", "_PolyHooks.sub", "-c", "flip"),
     Mutant("kernel result degree off by one", "hompoly", "HomPoly4._trusted",
            "_degree(next(iter(nums)))", "shift"),
     Mutant("kernel result left unreduced", "hompoly", "HomPoly4._trusted",
