@@ -109,10 +109,9 @@ def cmd_implicit(args) -> int:
     from . import hompoly
     if args.surface:
         from . import config
-        kind, surf = config.load(args.surface)
+        kind, poly = config.load(args.surface)
         if kind != "quadric":
             raise ValueError("only quadric configs provide an input polynomial")
-        poly = surf.as_poly()
     elif args.poly:
         poly = hompoly.parse_poly(args.poly)
     elif args.infile:

@@ -213,8 +213,7 @@ def parabola_cyclide(a, c, dual, polar):
 
 def paraboloid_pedal(a, b, c, dual, polar, point_chart):
     # z = (a x^2 + b y^2)/2 + c; dual quadric via the halved parameters
-    Q = paraboloid_dual_quadric(Fraction(a, 2), Fraction(b, 2), Fraction(c))
-    fstar = Q.as_poly()
+    fstar = paraboloid_dual_quadric(Fraction(a, 2), Fraction(b, 2), Fraction(c))
     gbar = strip_exceptional(pedal_pullback(fstar)).reduced
 
     def dual_family(d):
@@ -241,7 +240,7 @@ def paraboloid_pedal(a, b, c, dual, polar, point_chart):
 
 def sphere_inverse_pedal(m, r, sphere_chart):
     mf, rf = Fraction(m), Fraction(r)
-    gsphere = sphere_point_quadric(mf, rf).as_poly()
+    gsphere = sphere_point_quadric(mf, rf)
     result = sphere_inverse_pedal_affine(mf, rf)
     planes = point_to_dual(sphere_chart)
     cases = [

@@ -21,6 +21,7 @@ import enum
 import heapq
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -372,14 +373,15 @@ class HomPoly4:
     def eval(self, point) -> float | Fraction:
         """Evaluate at a 4-tuple; exact when all components are rational.
 
-        HPoint/HPlane arguments are checked against the space tag.
+        HPoint/HPlane arguments are checked against the space tag; no
+        HPoint or HPlane exists before projmaps loads, so a tuple loads none.
         """
-        from .projmaps import HPlane, HPoint
-        if isinstance(point, HPoint):
+        maps = sys.modules.get("pedalis.projmaps")
+        if maps and isinstance(point, maps.HPoint):
             if self.space is not Space.POINT:
                 raise SpaceMismatch("dual polynomial evaluated at a point")
             coords = point.coords
-        elif isinstance(point, HPlane):
+        elif maps and isinstance(point, maps.HPlane):
             if self.space is not Space.DUAL:
                 raise SpaceMismatch("point polynomial evaluated at a plane")
             coords = point.coords
@@ -634,7 +636,7 @@ class _PolyHooks:
         """The term of a run p[/q]*v^e*..., with an int coefficient unless
         it has a '/', checked in the order of its plain tokens."""
         coeff = 1
-        if run[0].isdecimal():
+        if "0" <= run[0] <= "9":  # an ASCII digit; the run pattern is ASCII
             head, _, run = run.partition("*")
             p, _, q = head.partition("/")
             if q and not int(q):

@@ -1,7 +1,7 @@
 """Pedal and inverse pedal surfaces of quadrics and conics.
 
-Quadrics are symmetric 4x4 exact-rational forms, on the point side
-X^T A X and on the dual side U^T A U.  Pedal images of dual quadrics are
+A quadric is an exact HomPoly4 of degree 2: X^T A X on the point side and
+U^T A U on the dual side, A symmetric.  Pedal images of dual quadrics are
 Darboux cyclides; for the normalized form
 
     a0 u0^2 + a1 u1^2 + a2 u2^2 + a3 u3^2 + u0 (b1 u1 + b2 u2 + b3 u3)
@@ -36,10 +36,6 @@ from .projmaps import rowdot
 from .surfkit import Chart, PointSurface, construct
 
 
-def _frac_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def _exact_rank(rows) -> int:
     """Rank of an exact-rational matrix by Gaussian elimination."""
     m = [list(r) for r in rows]
@@ -61,49 +57,21 @@ def _exact_rank(rows) -> int:
     return rank
 
 
-class QuadricForm:
-    """Symmetric 4x4 exact-rational quadratic form with a space tag."""
+def _symmetric_matrix(Q: HomPoly4) -> list[list[Fraction]]:
+    """The symmetric A with Q = V^T A V: the coefficient of v_i^2 on the
+    diagonal and half the coefficient of v_i*v_j off it."""
+    if Q.degree != 2:
+        raise ValueError(f"a quadric is a polynomial of degree 2, not {Q.degree}")
+    return [[Q.coefficient(tuple((k == i) + (k == j) for k in range(4))) / (1 if i == j else 2)
+             for j in range(4)] for i in range(4)]
 
-    __slots__ = ("space", "A", "_rank")
 
-    def __init__(self, space: Space, A):
-        rows = _frac_matrix(A)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("quadric matrices are 4x4")
-        if any(rows[i][j] != rows[j][i] for i in range(4) for j in range(i)):
-            raise ValueError("quadric matrix must be symmetric")
-        self.space = space
-        self.A = rows
-        self._rank = None
-
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = _exact_rank(self.A)
-        return self._rank
-
-    def as_poly(self) -> HomPoly4:
-        terms: dict[tuple[int, int, int, int], Fraction] = {}
-        for i in range(4):
-            for j in range(i, 4):
-                exps = [0, 0, 0, 0]
-                exps[i] += 1
-                exps[j] += 1
-                # each pair i <= j is one monomial; HomPoly4 drops zeros
-                terms[tuple(exps)] = self.A[i][j] if i == j else 2 * self.A[i][j]
-        return HomPoly4(self.space, terms)
-
-    @classmethod
-    def from_normalized(cls, space: Space, a0, a1, a2, a3, b1=0, b2=0, b3=0):
-        """Diagonal form plus couplings of the 0-variable row."""
-        a0, a1, a2, a3 = Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3)
-        b1, b2, b3 = Fraction(b1), Fraction(b2), Fraction(b3)
-        return cls(space, [
-            [a0, b1 / 2, b2 / 2, b3 / 2],
-            [b1 / 2, a1, 0, 0],
-            [b2 / 2, 0, a2, 0],
-            [b3 / 2, 0, 0, a3],
-        ])
+def normalized_quadric(space: Space, a0, a1, a2, a3, b1=0, b2=0, b3=0) -> HomPoly4:
+    """a0 v0^2 + v0 (b1 v1 + b2 v2 + b3 v3) + a1 v1^2 + a2 v2^2 + a3 v3^2,
+    its terms in the order of the upper triangle of its matrix."""
+    return HomPoly4(space, {(2, 0, 0, 0): a0, (1, 1, 0, 0): b1, (1, 0, 1, 0): b2,
+                            (1, 0, 0, 1): b3, (0, 2, 0, 0): a1, (0, 0, 2, 0): a2,
+                            (0, 0, 0, 2): a3})
 
 
 # -- closed cyclide forms (oracles for the normalized shape) ----------------
@@ -136,7 +104,7 @@ def dual_cyclide_closed_form(a0, a1, a2, a3, b1, b2, b3) -> HomPoly4:
 # -- pedal / inverse pedal of quadrics ---------------------------------------
 
 
-def pedal_of_quadric(Q: QuadricForm) -> HomPoly4:
+def pedal_of_quadric(Q: HomPoly4) -> HomPoly4:
     """Stripped pedal image of a dual quadric: a Darboux cyclide.
 
     Rank-4 duals give quartic cyclides, rank-3 duals (conic tangent-plane
@@ -144,24 +112,13 @@ def pedal_of_quadric(Q: QuadricForm) -> HomPoly4:
     """
     if Q.space is not Space.DUAL:
         raise ValueError("pedal images are built from dual quadrics")
-    if Q.rank < 3:
-        raise RankTooLow(f"dual quadric of rank {Q.rank}")
-    return strip_exceptional(pedal_pullback(Q.as_poly())).reduced
+    rank = _exact_rank(_symmetric_matrix(Q))
+    if rank < 3:
+        raise RankTooLow(f"dual quadric of rank {rank}")
+    return strip_exceptional(pedal_pullback(Q)).reduced
 
 
-def _rank1_linear_factor(Q: QuadricForm) -> HomPoly4:
-    """Linear form c with Q = +-c*c^T for a rank-1 symmetric matrix."""
-    i0 = next((i for i in range(4) if Q.A[i][i] != 0), None)
-    if i0 is None:
-        raise RankTooLow("zero quadric")
-    row = Q.A[i0]
-    return HomPoly4(Q.space, {
-        tuple(1 if k == i else 0 for k in range(4)): row[i]
-        for i in range(4) if row[i] != 0
-    })
-
-
-def inverse_pedal_quadric(G: QuadricForm) -> HomPoly4:
+def inverse_pedal_quadric(G: HomPoly4) -> HomPoly4:
     """Stripped inverse pedal image of a point quadric, in dual coordinates.
 
     Rank >= 3 is handled through the exact pullback; a doubled plane
@@ -171,48 +128,53 @@ def inverse_pedal_quadric(G: QuadricForm) -> HomPoly4:
     """
     if G.space is not Space.POINT:
         raise ValueError("inverse pedal images are built from point quadrics")
-    if G.rank >= 3:
-        return strip_exceptional(inverse_pedal_pullback(G.as_poly())).reduced
-    if G.rank == 1:
-        plane = _rank1_linear_factor(G)
+    A = _symmetric_matrix(G)
+    rank = _exact_rank(A)
+    if rank >= 3:
+        return strip_exceptional(inverse_pedal_pullback(G)).reduced
+    if rank == 1:
+        # A = +-c c^T: a row with a nonzero diagonal entry is a multiple of c
+        row = next(row for i, row in enumerate(A) if row[i] != 0)
+        plane = HomPoly4(Space.POINT, {tuple(int(k == i) for k in range(4)): c
+                                       for i, c in enumerate(row)})
         if plane.coefficient((1, 0, 0, 0)) == 0:
             raise OriginOnSurface("plane through O has a degenerate image")
         return strip_exceptional(inverse_pedal_pullback(plane)).reduced
-    raise RankTooLow(f"point quadric of rank {G.rank}")
+    raise RankTooLow(f"point quadric of rank {rank}")
 
 
 # -- named quadric builders ---------------------------------------------------
 
 
-def sphere_dual_quadric(m, R) -> QuadricForm:
+def sphere_dual_quadric(m, R) -> HomPoly4:
     """Dual quadric of the sphere with center (m,0,0) and radius R."""
     m, R = Fraction(m), Fraction(R)
-    return QuadricForm.from_normalized(
+    return normalized_quadric(
         Space.DUAL, -1, R * R - m * m, R * R, R * R, b1=-2 * m)
 
 
-def sphere_point_quadric(m, r) -> QuadricForm:
+def sphere_point_quadric(m, r) -> HomPoly4:
     """Point quadric of the sphere with center (m,0,0) and radius r."""
     m, r = Fraction(m), Fraction(r)
-    return QuadricForm.from_normalized(
+    return normalized_quadric(
         Space.POINT, m * m - r * r, 1, 1, 1, b1=-2 * m)
 
 
-def paraboloid_dual_quadric(a, b, c) -> QuadricForm:
+def paraboloid_dual_quadric(a, b, c) -> HomPoly4:
     """Dual quadric of the paraboloid z = a x^2 + b y^2 + c (abc != 0)."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a * b * c == 0:
         raise ValueError("paraboloid parameters must all be nonzero")
-    return QuadricForm.from_normalized(
+    return normalized_quadric(
         Space.DUAL, 0, b, a, -4 * a * b * c, b3=-4 * a * b)
 
 
-def parabola_dual_quadric(a, c) -> QuadricForm:
+def parabola_dual_quadric(a, c) -> HomPoly4:
     """Rank-3 dual quadric of the parabola (u, 0, a u^2 / 2 + c)."""
     a, c = Fraction(a), Fraction(c)
     if a * c == 0:
         raise ValueError("parabola parameters must be nonzero")
-    return QuadricForm.from_normalized(
+    return normalized_quadric(
         Space.DUAL, 0, 1, 0, -2 * a * c, b3=-2 * a)
 
 
@@ -230,7 +192,7 @@ def focal_degeneracy_check(a, b, c):
     is returned, otherwise None.
     """
     Q = paraboloid_dual_quadric(a, b, c)
-    stripped = strip_exceptional(pedal_pullback(Q.as_poly()))
+    stripped = strip_exceptional(pedal_pullback(Q))
     if stripped.k == 0:
         return None
     q = HomPoly4.quadform(Space.POINT)

@@ -142,6 +142,58 @@ class TestImplicit:
         assert res.returncode == 0
         assert res.stdout.strip().splitlines()[-1] == "r=0 k=0 n=2 deg=4"
 
+    @pytest.mark.parametrize("strip", [(), ("--strip",)], ids=["image", "strip"])
+    @pytest.mark.parametrize("space, direction, matrix, text", [
+        ("dual", "pedal", "-1 -2 0 1/3; -2 -3 0 0; 0 0 1 5/2; 1/3 0 5/2 1",
+         "-u0^2 - 4*u0*u1 + 2/3*u0*u3 - 3*u1^2 + u2^2 + 5*u2*u3 + u3^2"),
+        ("point", "inverse-pedal", "3 -2 0 0; -2 1 1/2 0; 0 1/2 1 0; 0 0 0 1",
+         "3*x0^2 - 4*x0*x1 + x1^2 + x1*x2 + x2^2 + x3^2"),
+    ], ids=["dual", "point"])
+    def test_quadric_config_is_its_expanded_polynomial(self, tmp_path, space, direction,
+                                                       matrix, text, strip):
+        # each off-diagonal entry counts twice: x^T A x expanded by hand
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(f"[surface]\nkind = quadric\nspace = {space}\nmatrix = {matrix}\n")
+        res = run("implicit", "--direction", direction, *strip, "--surface", str(cfg))
+        expect = run("implicit", "--direction", direction, *strip, "--poly", text)
+        assert expect.returncode == 0 and expect.stdout.count("\n") == 1 + len(strip)
+        assert (res.returncode, res.stdout, res.stderr) == (0, expect.stdout, "")
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("0 1 0 0; 0 0 0 0; 0 0 0 0; 0 0 0 0", "quadric matrix must be symmetric"),
+        ("1 0 0 0; 0 1 0 1/2; 0 0 1 0; 0 0 0 1", "quadric matrix must be symmetric"),
+        ("1 0 0; 0 1 0; 0 0 1", "quadric matrices are 4x4"),
+        ("1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 1", "quadric matrices are 4x4"),
+        ("1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1;", "quadric matrices are 4x4"),
+        ("1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 x", "Invalid literal for Fraction: 'x'"),
+    ], ids=["asymmetric", "asymmetric-entry", "3x3", "short-row", "fifth-row", "word"])
+    def test_bad_quadric_matrix_is_an_input_error(self, tmp_path, matrix, message):
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(f"[surface]\nkind = quadric\nspace = point\nmatrix = {matrix}\n")
+        res = run("implicit", "--direction", "inverse-pedal", "--surface", str(cfg))
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+    def test_quadric_config_with_a_domain_is_an_input_error(self, tmp_path):
+        # a quadric has no charts, so a [domain] section has nothing to bound
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text("[surface]\nkind = quadric\nspace = dual\n"
+                       "matrix = -1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1\n[domain]\numin = 0\n")
+        for args in (("implicit", "--direction", "pedal"),
+                     ("sample", "--out", str(tmp_path / "x.obj"))):
+            res = run(*args, "--surface", str(cfg))
+            assert (res.returncode, res.stdout) == (1, ""), args
+            assert res.stderr == "error: a quadric config has no [domain] section\n", args
+
+    @pytest.mark.parametrize("text", [
+        "(" * 250 + "u0" + ")" * 250, "u1" + "^1" * 2000, "u0 + " + "(" * 101 + "u1" + ")" * 101,
+        "u1^\u0662", "\uff12*u2", "u1\u00a0+ u2",
+    ], ids=["parentheses-250", "power-chain-2000", "parentheses-101", "arabic-indic-digit",
+            "fullwidth-digit", "no-break-space"])
+    def test_deep_or_non_ascii_text_is_an_input_error(self, text):
+        res = run("implicit", "--direction", "pedal", "--poly", text)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     def test_wrong_space(self):
         res = run("implicit", "--direction", "pedal", "--poly", "x0^2")
         assert res.returncode == 1
@@ -338,6 +390,20 @@ class TestSample:
                   "--out", str(tmp_path / "x.obj"))
         assert res.returncode == 1
         assert res.stderr == "error: missing chart expression 'cz'\n"
+
+    @pytest.mark.parametrize("fz, message", [
+        ("(" * 300 + "u" + ")" * 300, "text nested deeper than 100 levels"),
+        ("sin(" * 101 + "u" + ")" * 101, "text nested deeper than 100 levels"),
+        ("u^\u0662", "unexpected token '\u0662'"),
+        ("\uff12*u", "unexpected token '\uff12'"),
+    ], ids=["parentheses-300", "calls-101", "arabic-indic-digit", "fullwidth-digit"])
+    def test_deep_or_non_ascii_chart_is_an_input_error(self, tmp_path, fz, message):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(f"[surface]\nkind = point\nfx = u\nfy = v\nfz = {fz}\n",
+                       encoding="utf-8")
+        res = run("sample", "--surface", str(cfg), "--grid", "4x4",
+                  "--out", str(tmp_path / "x.obj"))
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
     def test_quadric_config_missing_matrix_is_an_input_error(self, tmp_path):
         cfg = tmp_path / "quad.cfg"

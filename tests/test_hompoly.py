@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -50,6 +51,12 @@ class TestEval:
             a = PLUECKER_F.eval(tuple(lam * t))
             b = lam ** PLUECKER_F.degree * PLUECKER_F.eval(tuple(t))
             assert abs(a - b) < 1e-9 * max(1.0, abs(b))
+
+    def test_hpoint_checks_after_projmaps_loads(self):
+        # eval looks HPoint and HPlane up in a loaded projmaps
+        assert PARABOLOID_FSTAR.eval(HPlane([1, 0, 0, -1])) == 0
+        with pytest.raises(SpaceMismatch, match="dual polynomial evaluated at a point"):
+            PARABOLOID_FSTAR.eval(HPoint([1, 0, 0, -1]))
 
     def test_exact_on_rationals(self):
         val = PARABOLOID_FSTAR.eval((Fraction(1, 3), Fraction(1), 0, Fraction(2)))
@@ -270,6 +277,44 @@ class TestTextForm:
         assert parse_poly("x0^(2)") == parse_poly("x0^2")
         assert parse_poly("x0^2^1 + x1^(4/2)") == parse_poly("x0^2 + x1^2")
         assert parse_poly("(x0 + x1)^2^2") == parse_poly("(x0 + x1)^4")
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "(" * n + "u0" + ")" * n,
+        lambda n: "-" * n + "u0",
+        lambda n: "u0" + "^1" * n,
+        lambda n: "-(" * (n // 2) + "-" * (n % 2) + "u0" + ")" * (n // 2),
+        lambda n: "u0" + "^(1" * (n // 2) + "^1" * (n % 2) + ")" * (n // 2),
+    ], ids=["parentheses", "unary-minus", "power-chain", "minus-parentheses", "power-groups"])
+    def test_nesting_is_bounded(self, make):
+        # one bound over '(', unary signs and '^', the recursion of the parser
+        depth = grammar.MAX_DEPTH
+        assert parse_poly(make(depth)).degree == 1
+        with pytest.raises(ValueError, match=f"^text nested deeper than {depth} levels$"):
+            parse_poly(make(depth + 1))
+
+    @pytest.mark.parametrize("text", ["-" * 2000 + "u0", "(" * 250 + "u0" + ")" * 250,
+                                      "u1" + "^1" * 2000, "+" * 2000 + "u0"])
+    def test_deep_text_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="^text nested deeper than"):
+            parse_poly(text)
+
+    @pytest.mark.parametrize("text, tok", [
+        ("u1^\u0662", "\u0662"), ("\uff12*u2", "\uff12"), ("u1 +\u3000u2", "\u3000"),
+        ("u1\u00a0+ u2", "\u00a0"), ("x0*\u0663/\u0664", "\u0663"),
+    ])
+    def test_numbers_and_spaces_are_ascii(self, text, tok):
+        # the digits int() would read and the spaces str.split() would skip
+        with pytest.raises(ValueError, match=f"^unexpected token {re.escape(repr(tok))}$"):
+            parse_poly(text)
+
+    def test_chart_nesting_and_digits(self):
+        from pedalis.config import parse_expr
+
+        depth = grammar.MAX_DEPTH
+        assert parse_expr("sin(" * depth + "u" + ")" * depth)(0.0, 1.0) == 0.0
+        for text in ["cos(" * (depth + 1) + "u" + ")" * (depth + 1), "u^\u0662"]:
+            with pytest.raises(ValueError):
+                parse_expr(text)
 
     def test_term_order(self):
         # HomPoly4.eval_grid sums in insertion order, and verify prints those floats

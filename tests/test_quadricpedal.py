@@ -21,14 +21,16 @@ from pedalis.hompoly import (
 )
 from pedalis.quadricpedal import (
     PentasphericalForm,
-    QuadricForm,
     SphereInversePedalKind,
+    _exact_rank,
+    _symmetric_matrix,
     bisector_from_inverse_pedal,
     cyclide_closed_form,
     dual_cyclide_closed_form,
     focal_degeneracy_check,
     inverse_pedal_quadric,
     is_parabola_dupin,
+    normalized_quadric,
     parabola_dual_quadric,
     paraboloid_dual_quadric,
     pedal_of_quadric,
@@ -49,23 +51,34 @@ from pedalis.surfkit import (
 )
 
 
-class TestQuadricForm:
+class TestQuadricPolynomial:
+    # a quadric is a HomPoly4 of degree 2; its rank is read from its matrix
     def test_rank(self):
-        assert sphere_dual_quadric(2, 1).rank == 4
-        assert parabola_dual_quadric(1, 1).rank == 3
-        rank1 = QuadricForm(Space.POINT, [[1, 0, 0, -1], [0, 0, 0, 0],
-                                          [0, 0, 0, 0], [-1, 0, 0, 1]])
-        assert rank1.rank == 1
+        assert _exact_rank(_symmetric_matrix(sphere_dual_quadric(2, 1))) == 4
+        assert _exact_rank(_symmetric_matrix(parabola_dual_quadric(1, 1))) == 3
+        assert _exact_rank(_symmetric_matrix(parse_poly("(x0 - x3)^2"))) == 1
 
-    def test_as_poly_matches_manual_expansion(self):
+    def test_symmetric_matrix_halves_the_couplings(self):
+        assert _symmetric_matrix(parse_poly("x0^2 - 4*x0*x1 + 3*x2*x3 - x3^2")) == [
+            [1, -2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, Fraction(3, 2)],
+            [0, 0, Fraction(3, 2), -1]]
+
+    def test_normalized_quadric_matches_manual_expansion(self):
         Q = sphere_dual_quadric(2, 1)
         expect = parse_poly("-3*u1^2 + u2^2 + u3^2 - 4*u0*u1 - u0^2")
-        assert Q.as_poly() == expect
+        assert Q == expect
+        # the term order of the matrix's upper triangle, which eval_grid sums in
+        assert list(normalized_quadric(Space.POINT, 1, 2, 3, 4, 5, 6, 7).terms) == [
+            (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+            (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]
 
-    def test_symmetry_required(self):
-        with pytest.raises(ValueError):
-            QuadricForm(Space.DUAL, [[0, 1, 0, 0], [0, 0, 0, 0],
-                                     [0, 0, 0, 0], [0, 0, 0, 0]])
+    @pytest.mark.parametrize("text", ["u0*u1*u2 + u3^3", "u0 + u1", "u1^4"])
+    def test_polynomial_that_is_not_quadratic_rejected(self, text):
+        message = rf"^a quadric is a polynomial of degree 2, not {parse_poly(text).degree}$"
+        with pytest.raises(ValueError, match=message):
+            pedal_of_quadric(parse_poly(text))
+        with pytest.raises(ValueError, match=message):
+            inverse_pedal_quadric(parse_poly(text.replace("u", "x")))
 
 
 class TestPedalOfQuadric:
@@ -81,10 +94,10 @@ class TestPedalOfQuadric:
             a0, a1, a2, a3, b1, b2, b3 = vals
             if a0 == 0:
                 continue
-            Q = QuadricForm.from_normalized(Space.DUAL, a0, a1, a2, a3, b1, b2, b3)
-            if Q.rank < 3:
+            Q = normalized_quadric(Space.DUAL, a0, a1, a2, a3, b1, b2, b3)
+            if _exact_rank(_symmetric_matrix(Q)) < 3:
                 continue
-            got = pedal_pullback(Q.as_poly())
+            got = pedal_pullback(Q)
             assert got == cyclide_closed_form(a0, a1, a2, a3, b1, b2, b3)
 
     def test_paraboloid_parabolic_cyclide(self):
@@ -95,8 +108,7 @@ class TestPedalOfQuadric:
         assert got.degree == 3
 
     def test_rank_too_low(self):
-        Q = QuadricForm(Space.DUAL, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                     [0, 0, 0, 0], [0, 0, 0, 0]])
+        Q = parse_poly("u0^2 + u1^2")
         with pytest.raises(RankTooLow, match=r"^dual quadric of rank 2$"):
             pedal_of_quadric(Q)
 
@@ -218,35 +230,31 @@ class TestInversePedalQuadric:
         assert got.equals_up_to_scale(expect)
 
     def test_matches_dual_cyclide_closed_form(self):
-        G = QuadricForm.from_normalized(Space.POINT, 3, 1, 1, 1, -4)
-        got = inverse_pedal_pullback(G.as_poly())
+        G = normalized_quadric(Space.POINT, 3, 1, 1, 1, -4)
+        got = inverse_pedal_pullback(G)
         stripped = strip_exceptional(got)
         expect = dual_cyclide_closed_form(3, 1, 1, 1, -4, 0, 0)
         assert (HomPoly4.quadform(Space.DUAL) ** stripped.k
                 * stripped.reduced).equals_up_to_scale(expect)
 
     def test_plane_fast_path(self):
-        plane = QuadricForm(Space.POINT, [[1, 0, 0, -1], [0, 0, 0, 0],
-                                          [0, 0, 0, 0], [-1, 0, 0, 1]])  # (x0-x3)^2
-        got = inverse_pedal_quadric(plane)
-        assert got.equals_up_to_scale(parse_poly("u0*u3 + u1^2+u2^2+u3^2"))
+        # a rank-1 quadric is a doubled plane, read back from its matrix's rows
+        for text in ("(x0 - x3)^2", "-(2*x0 - 2*x3)^2", "x3^2 - 2*x0*x3 + x0^2"):
+            got = inverse_pedal_quadric(parse_poly(text))
+            assert got.equals_up_to_scale(parse_poly("u0*u3 + u1^2+u2^2+u3^2"))
 
     def test_plane_through_origin_rejected(self):
-        plane = QuadricForm(Space.POINT, [[0, 0, 0, 0], [0, 0, 0, 0],
-                                          [0, 0, 0, 0], [0, 0, 0, 1]])  # x3^2
         with pytest.raises(OriginOnSurface):
-            inverse_pedal_quadric(plane)
+            inverse_pedal_quadric(parse_poly("x3^2"))
 
     def test_rank_two_rejected(self):
-        pair = QuadricForm(Space.POINT, [[0, 0, 0, 0], [0, 1, 0, 0],
-                                         [0, 0, -1, 0], [0, 0, 0, 0]])
-        with pytest.raises(RankTooLow):
-            inverse_pedal_quadric(pair)
+        with pytest.raises(RankTooLow, match=r"^point quadric of rank 2$"):
+            inverse_pedal_quadric(parse_poly("x1^2 - x2^2"))
 
     def test_sphere_through_origin_factor_signal(self):
         m = Fraction(1)
         stripped = strip_exceptional(
-            inverse_pedal_pullback(sphere_point_quadric(m, m).as_poly()))
+            inverse_pedal_pullback(sphere_point_quadric(m, m)))
         assert stripped.r == 1 and stripped.k == 1
         assert stripped.reduced.equals_up_to_scale(parse_poly("u0 + 2*u1"))
 

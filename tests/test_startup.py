@@ -90,6 +90,27 @@ def test_implicit_adds_only_hompoly(tmp_path):
     assert loaded(*args, stdin=text) == (0, EXACT_LAYERS)
 
 
+@pytest.mark.parametrize("space, direction", [("dual", "pedal"), ("point", "inverse-pedal")])
+def test_quadric_config_adds_only_the_config_reader(tmp_path, space, direction):
+    # a quadric is its polynomial: no charts, so no numpy, projmaps or surfkit
+    cfg = tmp_path / "quad.cfg"
+    cfg.write_text(f"[surface]\nkind = quadric\nspace = {space}\n"
+                   "matrix = -1 -2 0 0; -2 -3 0 0; 0 0 1 0; 0 0 0 1\n")
+    for strip in ((), ("--strip",)):
+        assert loaded("implicit", "--direction", direction, *strip, "--surface", str(cfg)) == (
+            0, sorted([*EXACT_LAYERS, "pedalis.config"]))
+
+
+def test_eval_at_a_tuple_loads_no_maps():
+    # no HPoint or HPlane can exist before projmaps loads, so eval leaves it unloaded
+    assert _fresh("from fractions import Fraction\n"
+                  "from pedalis.hompoly import parse_poly\n"
+                  "value = parse_poly('x0^2 - 3*x1*x2').eval((Fraction(1, 2), 1, 2, 0))\n"
+                  "print(json.dumps([str(value), sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('pedalis', 'numpy'))]))") == [
+        "-23/4", ["pedalis", "pedalis.errors", "pedalis.grammar", "pedalis.hompoly"]]
+
+
 def test_gallery_sample_skips_verify_and_the_constructions(tmp_path):
     code, mods = loaded("sample", "--surface", "plane-conchoid", "--grid", "4x4",
                         "--out", str(tmp_path / "mesh.obj"))

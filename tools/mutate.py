@@ -2,8 +2,10 @@
 
     python tools/mutate.py
 
-Run it from the root of a source checkout; it needs Python 3.10+ and what
-pedalis needs.  For each mutant in ``MUTANTS`` it copies ``src/`` to a
+Run it from the root of a source checkout, with numpy installed: ``verify``
+needs it.  On Python 3.10 only the mutants' rewriting and compiling has
+been run, and of pedalis only the exact layer (tests/test_oldest_python.py);
+the runner itself has been run on 3.11.  For each mutant in ``MUTANTS`` it copies ``src/`` to a
 temporary directory, rewrites one expression of one function through
 ``ast`` and runs ``verify --suite all --seed 7`` on the copy.  A mutant is
 
@@ -139,6 +141,8 @@ MUTANTS = [
     Mutant("pentaspherical lift sign", "quadricpedal", "pentaspherical_point", "s - 1.0", "flip"),
     Mutant("cyclide coupling sign", "quadricpedal", "_cyclide_form",
            "x0 * x0 * diag - x0 * q * bee", "flip"),
+    # the v0*v1 coupling of the named quadrics; closed_form compares the sphere's cyclide
+    Mutant("quadric coupling sign", "quadricpedal", "normalized_quadric", "b1", "flip"),
     # gallery: the charts and the exact parts of the entries
     Mutant("paraboloid support sign", "gallery", "paraboloid_offset_chart",
            "-_numer(s, t) / (2.0 * af * bf * np.sin(t))", "flip"),
