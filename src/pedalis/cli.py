@@ -51,7 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rational(text: str, what: str) -> Fraction:
-    """Number text such as 3/4, -2 or 1e-3; 1/0 and 1e400 are input errors."""
+    """Number text such as 3/4, -2 or 1e-3; 1/0, 1e400 and digits or spaces
+    that are not ASCII (which Fraction would read) are input errors."""
+    if not text.isascii():
+        raise ValueError(f"{what} {text!r} is not an ASCII number")
     try:
         value = Fraction(text)
         float(value)
@@ -143,7 +146,7 @@ def cmd_implicit(args) -> int:
 
 def cmd_sample(args) -> int:
     from . import surfkit
-    m = re.fullmatch(r"(\d+)x(\d+)", args.grid)
+    m = re.fullmatch(r"(\d+)x(\d+)", args.grid, re.ASCII)
     if not m:
         raise ValueError("--grid must look like 60x60")
     nu, nv = int(m.group(1)), int(m.group(2))
@@ -216,7 +219,7 @@ def cmd_verify(args) -> int:
 
 def _int_at_least(text: str, low: int, what: str) -> int:
     # a ValueError would make argparse name the type function in its message
-    if not re.fullmatch(r"\s*\+?\d+\s*", text) or int(text) < low:
+    if not re.fullmatch(r"\s*\+?\d+\s*", text, re.ASCII) or int(text) < low:
         raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
     return int(text)
 

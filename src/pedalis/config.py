@@ -4,6 +4,7 @@ over (u, v) and the five surface kinds, read by ``load``."""
 from __future__ import annotations
 
 import functools
+import operator
 from types import SimpleNamespace
 
 from .cli import _rational
@@ -14,6 +15,25 @@ from .grammar import parse_text
 
 def _constant(val):
     return lambda u, v: val
+
+
+def _chain(a, b, op):
+    """a op b for a binary operator op.  A chain extends a chain, so n
+    operators at one level, such as a flat sum of n + 1 terms, are one
+    closure that applies them left to right, not n closures each calling
+    the one before it."""
+    if not hasattr(a, "chain"):
+        first, chain = a, []
+
+        def a(u, v):
+            value = first(u, v)
+            for op, f in chain:
+                value = op(value, f(u, v))
+            return value
+
+        a.chain = chain
+    a.chain.append((op, b))
+    return a
 
 
 @functools.cache
@@ -47,10 +67,10 @@ def _chart_hooks():
         number=lambda tok: _constant(np.float64(tok)),
         name=name,
         call=call,
-        add=lambda a, b: lambda u, v: a(u, v) + b(u, v),
-        sub=lambda a, b: lambda u, v: a(u, v) - b(u, v),
-        mul=lambda a, b: lambda u, v: a(u, v) * b(u, v),
-        div=lambda a, b: lambda u, v: a(u, v) / b(u, v),
+        add=lambda a, b: _chain(a, b, operator.add),
+        sub=lambda a, b: _chain(a, b, operator.sub),
+        mul=lambda a, b: _chain(a, b, operator.mul),
+        div=lambda a, b: _chain(a, b, operator.truediv),
         neg=lambda a: lambda u, v: -a(u, v),
         power=lambda a, b: lambda u, v: power(a(u, v), b(u, v)).astype(float),
     )

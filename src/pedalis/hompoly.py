@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import NotDivisible, SpaceMismatch
 # the grammar of polynomial text; parse_poly gives it the _PolyHooks
-from .grammar import parse_text as _parse_text
+from .grammar import SIGNED_RUN, parse_text as _parse_text
 
 Exponents = tuple[int, int, int, int]
 
@@ -632,26 +632,40 @@ class _PolyHooks:
             self.space = sp
         return shift
 
-    def monomial(self, run):
-        """The term of a run p[/q]*v^e*..., with an int coefficient unless
-        it has a '/', checked in the order of its plain tokens."""
-        coeff = 1
-        if "0" <= run[0] <= "9":  # an ASCII digit; the run pattern is ASCII
-            head, _, run = run.partition("*")
-            p, _, q = head.partition("/")
-            if q and not int(q):
-                raise ValueError("division by zero")
-            coeff = Fraction(int(p), int(q)) if q else int(p)
-        factors = run.split("*")
+    def monomial(self, runs, terms=None):
+        """terms (a new dict if None) plus the run sum ``runs``, such as
+        '2/3*u1^2*u2 - u3', in place and in text order, with an int
+        coefficient unless a run has a '/', checked in the order of the
+        plain tokens."""
+        terms = {} if terms is None else terms
         increments = self._increments
-        total = 0
-        try:
-            for factor in factors:
-                total += increments[factor]
-        except KeyError:  # a factor this text has not keyed yet
-            total = _RUN_BOUND
-        key = total & _KEY_MASK if total < _RUN_BOUND else self._run_key(factors)
-        return {key: coeff} if coeff else {}
+        for sign, run in SIGNED_RUN.findall(runs):
+            coeff = 1
+            if "0" <= run[0] <= "9":  # an ASCII digit; the run pattern is ASCII
+                head, _, run = run.partition("*")
+                p, _, q = head.partition("/")
+                if q and not int(q):
+                    raise ValueError("division by zero")
+                coeff = Fraction(int(p), int(q)) if q else int(p)
+            factors = run.split("*")
+            total = 0
+            try:
+                for factor in factors:
+                    total += increments[factor]
+            except KeyError:  # a factor this text has not keyed yet
+                total = _RUN_BOUND
+            key = total & _KEY_MASK if total < _RUN_BOUND else self._run_key(factors)
+            if coeff:  # as add inserts it
+                if sign == "-":
+                    coeff = -coeff
+                v = terms.get(key)
+                if v is None:
+                    terms[key] = coeff
+                elif v := v + coeff:
+                    terms[key] = v
+                else:
+                    del terms[key]
+        return terms
 
     def _run_key(self, factors):
         """The key of a run's factors, one at a time: each name sets or
@@ -672,18 +686,8 @@ class _PolyHooks:
     def call(self, name, arg):
         raise ValueError(f"polynomial text has no function {name!r}")
 
-    @staticmethod
-    def sub(a, b):
-        """a -= b in place, as add inserts: no multiply per term."""
-        for e, c in b.items():
-            v = a.get(e)
-            if v is None:
-                a[e] = -c
-            elif v := v - c:
-                a[e] = v
-            else:
-                del a[e]
-        return a
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def div(self, a, b):
         c = self.constant(b, "division by a non-constant polynomial")

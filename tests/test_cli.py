@@ -104,6 +104,42 @@ def test_non_finite_rational_is_an_input_error(tmp_path, args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("map", "--op", "alpha", "--plane", "\u0662,0,0,1"),
+     "coordinate '\u0662' is not an ASCII number"),
+    (("map", "--op", "alpha", "--plane", "-1,0,0,\uff11"),
+     "coordinate '\uff11' is not an ASCII number"),
+    (("map", "--op", "alpha", "--plane", "-1,0,0,\u00a01"),
+     "coordinate '\\xa01' is not an ASCII number"),
+    (("sample", "--surface", "pluecker", "--construct", "conchoid:\u0661/2"),
+     "distance '\u0661/2' is not an ASCII number"),
+    (("sample", "--surface", "pluecker", "--grid", "\u0663x\u0663"),
+     "--grid must look like 60x60"),
+    (("implicit", "--direction", "pedal", "--surface", "QUADRIC"),
+     "matrix entry '\u0662' is not an ASCII number"),
+], ids=["arabic-indic-coordinate", "fullwidth-coordinate", "no-break-space", "distance", "grid",
+        "quadric-matrix"])
+def test_non_ascii_number_is_an_input_error(tmp_path, args, message):
+    # Fraction, int and a \d regex would read these as the ASCII digits
+    cfg = tmp_path / "quad.cfg"
+    cfg.write_text("[surface]\nkind = quadric\nspace = dual\n"
+                   "matrix = \u0662 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1\n", encoding="utf-8")
+    out = ["--out", str(tmp_path / "x.obj")] if args[0] == "sample" else []
+    res = run(*(str(cfg) if a == "QUADRIC" else a for a in args), *out)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "x.obj").exists()
+
+
+@pytest.mark.parametrize("args, env", [
+    (("--seed", "\u0663"), {}), (("--samples", "\uff13"), {}), ((), {"PEDALIS_SEED": "\u0663"}),
+], ids=["seed", "samples", "seed-env"])
+def test_non_ascii_integer_option_is_an_input_error(args, env):
+    res = run("verify", "--suite", "involutions", *args, env=env)
+    value = args[1] if args else env["PEDALIS_SEED"]
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.endswith(f" integer, got {value!r}\n"), res.stderr
+
+
 class TestImplicit:
     def test_pluecker_strip_report(self):
         res = run("implicit", "--direction", "pedal", "--strip",
@@ -404,6 +440,44 @@ class TestSample:
         res = run("sample", "--surface", str(cfg), "--grid", "4x4",
                   "--out", str(tmp_path / "x.obj"))
         assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_long_flat_sum_in_a_chart(self, tmp_path, n):
+        # a flat sum is one closure evaluated left to right, not n nested ones
+        terms = [f"u/{k}" if k % 2 else f"{k}/7*v" for k in range(1, n + 1)]
+        ops = ["-" if k % 3 == 0 else "+" for k in range(2, n + 1)]
+        fx = terms[0] + "".join(f" {op} {t}" for op, t in zip(ops, terms[1:]))
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(f"[surface]\nkind = point\nfx = {fx}\nfy = v\nfz = u\n")
+        out = tmp_path / "flat.obj"
+        res = run("sample", "--surface", str(cfg), "--grid", "4x4", "--out", str(out))
+        assert (res.returncode, res.stderr) == (0, "")
+        u, v = Domain(0.0, 1.0, 0.0, 1.0).grid(4, 4)
+
+        def term(k):
+            return u / np.float64(k) if k % 2 else np.float64(k) / np.float64(7) * v
+
+        expect = term(1)
+        for k, op in zip(range(2, n + 1), ops):
+            expect = expect - term(k) if op == "-" else expect + term(k)
+        assert [x.hex() for x in parse_expr(fx)(u, v)] == [x.hex() for x in expect]
+        xs = [line.split()[1] for line in out.read_text().splitlines() if line.startswith("v ")]
+        assert xs == ["%.12g" % x for x in expect]
+
+    def test_long_flat_product_in_a_chart(self, tmp_path):
+        ops = ["/" if k % 3 == 0 else "*" for k in range(1, 1201)]
+        fx = "u" + "".join(f"{op}(1 + u/{k})" for k, op in enumerate(ops, 1))
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(f"[surface]\nkind = point\nfx = {fx}\nfy = v\nfz = u\n")
+        res = run("sample", "--surface", str(cfg), "--grid", "4x4",
+                  "--out", str(tmp_path / "x.obj"))
+        assert (res.returncode, res.stderr) == (0, "")
+        u, v = Domain(0.0, 1.0, 0.0, 1.0).grid(4, 4)
+        expect = u
+        for k, op in enumerate(ops, 1):
+            f = np.float64(1) + u / np.float64(k)
+            expect = expect / f if op == "/" else expect * f
+        assert [x.hex() for x in parse_expr(fx)(u, v)] == [x.hex() for x in expect]
 
     def test_quadric_config_missing_matrix_is_an_input_error(self, tmp_path):
         cfg = tmp_path / "quad.cfg"

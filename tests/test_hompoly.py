@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -347,7 +348,9 @@ def _outcome(text, hooks_class=hompoly._PolyHooks):
 def poly_texts(draw):
     """Polynomial text in the benchmark's input form (p/q* coefficients,
     implicit exponents of one, shuffled terms) or in format_poly's form,
-    optionally with random spaces, parentheses and one stray character."""
+    optionally with terms that cancel, terms that are not runs (u0^3/3,
+    u1*u2*5/7, (2)*u3), a signed first term, parentheses (negated, scaled
+    or under '^'), random spaces and one stray character."""
     space = draw(st.sampled_from(Space))
     deg = draw(st.integers(0, 4))
     exps = st.lists(st.integers(0, 3), min_size=deg, max_size=deg).map(
@@ -357,20 +360,45 @@ def poly_texts(draw):
     if draw(st.booleans()):
         text = format_poly(HomPoly4(space, terms))
     else:
+        items = draw(st.permutations(list(terms.items())))
+        if draw(st.booleans()):  # the sum cancels, then terms come back in another order
+            items += [(e, -c) for e, c in draw(st.permutations(items))]
+            items += draw(st.permutations(items))[:draw(st.integers(0, len(items)))]
         parts = []
-        for e, c in draw(st.permutations(list(terms.items()))):
+        breaks = draw(st.sets(st.integers(0, len(items) - 1), max_size=2))
+        for n, (e, c) in enumerate(items):
             factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(space.variables, e) if k]
-            mag = "" if abs(c) == 1 and factors else f"{abs(c)}"
-            body = "*".join(([mag] if mag else []) + factors)
+            mono, p, q = "*".join(factors), abs(c).numerator, abs(c).denominator
+            shape = draw(st.sampled_from(["over", "times", "paren"])) if n in breaks else "run"
+            if not factors:
+                body = f"{abs(c)}"
+            elif shape == "over":  # a run followed by '/' is no run
+                body = (mono if p == 1 else f"{p}*{mono}") + (f"/{q}" if q > 1 else "/1")
+            elif shape == "times":
+                body = f"{mono}*{abs(c)}"
+            elif shape == "paren":
+                body = f"({abs(c)})*{mono}"
+            else:
+                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
-        text = text[2:] if text[0] == "+" else "-" + text[2:]
-    if draw(st.booleans()):  # parentheses around a span of terms and random spaces
-        words = text.split(" ")
+        if draw(st.booleans()):
+            text = text[2:] if text[0] == "+" else "-" + text[2:]
+        elif draw(st.booleans()):  # a signed first term, glued to its sign
+            text = text[0] + text[2:]
+    words = text.split(" ")
+    if draw(st.booleans()):  # parentheses around a span of words
         i = draw(st.integers(0, len(words) - 1))
         j = draw(st.integers(i, len(words) - 1))
-        words[i], words[j] = "(" + words[i], words[j] + ")"
-        text = "".join(w + draw(st.sampled_from(["", " ", "  "])) for w in " ".join(words))
+        words[i] = draw(st.sampled_from(["(", "-(", "2*(", "u1*("])) + words[i]
+        words[j] += ")" + draw(st.sampled_from(["", "", "^2", "^0", "*u2"]))
+    spaces = st.sampled_from(["", " ", "  ", "\n"])
+    if draw(st.booleans()):  # random spaces between words
+        text = "".join(w + draw(spaces) for w in words)
+    elif draw(st.booleans()):  # and within them
+        text = "".join(w + draw(spaces) for w in " ".join(words))
+    else:
+        text = " ".join(words)
     if draw(st.booleans()):
         k = draw(st.integers(0, len(text)))
         text = text[:k] + draw(st.sampled_from(list("*/^()+- 0y.$"))) + text[k:]
@@ -388,16 +416,49 @@ class TestMonomialRuns:
         assert _outcome(text) == _outcome(text, _PlainHooks)
 
     def test_tokens(self):
+        # a run sum is one token; a run followed by '*', '^', '/' or '(' is not in one
         assert grammar.TEXT_TOKEN.findall("-20/3*x0*x2^2*x3^7 + x1^3*(x2 - 7*x0*x3)") == [
-            "-", "20/3*x0*x2^2*x3^7", "+", "x1", "^", "3", "*", "(", "x2", "-", "7*x0*x3", ")"]
+            "-20/3*x0*x2^2*x3^7", "+", "x1", "^", "3", "*", "(", "x2 - 7*x0*x3", ")"]
+        assert grammar.TEXT_TOKEN.findall("x1 + x2^2-3*x3\n- (x0) - x1*x2 + 5 * x0/2 + x3") == [
+            "x1 + x2^2-3*x3", "-", "(", "x0", ")", "- x1*x2", "+", "5", "*", "x0", "/", "2",
+            "+ x3"]
+        assert grammar.TEXT_TOKEN.findall("x1 +x2 - x3^2^2") == [
+            "x1 +x2", "-", "x3", "^", "2", "^", "2"]
+        # no run sum starts right after '*', '/' or '^'
+        assert grammar.TEXT_TOKEN.findall("2^u1*u2 + u3 - 1/u1*u2") == [
+            "2", "^", "u1", "*", "u2", "+ u3", "-", "1", "/", "u1", "*", "u2"]
+        # at most 33 runs a token; the next starts with its sign
+        runs = [f"{k}*x0^{k}" for k in range(1, 41)]
+        assert grammar.TEXT_TOKEN.findall(" + ".join(runs)) == [
+            " + ".join(runs[:33]), "+ " + " + ".join(runs[33:])]
+
+    def test_long_product_is_scanned_once(self):
+        # a run tried from every factor made this quadratic: 5.5 s for 8000
+        text = "*".join(["u1"] * 8000) + "*(u2)"
+        start = time.perf_counter()
+        tokens = grammar.TEXT_TOKEN.findall(text)
+        assert time.perf_counter() - start < 1.0
+        assert tokens == ["u1", "*"] * 8000 + ["(", "u2", ")"]
 
     def test_run_is_one_hook_call(self, monkeypatch):
+        """A run sum at the start of an expr is one call, and so is one in
+        place of '+ term' or '- term', which adds to the value so far.  A
+        signed first run and a run after '*' go back to plain tokens."""
         calls = []
         monomial = hompoly._PolyHooks.monomial
-        monkeypatch.setattr(hompoly._PolyHooks, "monomial",
-                            lambda self, run: calls.append(run) or monomial(self, run))
+
+        def spy(self, runs, terms=None):
+            calls.append((runs, None if terms is None else [hompoly._unpack(e) for e in terms]))
+            return monomial(self, runs, terms)
+
+        monkeypatch.setattr(hompoly._PolyHooks, "monomial", spy)
         parse_poly("20/3*x0*x2^2*x3^7 - x1^2*x2^8 + 2*x0^10")
-        assert calls == ["20/3*x0*x2^2*x3^7", "x1^2*x2^8", "2*x0^10"]
+        assert calls == [("20/3*x0*x2^2*x3^7 - x1^2*x2^8 + 2*x0^10", None)]
+        calls.clear()
+        text = "-x0^2*x1 + x2^3 - (x0 + x1)*x2*x3 + x3^3"
+        assert _outcome(text) == _outcome(text, _PlainHooks)
+        assert calls == [("+ x2^3", [(2, 1, 0, 0)]), ("x0 + x1", None),
+                         ("+ x3^3", [(2, 1, 0, 0), (0, 0, 3, 0), (1, 0, 1, 1), (0, 1, 1, 1)])]
 
     @pytest.mark.parametrize("text, terms", [
         ("u1/2*u2", {(0, 1, 1, 0): Fraction(1, 2)}),  # a run after '/'
@@ -439,6 +500,22 @@ class TestMonomialRuns:
     ])
     def test_pinned_messages(self, text, message):
         assert _outcome(text) == _outcome(text, _PlainHooks) == message
+
+    @pytest.mark.parametrize("text", [
+        # a term cancels inside a run sum after a term that is not a run, and
+        # comes back: it moves to the end, as add and sub move it
+        "u1/1 + u2 + u3 - u3 - u1 + u1",
+        "(u1) + u2 - u1 - u2 + u2 + u1",
+        "2*(u1 + u2) - 2*u1 - 2*u2 + 2*u2",
+        "u1*u2 - u1*u2 + u3^2 - u3^2",  # the sum cancels to zero
+        # u1^3 cancels in the second token of a long sum and comes back
+        "u1^3 + u2^3 + " + " + ".join(f"{k}*u0^3" for k in range(1, 32)) + " - u1^3 + u1^3",
+        # a leading sign is unary, so a signed first run gives what its plain
+        # tokens give, which at the degree bound is not what the run gives
+        "-0*u1^64*u2^64", "-u0^63*u3^130", "+ 0*u1^127*u1 - u2",
+    ])
+    def test_run_sum_matches_plain_tokens(self, text):
+        assert _outcome(text) == _outcome(text, _PlainHooks)
 
     def test_zero_coefficient_still_sets_the_space(self):
         assert _outcome("0*x1") == ([], Space.POINT)

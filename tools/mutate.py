@@ -117,7 +117,8 @@ MUTANTS = [
     # the increments later runs of a text sum: "u1^e" -> e in the u1 slot
     Mutant("run increment exponent off by one", "hompoly", "_PolyHooks._run_key",
            "e << _RUN_DEGREE | e << shift", "replace", text="e << _RUN_DEGREE | e + 1 << shift"),
-    Mutant("text difference not negated", "hompoly", "_PolyHooks.sub", "-c", "flip"),
+    # a '-' run of a run sum keyed as '+'; no text verify parses reaches _PolyHooks.sub
+    Mutant("text difference not negated", "hompoly", "_PolyHooks.monomial", "-coeff", "flip"),
     Mutant("kernel result degree off by one", "hompoly", "HomPoly4._trusted",
            "_degree(next(iter(nums)))", "shift"),
     Mutant("kernel result left unreduced", "hompoly", "HomPoly4._trusted",
