@@ -15,6 +15,7 @@ seed of the verification suites.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -74,7 +75,10 @@ def _parse_tuple(text, n):
 
 
 def _format_tuple(values):
-    return ",".join(f"{(x if x != 0 else 0.0):.12g}" for x in values)
+    text = ",".join(f"{(x if x != 0 else 0.0):.12g}" for x in values)
+    if not all(map(math.isfinite, values)):  # alpha-z of a z near the float range
+        raise ValueError(f"result {text} is not finite")
+    return text
 
 
 def cmd_map(args) -> int:
@@ -93,8 +97,11 @@ def cmd_map(args) -> int:
         raise ValueError(f"--op {args.op} needs --{option}")
     tup = kind(_parse_tuple(text, 4))
     if args.op == "alpha-z":
+        import numpy as np
         z = _parse_tuple(args.z, 3) if args.z else [0.0, 0.0, 0.0]
-        print(_format_tuple(fn(tup.to_affine(), z)))
+        with np.errstate(over="ignore", invalid="ignore"):  # _format_tuple reports them
+            foot = fn(tup.to_affine(), z)
+        print(_format_tuple(foot))
     elif not args.dehomogenize:
         print(_format_tuple(fn(tup).canonical()))
     else:

@@ -654,7 +654,13 @@ class _PolyHooks:
                     total += increments[factor]
             except KeyError:  # a factor this text has not keyed yet
                 total = _RUN_BOUND
-            key = total & _KEY_MASK if total < _RUN_BOUND else self._run_key(factors)
+            if total < _RUN_BOUND:
+                key = total & _KEY_MASK
+            elif coeff:
+                key = self._run_key(factors)
+            else:  # a zero product checks each factor alone, as mul does
+                for factor in factors:
+                    self._run_key([factor])
             if coeff:  # as add inserts it
                 if sign == "-":
                     coeff = -coeff
@@ -669,8 +675,9 @@ class _PolyHooks:
 
     def _run_key(self, factors):
         """The key of a run's factors, one at a time: each name sets or
-        checks the space, and the degree is checked after each factor.
-        Each factor keyed goes into the increments of the text."""
+        checks the space, and after each factor its exponent and then the
+        degree so far are checked, as power and mul check them.  Each
+        factor keyed goes into the increments of the text."""
         key = degree = 0
         for factor in factors:
             var, _, e = factor.partition("^")
@@ -678,6 +685,7 @@ class _PolyHooks:
             e = int(e) if e else 1
             degree += e
             if degree >= DEGREE_BOUND:
+                _check_degree(e)
                 _check_degree(degree)
             key += e << shift
             self._increments[factor] = e << _RUN_DEGREE | e << shift

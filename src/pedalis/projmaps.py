@@ -5,11 +5,18 @@ plane R(u0,...,u3) is the zero set of u0*x0 + ... + u3*x3, so the affine
 plane n.x = e has homogeneous coordinates R(-e, n).  All maps here are
 pure functions on immutable values; equality of projective tuples is up
 to a nonzero scalar.
+
+Two paths compute the maps, chosen by the input.  The row functions take
+(N, 4) arrays and import numpy when called.  The single-tuple maps on
+HPoint and HPlane run on plain floats, with the IEEE operations of the row
+functions in the same order, so they give the row results bit for bit and
+raise exactly where a row mask is False.  AffPlane and alpha_z stay numpy:
+a 3-term numpy dot product rounds as a chain of fused multiply-adds.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from math import copysign, isfinite
 
 from .errors import (
     BasePoint,
@@ -28,6 +35,7 @@ def rowdot(a, b):
     The stacked matmul rounds each row exactly as ``a @ b`` does on one
     pair of vectors; ``einsum`` and ``sum`` round differently.
     """
+    import numpy as np
     return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
 
 
@@ -38,6 +46,7 @@ def row_max(A) -> np.ndarray:
     exact and order-free.  A reduction along a short row axis calls numpy's
     inner loop once per row; a column-wise maximum runs over all rows at once.
     """
+    import numpy as np
     A = np.asarray(A)
     m = A[..., 0]
     for k in range(1, A.shape[-1]):
@@ -50,6 +59,7 @@ def exceptional_normal(n):
 
     A plane with such a normal has no affine form and no foot point.
     """
+    import numpy as np
     n = np.asarray(n, dtype=float)
     return ~np.isfinite(row_max(np.abs(n))) | (np.sqrt(rowdot(n, n)) < EPS_EXCEPTIONAL)
 
@@ -59,6 +69,7 @@ def _scaled_rows(rows) -> np.ndarray:
 
     Raises ValueError if any row is zero or not finite.
     """
+    import numpy as np
     V = np.asarray(rows, dtype=float)
     if V.ndim != 2 or V.shape[1] != 4:
         raise ValueError("projective tuples have exactly 4 components")
@@ -75,6 +86,7 @@ def canonical_rows(rows) -> np.ndarray:
     fixed so the first component with magnitude >= EPS_EXCEPTIONAL is
     positive.  Raises ValueError if any row is zero or not finite.
     """
+    import numpy as np
     V = _scaled_rows(rows)
     # sign of the first component >= EPS_EXCEPTIONAL; the max-abs one scales
     # to exactly 1, so column 3 decides only when no earlier column does
@@ -89,7 +101,7 @@ def canonical_rows(rows) -> np.ndarray:
 
 def canonical(coords) -> np.ndarray:
     """Canonical representative of one projective tuple; see canonical_rows."""
-    return canonical_rows(np.asarray(coords, dtype=float)[None])[0]
+    return canonical_rows([coords])[0]
 
 
 class _HTuple:
@@ -100,16 +112,26 @@ class _HTuple:
     def __init__(self, *coords):
         if len(coords) == 1:
             coords = coords[0]
-        v = np.asarray(coords, dtype=float)
-        if v.shape != (4,):
+        try:
+            v = tuple(map(float, coords))
+        except TypeError:  # not a sequence of reals
+            v = ()
+        if len(v) != 4 or isinstance(coords, str):
             raise ValueError(f"{type(self).__name__} needs 4 coordinates")
-        # the max-abs component is NaN or inf unless all components are finite
-        if not 0.0 < np.abs(v).max() < np.inf:
+        # max would drop a NaN, so each component is tested
+        if not (all(map(isfinite, v)) and any(v)):
             raise ValueError(f"{type(self).__name__} must be nonzero and finite")
         self.coords = v
 
-    def canonical(self) -> np.ndarray:
-        return canonical(self.coords)
+    def canonical(self) -> tuple[float, ...]:
+        """canonical_rows on the one row coords, in plain floats."""
+        v = _scaled(self.coords)
+        # the max-abs component scales to exactly 1, so some component leads
+        for lead in v:
+            if abs(lead) >= EPS_EXCEPTIONAL:
+                break
+        sign = copysign(1.0, lead)
+        return tuple([c * sign for c in v])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -127,12 +149,12 @@ class _HTuple:
 class HPoint(_HTuple):
     """Point (x0,x1,x2,x3)R of P^3, equality up to nonzero scale."""
 
-    def dehomogenize(self) -> np.ndarray:
+    def dehomogenize(self) -> tuple[float, float, float]:
         """Affine coordinates (x1/x0, x2/x0, x3/x0); error for ideal points."""
-        v = self.canonical()
-        if abs(v[0]) < EPS_EXCEPTIONAL:
+        x0, x1, x2, x3 = self.canonical()
+        if abs(x0) < EPS_EXCEPTIONAL:
             raise ExceptionalElement("ideal point has no affine coordinates")
-        return v[1:] / v[0]
+        return x1 / x0, x2 / x0, x3 / x0
 
 
 class HPlane(_HTuple):
@@ -153,6 +175,7 @@ class AffPlane:
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal, offset: float):
+        import numpy as np
         n = np.asarray(normal, dtype=float)
         if n.shape != (3,):
             raise ValueError("plane normal needs 3 components")
@@ -162,7 +185,7 @@ class AffPlane:
         self.offset = float(offset)
 
     def hplane(self) -> HPlane:
-        return HPlane(np.concatenate(([-self.offset], self.normal)))
+        return HPlane(-self.offset, *self.normal)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffPlane):
@@ -186,9 +209,7 @@ def projective_eq(a, b, tol: float = 1e-9) -> bool:
         if type(a) is not type(b):
             raise TypeError("cannot compare a point tuple with a plane tuple")
         a, b = a.coords, b.coords
-    ca = canonical(a)
-    cb = canonical(b)
-    return bool(np.max(np.abs(ca - cb)) <= tol)
+    return bool(abs(canonical(a) - canonical(b)).max() <= tol)
 
 
 def alpha_affine(n, e) -> np.ndarray:
@@ -198,12 +219,14 @@ def alpha_affine(n, e) -> np.ndarray:
     legally map to O; a plane whose normal is exceptional_normal has no
     foot point (AffPlane rejects it, and callers drop or reject such rows).
     """
+    import numpy as np
     n = np.asarray(n, dtype=float)
     return (np.asarray(e, dtype=float) / rowdot(n, n))[..., None] * n
 
 
 def alpha_star_affine(p) -> AffPlane:
     """Inverse foot-point map: the plane through p with normal Op."""
+    import numpy as np
     p = np.asarray(p, dtype=float)
     if np.linalg.norm(p) < EPS_EXCEPTIONAL:
         raise OriginPoint("the reference point O has no image plane")
@@ -212,6 +235,7 @@ def alpha_star_affine(p) -> AffPlane:
 
 def alpha_z(plane: AffPlane, z) -> np.ndarray:
     """Foot of the perpendicular from the point z onto the plane."""
+    import numpy as np
     n, e = plane.normal, plane.offset
     z = np.asarray(z, dtype=float)
     return z + ((e - z @ n) / (n @ n)) * n
@@ -232,7 +256,7 @@ def _quadratic_rows(rows, sign: float) -> tuple[np.ndarray, np.ndarray]:
     x1, x2, x3 = V[:, 1], V[:, 2], V[:, 3]
     # left to right, the order add.reduce takes on 3 elements
     img[:, 0] = sign * (x1 * x1 + x2 * x2 + x3 * x3)
-    return img, row_max(np.abs(img)) >= EPS_EXCEPTIONAL
+    return img, row_max(abs(img)) >= EPS_EXCEPTIONAL
 
 
 def alpha_rows(planes) -> tuple[np.ndarray, np.ndarray]:
@@ -252,6 +276,7 @@ def sigma_rows(points) -> tuple[np.ndarray, np.ndarray]:
 
 def pi_rows(planes) -> np.ndarray:
     """Poles of planes with respect to the unit sphere: negate component 0."""
+    import numpy as np
     img = np.array(planes, dtype=float)
     img[:, 0] = -img[:, 0]
     return img
@@ -262,36 +287,49 @@ def pi_star_rows(points) -> np.ndarray:
     return pi_rows(points)
 
 
-# -- the same maps on single HPoint / HPlane values --------------------------
+# -- the same maps on single HPoint / HPlane values, in plain floats -------------
 
 
-def _single(rows_fn, tup: _HTuple, result, error, message: str):
-    img, valid = rows_fn(tup.coords[None])
-    if not valid[0]:
+def _scaled(v) -> tuple[float, ...]:
+    """_scaled_rows on one valid row."""
+    a, b, c, d = v
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    return a / m, b / m, c / m, d / m
+
+
+def _quadratic(tup: _HTuple, sign: float, result, error, message: str):
+    """_quadratic_rows on one tuple; raises error where its mask is False."""
+    x0, x1, x2, x3 = _scaled(tup.coords)
+    img = (sign * (x1 * x1 + x2 * x2 + x3 * x3), x0 * x1, x0 * x2, x0 * x3)
+    if not max(map(abs, img)) >= EPS_EXCEPTIONAL:
         raise error(message)
-    return result(img[0])
+    out = object.__new__(result)  # img is finite and nonzero: no check to repeat
+    out.coords = img
+    return out
 
 
 def alpha_hom(U: HPlane) -> HPoint:
     """Homogeneous foot-point map R(u0,u) -> (-(u.u), u0*u)R."""
-    return _single(alpha_rows, U, HPoint, ExceptionalElement, "ideal plane")
+    return _quadratic(U, -1.0, HPoint, ExceptionalElement, "ideal plane")
 
 
 def alpha_star_hom(X: HPoint) -> HPlane:
     """Homogeneous inverse foot-point map (x0,x)R -> R(-(x.x), x0*x)."""
-    return _single(alpha_star_rows, X, HPlane, BasePoint, "base point: reference point O")
+    return _quadratic(X, -1.0, HPlane, BasePoint, "base point: reference point O")
 
 
 def inversion_sigma(X: HPoint) -> HPoint:
     """Inversion at the unit sphere, (x0,x)R -> (x.x, x0*x)R."""
-    return _single(sigma_rows, X, HPoint, BasePoint, "base point of the inversion")
+    return _quadratic(X, 1.0, HPoint, BasePoint, "base point of the inversion")
 
 
 def polarity_pi(U: HPlane) -> HPoint:
     """Pole of the plane U with respect to the unit sphere."""
-    return HPoint(pi_rows(U.coords[None])[0])
+    u0, u1, u2, u3 = U.coords
+    return HPoint(-u0, u1, u2, u3)
 
 
 def polarity_pi_star(X: HPoint) -> HPlane:
     """Polar plane of the point X with respect to the unit sphere."""
-    return HPlane(pi_star_rows(X.coords[None])[0])
+    x0, x1, x2, x3 = X.coords
+    return HPlane(-x0, x1, x2, x3)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from pedalis import cli, verify
 from pedalis.config import parse_expr
 from pedalis.gallery import get_entry
@@ -86,6 +90,69 @@ class TestMap:
         assert res.returncode == 1
         assert res.stderr == (f"error: expected {n} comma-separated numbers, "
                               f"got {args[-1]!r}\n")
+
+
+# -- the map contract under generated argv --------------------------------------
+
+MAP_OPS = {"alpha": "plane", "alpha-star": "point", "sigma": "point", "pi": "plane",
+           "pi-star": "point", "alpha-z": "plane"}
+# number texts: rationals, decimals, signed zeros, out-of-range and empty
+# fields, non-ASCII digits and spaces, and fields near EPS_EXCEPTIONAL
+FIELDS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 9)),
+    st.builds(str, st.integers(-10**30, 10**30)),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "0", "+0", "-0.0", ".5", "-.5", "1.", "1e-400", "1e400", "-1e400",
+                     "1e-13", "-1e-12", "1e-300", "1e300", "", " ", " 1", "1 ", "\u0662",
+                     "\uff11", "1\u00a0", "nan", "inf", "0x10", "1/0", "0/0", "1_0", "--1"]))
+# zero tuples and tuples on the exceptional sets: the ideal plane, the point O,
+# ideal points and planes through O, at several scales
+SPECIAL = st.builds(lambda c, k: ",".join(
+    ([c, "0", "0", "0"], ["0", c, c, c], [c, "1e-13", "-0", "-1e-13"], ["0", "-0", "0", "0"])[k]),
+    st.sampled_from(["1", "-3", "1e-300", "-7/2", "1e300"]), st.integers(0, 3))
+
+
+@st.composite
+def map_argv(draw):
+    op = draw(st.sampled_from(sorted(MAP_OPS)))
+    option = MAP_OPS[op] if draw(st.integers(0, 9)) else draw(st.sampled_from(["plane", "point"]))
+    if draw(st.booleans()):
+        tup = draw(SPECIAL)
+    else:
+        n = 4 if draw(st.integers(0, 5)) else draw(st.sampled_from([3, 5]))
+        tup = ",".join(draw(st.lists(FIELDS, min_size=n, max_size=n)))
+    argv = ["map", "--op", op, f"--{option}={tup}"]
+    if op == "alpha-z" and draw(st.booleans()):
+        argv.append("--z=" + ",".join(draw(st.lists(FIELDS, min_size=3, max_size=3))))
+    if draw(st.integers(0, 3)) == 0:
+        argv.append("--dehomogenize")
+    return argv
+
+
+def test_map_result_beyond_the_float_range_is_an_input_error(capsys):
+    # found by the generated argv below: alpha-z printed inf,inf,inf with exit 0
+    big = ",".join(["-1.7976931348623157e+308"] * 3)
+    assert cli.main(["map", "--op", "alpha-z", "--plane=0,-7/2,-7/2,-7/2", f"--z={big}"]) == 1
+    assert capsys.readouterr() == ("", "error: result inf,inf,inf is not finite\n")
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(map_argv())
+def test_map_contract_under_generated_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # any exception escaping main would be a traceback
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        fields = out.rstrip("\n").split(",")
+        assert err == "" and out.count("\n") == 1
+        assert len(fields) == (3 if argv[2] == "alpha-z" else 4), out
+        assert all(math.isfinite(float(x)) for x in fields), out
+    else:
+        assert (code, err.split(" ", 1)[0]) in ((1, "error:"), (2, "exceptional:")), (code, err)
+        assert out == ""
 
 
 @pytest.mark.parametrize("args", [

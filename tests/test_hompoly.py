@@ -348,22 +348,42 @@ def _outcome(text, hooks_class=hompoly._PolyHooks):
 def poly_texts(draw):
     """Polynomial text in the benchmark's input form (p/q* coefficients,
     implicit exponents of one, shuffled terms) or in format_poly's form,
-    optionally with terms that cancel, terms that are not runs (u0^3/3,
-    u1*u2*5/7, (2)*u3), a signed first term, parentheses (negated, scaled
-    or under '^'), random spaces and one stray character."""
+    optionally with terms that cancel, terms that cancel and come back at
+    once, sums longer than one 33-run token, exponent pairs of 60 to 64 that
+    meet the degree bound, terms that are not runs (u0^3/3, u1*u2*5/7,
+    (2)*u3), a signed first term, parentheses (negated, scaled or under
+    '^'), random spaces and one stray character."""
     space = draw(st.sampled_from(Space))
     deg = draw(st.integers(0, 4))
     exps = st.lists(st.integers(0, 3), min_size=deg, max_size=deg).map(
         lambda vs: tuple(vs.count(i) for i in range(4)))
+    high = draw(st.integers(0, 3)) == 0
+    if high:  # two variables to powers of 60 to 64: degree 120 to 128
+        high_exps = st.sampled_from([60, 62, 63, 64])
+        exps = st.tuples(st.permutations(range(4)), high_exps, high_exps).map(
+            lambda t: tuple({t[0][0]: t[1], t[0][1]: t[2]}.get(i, 0) for i in range(4)))
     coeffs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
     terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6))
-    if draw(st.booleans()):
+    if not high and draw(st.booleans()):
         text = format_poly(HomPoly4(space, terms))
     else:
         items = draw(st.permutations(list(terms.items())))
         if draw(st.booleans()):  # the sum cancels, then terms come back in another order
             items += [(e, -c) for e, c in draw(st.permutations(items))]
             items += draw(st.permutations(items))[:draw(st.integers(0, len(items)))]
+        if draw(st.booleans()):  # more than one 33-run token
+            items += draw(st.permutations(items)) * (34 // len(items))
+        if draw(st.booleans()):  # terms that cancel and come back in the next two runs
+            at = draw(st.sets(st.integers(0, len(items) - 1), min_size=1, max_size=3))
+            total, runs = {}, []
+            for n, (e, c) in enumerate(items):
+                runs.append((e, c))
+                total[e] = total.get(e, 0) + c
+                if n in at and total[e]:
+                    back = draw(coeffs)
+                    runs += [(e, -total[e]), (e, back)]
+                    total[e] = back
+            items = runs
         parts = []
         breaks = draw(st.sets(st.integers(0, len(items) - 1), max_size=2))
         for n, (e, c) in enumerate(items):
@@ -510,11 +530,22 @@ class TestMonomialRuns:
         "u1*u2 - u1*u2 + u3^2 - u3^2",  # the sum cancels to zero
         # u1^3 cancels in the second token of a long sum and comes back
         "u1^3 + u2^3 + " + " + ".join(f"{k}*u0^3" for k in range(1, 32)) + " - u1^3 + u1^3",
-        # a leading sign is unary, so a signed first run gives what its plain
-        # tokens give, which at the degree bound is not what the run gives
+        # a leading sign is unary, so a signed first run goes to plain tokens
         "-0*u1^64*u2^64", "-u0^63*u3^130", "+ 0*u1^127*u1 - u2",
     ])
     def test_run_sum_matches_plain_tokens(self, text):
+        assert _outcome(text) == _outcome(text, _PlainHooks)
+
+    @pytest.mark.parametrize("text", [
+        # a zero product checks each factor alone: no degree sum, as mul sees none
+        "0*u1^64*u2^64", "u1 + 0*u1^64*u2^64", "0*u1^127*u1^127*u2^127",
+        "u1^64 + u2^64 + 0*u1^64*u2^64",  # from keyed increments
+        "0*u1^128", "0*u1^200*y1", "0*y1^200", "u1 - 0*x1^64*u2^64",
+        # a factor's own exponent at the bound is reported before the sum
+        "u0^63*u3^130", "u0^100*u1^20*u2^130", "u0^100*u1^20*u2^10", "2*u1^64*u2^64",
+        "u0^63 + u3 + u0^63*u3^130",
+    ])
+    def test_degree_bound_matches_plain_tokens(self, text):
         assert _outcome(text) == _outcome(text, _PlainHooks)
 
     def test_zero_coefficient_still_sets_the_space(self):

@@ -1,10 +1,13 @@
-"""The exact layer on the oldest Python that pyproject.toml names (3.10).
+"""The numpy-free commands on the oldest Python that pyproject.toml names (3.10).
 
 The commands that run on the exact layer alone (``implicit`` from every
-source, ``--help`` and the input errors) load no numpy, so they need only
-the standard library.  Each runs under a 3.10 interpreter and under this
-one, and both runs must give the same stdout, stderr and exit code.  The
-float layer needs numpy and is not run here.  Where no 3.10 interpreter
+source, ``--help`` and the input errors) and ``map`` with the single-tuple
+maps load no numpy, so they need only the standard library.  Each runs
+under a 3.10 interpreter and under this one, and both runs must give the
+same stdout, stderr and exit code.  The float layer needs numpy and is not
+run here; nor is ``map --op alpha-z``, whose affine plane takes numpy's dot
+products (a 3-term numpy dot rounds as a chain of fused multiply-adds,
+which plain floats do not reproduce).  Where no 3.10 interpreter
 runs, every test is skipped with the interpreters that were tried.
 """
 
@@ -73,6 +76,14 @@ CASES = {
     "help": (("--help",), None, 0),
     "usage-error": (("implicit", "--direction", "sideways"), None, 1),
     "deep-nesting": ((*PEDAL, "--poly", "(" * 250 + "u0" + ")" * 250), None, 1),
+    "map-alpha": (("map", "--op", "alpha", "--plane", "-1,0.5,-2/3,1e-3"), None, 0),
+    "map-alpha-star": (("map", "--op", "alpha-star", "--point", "3,1,-2,0.25"), None, 0),
+    "map-sigma-dehomogenize": (("map", "--op", "sigma", "--point", "1/3,2,-1,0",
+                                "--dehomogenize"), None, 0),
+    "map-pi": (("map", "--op", "pi", "--plane", "-1,0,0,1"), None, 0),
+    "map-pi-star": (("map", "--op", "pi-star", "--point", "-0,7,1e-300,-5"), None, 0),
+    "map-ideal-plane": (("map", "--op", "alpha", "--plane", "1,0,0,0"), None, 2),
+    "map-three-fields": (("map", "--op", "alpha", "--plane", "1,0,0"), None, 1),
 }
 
 

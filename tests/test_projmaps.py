@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from pedalis.errors import BasePoint, ExceptionalElement, ExceptionalPlane, OriginPoint
 from pedalis.projmaps import (
+    EPS_EXCEPTIONAL,
     AffPlane,
     HPlane,
     HPoint,
@@ -382,3 +385,117 @@ class TestBatchedDraw:
         got = random_tuples(batched, 5)
         assert np.array_equal(got, loop_random_tuples(looped, 5))
         assert batched.pos == looped.pos == 4 * 8
+
+
+# -- the plain-float single-tuple maps against their row forms ------------------
+
+
+def scalar_rows(seed, count=3000):
+    """Rows with exact zeros, signed zeros, subnormals and components at
+    EPS_EXCEPTIONAL, at scales from 1e-310 to 1e300, plus exceptional rows."""
+    rng = np.random.default_rng(seed)
+    V = rng.uniform(-1.0, 1.0, size=(count, 4))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-13, -1e-13,
+                        EPS_EXCEPTIONAL, -EPS_EXCEPTIONAL, np.nextafter(EPS_EXCEPTIONAL, 0.0),
+                        np.nextafter(EPS_EXCEPTIONAL, 1.0), 1.0, -1.0])
+    for k in range(4):
+        pick = rng.random(count) < 0.4
+        V[pick, k] = rng.choice(special, size=pick.sum())
+    # the exceptional sets: vector part or 0-component (numerically) zero
+    V[::17, 1:] = rng.choice(special[:10], size=V[::17, 1:].shape)
+    V[1::17, 0] = rng.choice(special[:10], size=V[1::17, 0].shape)
+    scale = rng.choice([1e-310, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300], size=count)
+    V = V * scale[:, None]
+    # a zero and two non-finite rows, which no tuple takes, and a subnormal one
+    return np.concatenate((V, [[0.0, -0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0],
+                               [np.inf, 1.0, 0.0, 0.0], [1e-320, 0.0, 0.0, 0.0]]))
+
+
+def hexes(values):
+    return [float(c).hex() for c in values]
+
+
+# scalar map, row form, input type, result type, the (type, message) it raises
+SCALAR_MAPS = [
+    (alpha_hom, alpha_rows, HPlane, HPoint, (ExceptionalElement, "ideal plane")),
+    (alpha_star_hom, alpha_star_rows, HPoint, HPlane,
+     (BasePoint, "base point: reference point O")),
+    (inversion_sigma, sigma_rows, HPoint, HPoint, (BasePoint, "base point of the inversion")),
+    (polarity_pi, pi_rows, HPlane, HPoint, None),
+    (polarity_pi_star, pi_star_rows, HPoint, HPlane, None),
+]
+
+
+def valid_rows(rows):
+    """The rows that _scaled_rows takes on their own."""
+    return rows[[np.isfinite(v).all() and np.abs(v).max() > 0.0 for v in rows]]
+
+
+class TestScalarMatchesRows:
+    """Each single-tuple map runs the operations of its row form in plain
+    floats, so the two agree in the bits of every component."""
+
+    ROWS = scalar_rows(20261020)
+
+    def test_tuples_rejected_exactly_where_the_rows_are(self):
+        for v in self.ROWS:
+            try:
+                canonical_rows(v[None])
+                rows_error = None
+            except ValueError as exc:
+                rows_error = exc
+            for kind in (HPoint, HPlane):
+                if rows_error is None:
+                    assert hexes(kind(v).coords) == hexes(v)
+                else:
+                    with pytest.raises(ValueError, match=f"^{kind.__name__} must be nonzero"):
+                        kind(v)
+
+    def test_canonical_method_matches_canonical_rows(self):
+        rows = valid_rows(self.ROWS)
+        for v, want in zip(rows, canonical_rows(rows)):
+            got = HPoint(v).canonical()
+            assert type(got) is tuple and hexes(got) == hexes(want)
+            assert hexes(HPlane(*v).canonical()) == hexes(want)
+
+    @pytest.mark.parametrize("scalar_fn,rows_fn,arg_type,result_type,raises", SCALAR_MAPS,
+                             ids=[m[0].__name__ for m in SCALAR_MAPS])
+    def test_map_matches_its_row_form(self, scalar_fn, rows_fn, arg_type, result_type, raises):
+        rows = valid_rows(self.ROWS)
+        out = rows_fn(rows)
+        img, valid = out if isinstance(out, tuple) else (out, np.ones(len(rows), bool))
+        assert raises is not None or valid.all()
+        if raises is not None:
+            assert 0 < np.count_nonzero(~valid) < len(rows)
+        for v, want, ok in zip(rows, img, valid):
+            if ok:
+                got = scalar_fn(arg_type(v))
+                assert type(got) is result_type and hexes(got.coords) == hexes(want)
+            else:
+                with pytest.raises(raises[0]) as info:
+                    scalar_fn(arg_type(v))
+                assert type(info.value) is raises[0] and str(info.value) == raises[1]
+
+    def test_dehomogenize_matches_the_row_division(self):
+        rows = valid_rows(self.ROWS)
+        V = canonical_rows(rows)
+        ideal = np.abs(V[:, 0]) < EPS_EXCEPTIONAL
+        assert 0 < np.count_nonzero(ideal) < len(rows)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            affine = V[:, 1:] / V[:, :1]
+        for v, want, bad in zip(rows, affine, ideal):
+            if bad:
+                with pytest.raises(ExceptionalElement,
+                                   match="^ideal point has no affine coordinates$"):
+                    HPoint(v).dehomogenize()
+            else:
+                got = HPoint(v).dehomogenize()
+                assert type(got) is tuple and hexes(got) == hexes(want)
+
+    def test_tuples_are_plain_floats(self):
+        for arg in ([1, 0, 0, 1], (Fraction(1, 3), 0, -0.0, 2), np.array([1.0, 2.0, 3.0, 4.0])):
+            X = HPoint(arg)
+            assert type(X.coords) is tuple and all(type(c) is float for c in X.coords)
+        for bad in ([1, 2, 3], [1, 2, 3, 4, 5], 5, "1001", [[1, 2], [3, 4]], np.ones((1, 4))):
+            with pytest.raises(ValueError, match="^HPlane needs 4 coordinates$"):
+                HPlane(bad)

@@ -29,6 +29,8 @@ runpy.run_module("pedalis", run_name="__main__", alter_sys=True)
 # the argument parser and the error types: all that --help or a usage error needs
 CLI_LAYERS = ["pedalis", "pedalis.cli", "pedalis.errors"]
 MAP_LAYERS = sorted([*CLI_LAYERS, "numpy", "pedalis.projmaps"])
+# the single-tuple maps run on plain floats; only alpha-z's affine plane needs numpy
+SCALAR_MAP_LAYERS = sorted([*CLI_LAYERS, "pedalis.projmaps"])
 # the exact algebra stands alone: no projmaps and no numpy
 EXACT_LAYERS = sorted([*CLI_LAYERS, "pedalis.grammar", "pedalis.hompoly"])
 
@@ -60,8 +62,25 @@ def loaded(*args, stdin=None):
     return res.returncode, [m for m in mods if m.split(".")[0] == "pedalis" or m == "numpy"]
 
 
+SCALAR_MAPS = [
+    (("--op", "alpha", "--plane", "-1,0,0,1"), 0),
+    (("--op", "alpha-star", "--point", "1,0,0,1"), 0),
+    (("--op", "sigma", "--point", "1,2,0,0"), 0),
+    (("--op", "sigma", "--point", "1,2,0,0", "--dehomogenize"), 0),
+    (("--op", "pi", "--plane", "-1,0,0,1"), 0),
+    (("--op", "pi-star", "--point", "1,0,0,1"), 0),
+    (("--op", "alpha", "--plane", "1,0,0,0"), 2),
+]
+
+
 def test_map_loads_only_the_maps():
-    assert loaded("map", "--op", "alpha", "--plane", "-1,0,0,1") == (0, MAP_LAYERS)
+    for args, code in SCALAR_MAPS:
+        assert loaded("map", *args) == (code, SCALAR_MAP_LAYERS), args
+
+
+def test_map_alpha_z_loads_numpy():
+    # AffPlane's dot products are numpy's
+    assert loaded("map", "--op", "alpha-z", "--plane", "-1,0,0,1") == (0, MAP_LAYERS)
 
 
 @pytest.mark.parametrize("args, code", [

@@ -91,6 +91,12 @@ MUTANTS = [
     Mutant("quadratic map vector part scaled", "projmaps", "_quadratic_rows", "V[:, :1] * V",
            "scale"),
     Mutant("polarity sign", "projmaps", "pi_rows", "-img[:, 0]", "flip"),
+    # the plain-float single-tuple maps, which verify's single_dev keys compare with the rows
+    Mutant("scalar quadratic map sign", "projmaps", "_quadratic",
+           "sign * (x1 * x1 + x2 * x2 + x3 * x3)", "flip"),
+    Mutant("scalar canonical sign from the last lead component", "projmaps",
+           "_HTuple.canonical", "copysign(1.0, lead)", "replace",
+           text="copysign(1.0, next(c for c in reversed(v) if abs(c) >= EPS_EXCEPTIONAL))"),
     Mutant("affine foot point scaled", "projmaps", "alpha_affine",
            "np.asarray(e, dtype=float) / rowdot(n, n)", "scale"),
     # grammar: the text grammar of polynomials and config charts
