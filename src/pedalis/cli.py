@@ -196,10 +196,9 @@ def cmd_verify(args) -> int:
             seed = _nonnegative_int(os.environ.get("PEDALIS_SEED", "0"))
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"PEDALIS_SEED {exc}") from None
-    import numpy as np
     from . import verify
     samples = args.samples
-    rng = np.random.default_rng(seed)
+    rng = verify.Sampler(seed)
     if args.suite == "all":
         checks = list(verify.SUITES.values())
     else:

@@ -3,12 +3,14 @@
 Each check function takes the suite generator and the sample count and
 returns ``(name, metrics, ok)`` triples; ``SUITES`` lists them in report
 order.  The involution suite and the commuting diagrams run as numpy
-batches over the row-wise maps of ``projmaps``.
+batches over the row-wise maps of ``projmaps``, the involution suite in
+blocks of ``BLOCK_ROWS`` sample rows drawn from a seeded ``Sampler``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,24 +19,51 @@ from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit
 from .errors import EmptyGrid, ExceptionalElement
 from .hompoly import Space, degree_bookkeeping, parse_poly, strip_exceptional
 from .projmaps import rowdot
-from .surfkit import Chart, Domain, PointSurface, vector_rows
+from .surfkit import BLOCK_ROWS, Chart, Domain, PointSurface, vector_rows
+
+
+class Sampler:
+    """Seeded uniform floats from the Mersenne Twister of ``random.Random(seed)``.
+
+    Each float is ``low + (high - low) * ((w >> 11) * 2**-53)``, numpy's
+    formula for a double, with ``w`` the next 64-bit word of ``getrandbits``.
+    The words are drawn at most BLOCK_ROWS rows at a time; ``getrandbits``
+    fills its result from the least significant word up, so the stream does
+    not depend on that chunking.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = random.Random(seed).getrandbits
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        words = np.empty(math.prod(shape), np.uint64)
+        step = BLOCK_ROWS * math.prod(shape[1:])
+        for k in range(0, len(words), step):
+            n = min(step, len(words) - k)
+            words[k:k + n] = np.frombuffer(self._bits(64 * n).to_bytes(8 * n, "little"), "<u8")
+        return low + (high - low) * ((words >> 11) * 2.0**-53).reshape(shape)
 
 
 def random_tuples(rng, count: int) -> np.ndarray:
     """(count, 4) canonical tuples clear of the exceptional sets of all maps.
 
-    Uniform draws on [-1, 1]^4 are rejected when tiny or when their
-    canonical form has a (near) zero 0-component or vector part.  Each
-    round draws one row of 4 uniforms per missing tuple and keeps the
-    accepted rows in draw order, so the result and the generator state are
-    those of drawing one row at a time until ``count`` rows are accepted.
+    ``rng`` is any generator with ``uniform(low, high, size)``, a Sampler or
+    a numpy Generator.  Uniform draws on [-1, 1]^4 are rejected when tiny or
+    when their canonical form has a (near) zero 0-component or vector part.
+    Each round draws one row of 4 uniforms per missing tuple, at most
+    BLOCK_ROWS rows, and keeps the accepted rows in draw order, so the result
+    and the generator state are those of drawing one row at a time until
+    ``count`` rows are accepted, and a round's temporaries stay a block long.
     """
-    out = np.empty((0, 4))
-    while len(out) < count:
-        v = rng.uniform(-1.0, 1.0, size=(count - len(out), 4))
+    out = np.empty((count, 4))
+    n = 0
+    while n < count:
+        v = rng.uniform(-1.0, 1.0, size=(min(count - n, BLOCK_ROWS), 4))
         w = projmaps.canonical_rows(v[projmaps.row_max(np.abs(v)) >= 1e-3])
-        keep = (np.abs(w[:, 0]) >= 1e-6) & (np.linalg.norm(w[:, 1:], axis=1) >= 1e-6)
-        out = np.concatenate((out, w[keep]))
+        w = w[(np.abs(w[:, 0]) >= 1e-6) & (np.linalg.norm(w[:, 1:], axis=1) >= 1e-6)]
+        out[n:n + len(w)] = w
+        n += len(w)
     return out
 
 
@@ -60,11 +89,9 @@ def _max_dev(a, b) -> float:
 SINGLE_SAMPLES = 16  # sample tuples that each involution check also maps one by one
 
 
-def _involution(img, expect, rows, kind, *maps) -> dict:
-    """max_dev of the row image img against expect, and single_dev: how many
-    of the first SINGLE_SAMPLES rows the single-tuple maps send to other bits
-    than img, in the image or in its canonical form."""
-    max_dev = _max_dev(img, expect)
+def _single_dev(img, rows, kind, *maps) -> int:
+    """How many of the first SINGLE_SAMPLES rows the single-tuple maps send to
+    other bits than the row image img, in the image or in its canonical form."""
     got = []
     for v in rows[:SINGLE_SAMPLES].tolist():
         t = kind(v)
@@ -73,31 +100,46 @@ def _involution(img, expect, rows, kind, *maps) -> dict:
         got.append((*t.coords, *t.canonical()))
     img = img[:SINGLE_SAMPLES]
     want = np.hstack((img, projmaps.canonical_rows(img)))
-    single = np.count_nonzero((np.array(got).view(np.int64) != want.view(np.int64)).any(1))
-    return {"max_dev": max_dev, "single_dev": int(single)}
+    return int(np.count_nonzero((np.array(got).view(np.int64) != want.view(np.int64)).any(1)))
 
 
-def _check_involutions(rng, samples):
+def _involutions(planes, points):
+    """(name, row image, expected rows, sample rows, tuple type and the
+    single-tuple maps that take a sample to the image) of each check on one
+    row block, one check at a time, so that the six images are never held at once."""
     pm = projmaps
-    planes = random_tuples(rng, samples)
-    points = random_tuples(rng, samples)
     X = _image(pm.alpha_rows, planes)
     U = _image(pm.alpha_star_rows, points)
     S = _image(pm.sigma_rows, points)
-    checks = {
-        "alpha_roundtrip": _involution(_image(pm.alpha_star_rows, X), planes,
-                                       planes, pm.HPlane, pm.alpha_hom, pm.alpha_star_hom),
-        "alpha_star_roundtrip": _involution(_image(pm.alpha_rows, U), points,
-                                            points, pm.HPoint, pm.alpha_star_hom, pm.alpha_hom),
-        "sigma_involution": _involution(_image(pm.sigma_rows, S), points, points, pm.HPoint,
-                                        pm.inversion_sigma, pm.inversion_sigma),
-        "pi_identity": _involution(pm.pi_star_rows(pm.pi_rows(planes)), planes,
-                                   planes, pm.HPlane, pm.polarity_pi, pm.polarity_pi_star),
-        "alpha_factorization": _involution(_image(pm.sigma_rows, pm.pi_rows(planes)), X,
-                                           planes, pm.HPlane, pm.polarity_pi, pm.inversion_sigma),
-        "alpha_star_factorization": _involution(pm.pi_star_rows(S), U, points, pm.HPoint,
-                                                pm.inversion_sigma, pm.polarity_pi_star),
-    }
+    yield ("alpha_roundtrip", _image(pm.alpha_star_rows, X), planes, planes,
+           pm.HPlane, pm.alpha_hom, pm.alpha_star_hom)
+    yield ("alpha_star_roundtrip", _image(pm.alpha_rows, U), points, points,
+           pm.HPoint, pm.alpha_star_hom, pm.alpha_hom)
+    yield ("sigma_involution", _image(pm.sigma_rows, S), points, points,
+           pm.HPoint, pm.inversion_sigma, pm.inversion_sigma)
+    yield ("pi_identity", pm.pi_star_rows(pm.pi_rows(planes)), planes, planes,
+           pm.HPlane, pm.polarity_pi, pm.polarity_pi_star)
+    yield ("alpha_factorization", _image(pm.sigma_rows, pm.pi_rows(planes)), X, planes,
+           pm.HPlane, pm.polarity_pi, pm.inversion_sigma)
+    yield ("alpha_star_factorization", pm.pi_star_rows(S), U, points,
+           pm.HPoint, pm.inversion_sigma, pm.polarity_pi_star)
+
+
+def _check_involutions(rng, samples):
+    """The six checks on blocks of BLOCK_ROWS sample rows: max_dev is the max
+    over the blocks (np.max, so that a NaN of any block reaches it) and
+    single_dev is taken on the first block."""
+    planes = random_tuples(rng, samples)
+    points = random_tuples(rng, samples)
+    devs, single = {}, {}
+    for k in range(0, samples, BLOCK_ROWS):
+        for name, img, expect, *sample in _involutions(planes[k:k + BLOCK_ROWS],
+                                                       points[k:k + BLOCK_ROWS]):
+            devs.setdefault(name, []).append(_max_dev(img, expect))
+            if k == 0:
+                single[name] = _single_dev(img, *sample)
+    checks = {name: {"max_dev": float(np.max(dev)), "single_dev": single[name]}
+              for name, dev in devs.items()}
     return [(name, m, m["max_dev"] < 1e-9 and m["single_dev"] == 0) for name, m in checks.items()]
 
 

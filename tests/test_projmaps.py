@@ -29,7 +29,8 @@ from pedalis.projmaps import (
     projective_eq,
     sigma_rows,
 )
-from pedalis.verify import random_tuples
+from pedalis.surfkit import BLOCK_ROWS
+from pedalis.verify import Sampler, random_tuples
 
 RNG = np.random.default_rng(20240517)
 
@@ -373,6 +374,13 @@ class TestBatchedDraw:
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(random_tuples(a, 2000), loop_random_tuples(b, 2000))
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_rounds_of_a_block_match_the_loop(self):
+        # a round draws at most BLOCK_ROWS rows, so these tuples take several
+        a, b = Sampler(3), Sampler(3)
+        count = 2 * BLOCK_ROWS + 50
+        assert np.array_equal(random_tuples(a, count), loop_random_tuples(b, count))
+        assert np.array_equal(a.uniform(0.0, 1.0, (4,)), b.uniform(0.0, 1.0, (4,)))
 
     def test_rejections_consume_the_stream_like_the_loop(self):
         good = [[0.5, -0.2, 0.1, 0.9], [-0.3, 0.4, 0.4, -0.1], [0.8, 0.0, 0.0, -0.7]]

@@ -2,8 +2,8 @@
 
 Each command runs in a fresh interpreter, as ``python -m pedalis`` does, and
 reports the sorted ``pedalis*`` entries of ``sys.modules`` at exit, with
-``numpy`` among them when it was imported.  The sets are deterministic, so
-these tests involve no timing.
+``numpy``, ``numpy.random`` and ``hashlib`` among them when they were
+imported.  The sets are deterministic, so these tests involve no timing.
 """
 
 import importlib
@@ -21,7 +21,7 @@ from pedalis.cli import GALLERY_NAMES
 _REPORT = """
 import atexit, json, runpy, sys
 atexit.register(lambda: print(json.dumps(
-    sorted(m for m in sys.modules if m.split(".")[0] in ("pedalis", "numpy")))))
+    sorted(m for m in sys.modules if m.split(".")[0] in ("pedalis", "numpy", "hashlib")))))
 sys.argv = ["pedalis", *sys.argv[1:]]
 runpy.run_module("pedalis", run_name="__main__", alter_sys=True)
 """
@@ -55,11 +55,13 @@ MODULES = ["errors", "projmaps", "grammar", "hompoly", "surfkit", "sphereatlas",
 
 
 def loaded(*args, stdin=None):
-    """(exit code, pedalis modules and "numpy" if loaded) of ``python -m pedalis ARGS``."""
+    """(exit code, pedalis modules and "numpy", "numpy.random" and "hashlib" if
+    loaded) of ``python -m pedalis ARGS``."""
     res = subprocess.run([sys.executable, "-c", _REPORT, *args], capture_output=True,
                          text=True, input=stdin)
     mods = json.loads(res.stdout.splitlines()[-1])
-    return res.returncode, [m for m in mods if m.split(".")[0] == "pedalis" or m == "numpy"]
+    return res.returncode, [m for m in mods if m.split(".")[0] == "pedalis"
+                            or m in ("numpy", "numpy.random", "hashlib")]
 
 
 SCALAR_MAPS = [
@@ -164,6 +166,13 @@ def test_ruled_config_sample_adds_ruledpedal(tmp_path):
 def test_verify_skips_the_config_reader():
     code, mods = loaded("verify", "--samples", "10")
     assert code == 0 and "pedalis.verify" in mods and "pedalis.config" not in mods
+
+
+def test_verify_draws_without_numpy_random():
+    # the samples come from random.Random; numpy.random would load hashlib too
+    code, mods = loaded("verify", "--samples", "10")
+    assert code == 0 and "numpy" in mods
+    assert "numpy.random" not in mods and "hashlib" not in mods
 
 
 # one construct per gallery entry, all five constructs among them
