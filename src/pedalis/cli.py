@@ -29,7 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EXCEPTIONAL = 2
 EXIT_EMPTY = 3
-# the names of verify.SUITES, in order, so that the parser needs no verify import
+# the verify suites, in report order, so that the parser needs no verify import;
+# verify builds SUITES from them
 SUITE_NAMES = ("involutions", "diagrams", "gallery", "degrees", "extras")
 # the gallery entries, in order, so that sample tells a name from a path without
 # importing gallery, which builds its table from them

@@ -595,18 +595,7 @@ class _PolyHooks:
         self.space = space
         self._increments = {}  # factor text -> increment, as the text is parsed
 
-    @staticmethod
-    def add(a, b):
-        """a += b in place, dropping zeros; returns a."""
-        for e, c in b.items():
-            v = a.get(e)
-            if v is None:
-                a[e] = c
-            elif v := v + c:
-                a[e] = v
-            else:
-                del a[e]
-        return a
+    add = staticmethod(_add_terms)
 
     @staticmethod
     def mul(a, b):
@@ -661,7 +650,7 @@ class _PolyHooks:
             else:  # a zero product checks each factor alone, as mul does
                 for factor in factors:
                     self._run_key([factor])
-            if coeff:  # as add inserts it
+            if coeff:  # as _add_terms inserts it
                 if sign == "-":
                     coeff = -coeff
                 v = terms.get(key)
@@ -695,7 +684,7 @@ class _PolyHooks:
         raise ValueError(f"polynomial text has no function {name!r}")
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return _add_terms(a, b, -1)
 
     def div(self, a, b):
         c = self.constant(b, "division by a non-constant polynomial")

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     NotCyclideShape,
-    NotDivisible,
     OriginOnSurface,
     RankTooLow,
 )
@@ -231,63 +230,34 @@ def pentaspherical_point(x) -> np.ndarray:
                     axis=-1)
 
 
-def _split_cyclide(G: HomPoly4):
-    """Extract (a0, a1, a2, a3, b) from a cyclide-shaped quartic."""
-    if G.space is not Space.POINT or G.degree != 4:
-        raise NotCyclideShape("expected a quartic point polynomial")
-    q = HomPoly4.quadform(Space.POINT)
-    layers: dict[int, dict] = {}
-    for (e0, e1, e2, e3), cf in G.terms.items():
-        if e0 > 2:
-            raise NotCyclideShape("reference point is not a double point")
-        layers.setdefault(e0, {})[(0, e1, e2, e3)] = cf
-    diag = layers.get(2, {})
-    a = [Fraction(0)] * 4
-    for exps, cf in diag.items():
-        if sorted(exps) != [0, 0, 0, 2]:
-            raise NotCyclideShape("x0^2 layer is not diagonal")
-        a[exps.index(2)] = cf
-    b = [Fraction(0)] * 4
-    if layers.get(1):
-        lin = HomPoly4(Space.POINT, layers[1])
-        try:
-            bee = -lin.exact_divide(q)
-        except NotDivisible:
-            raise NotCyclideShape("x0 layer is not a multiple of the quadric")
-        if bee.degree != 1 or bee.coefficient((1, 0, 0, 0)) != 0:
-            raise NotCyclideShape("x0 layer is not quadric times linear")
-        for i in (1, 2, 3):
-            b[i] = bee.coefficient(tuple(1 if k == i else 0 for k in range(4)))
-    a0 = Fraction(0)
-    if layers.get(0):
-        const = HomPoly4(Space.POINT, layers[0])
-        try:
-            a0_poly = const.exact_divide(q).exact_divide(q)
-        except NotDivisible:
-            raise NotCyclideShape("x0-free layer is not a0 * quadric^2")
-        if a0_poly.degree != 0:
-            raise NotCyclideShape("x0-free layer is not a0 * quadric^2")
-        a0 = a0_poly.coefficient((0, 0, 0, 0))
-    return a0, a[1], a[2], a[3], b[1], b[2], b[3]
-
-
 def pentaspherical_lift(G: HomPoly4) -> PentasphericalForm:
     """5x5 quadratic form representing a cyclide on the Moebius quadric.
 
-    Substituting x0 = y0-y4, xi = yi and (y0-y4)(y0+y4) = y1^2+y2^2+y3^2
-    into the cyclide form gives
+    The cyclide form gives a0 as the coefficient of x1^4, ai as that of
+    x0^2 xi^2 and -bi as that of x0 xi^3.  With y0 = (x0^2+q)/2,
+    yi = x0 xi and y4 = (q-x0^2)/2, so y0+y4 = q and y0-y4 = x0^2, it is
 
-        a0 (y0+y4)^2 - (y0+y4)(b1 y1 + b2 y2 + b3 y3) + sum ai yi^2.
+        a0 (y0+y4)^2 - (y0+y4)(b1 y1 + b2 y2 + b3 y3) + sum ai yi^2;
+
+    G has the closed cyclide form exactly when this substitution into B
+    gives G back.
     """
-    a0, a1, a2, a3, b1, b2, b3 = _split_cyclide(G)
+    if G.space is not Space.POINT or G.degree != 4:
+        raise NotCyclideShape("expected a quartic point polynomial")
     B = [[Fraction(0)] * 5 for _ in range(5)]
-    B[0][0] = B[4][4] = a0
-    B[0][4] = B[4][0] = a0
-    for i, (ai, bi) in enumerate(((a1, b1), (a2, b2), (a3, b3)), start=1):
-        B[i][i] = ai
-        B[0][i] = B[i][0] = -bi / 2
-        B[4][i] = B[i][4] = -bi / 2
-    return PentasphericalForm(tuple(tuple(row) for row in B))
+    B[0][0] = B[4][4] = B[0][4] = B[4][0] = G.coefficient((0, 4, 0, 0))
+    for i in (1, 2, 3):
+        B[i][i] = G.coefficient(tuple(2 * (k in (0, i)) for k in range(4)))
+        B[0][i] = B[i][0] = B[4][i] = B[i][4] = \
+            G.coefficient(tuple((k == 0) + 3 * (k == i) for k in range(4))) / 2
+    x0, *x = (HomPoly4.variable(Space.POINT, i) for i in range(4))
+    q = HomPoly4.quadform(Space.POINT)
+    half = Fraction(1, 2)
+    y = ((x0 * x0 + q) * half, *(x0 * xi for xi in x), (q - x0 * x0) * half)
+    if sum((yi * yj * b for yi, row in zip(y, B) for yj, b in zip(y, row)),
+           HomPoly4.zero(Space.POINT)) != G:
+        raise NotCyclideShape("quartic is not of the closed cyclide form")
+    return PentasphericalForm(tuple(map(tuple, B)))
 
 
 # -- inverse pedal of spheres and the bisector --------------------------------

@@ -457,13 +457,11 @@ def commutation_check(n_chart: Chart, e_chart: Chart, d: float,
     an exceptional set, are masked out; EmptyGrid is raised when no sample
     reaches a comparison.
     """
-    rows_n, valid_n = sample_grid(n_chart, n_chart.domain, *grid)
-    rows_e, valid_e = sample_grid(e_chart, n_chart.domain, *grid)
-    if not (valid_n & valid_e).any():
+    planes, valid = sample_grid(DualSurface(n_chart, e_chart).htuple, n_chart.domain, *grid)
+    if not valid.any():
         raise EmptyGrid("no valid sample on the diagram grid")
-    n = rows_n[valid_e[valid_n]]
-    s = rows_e[valid_n[valid_e]] + d
-    planes = np.column_stack((-s, n))
+    planes[:, 0] -= d  # (-e) - d rounds as -(e + d)
+    n, s = planes[:, 1:], -planes[:, 0]
     # primal diagram: alpha(offset) vs conchoid(alpha), via the quadratic
     # homogeneous map on one side; ideal planes and ideal feet drop out
     X, valid = projmaps.alpha_rows(planes)

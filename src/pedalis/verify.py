@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gallery, hompoly, projmaps, quadricpedal, ruledpedal, surfkit
+from .cli import SUITE_NAMES
 from .errors import EmptyGrid, ExceptionalElement
 from .hompoly import Space, degree_bookkeeping, parse_poly, strip_exceptional
 from .projmaps import rowdot
@@ -374,10 +375,4 @@ def _check_extras(rng, samples):
     return results
 
 
-SUITES = {
-    "involutions": _check_involutions,
-    "diagrams": _check_diagrams,
-    "gallery": _check_gallery,
-    "degrees": _check_degrees,
-    "extras": _check_extras,
-}
+SUITES = {name: globals()["_check_" + name] for name in SUITE_NAMES}

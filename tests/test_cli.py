@@ -2,14 +2,17 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from pedalis import cli, verify
 from pedalis.config import parse_expr
@@ -153,6 +156,68 @@ def test_map_contract_under_generated_argv(argv):
     else:
         assert (code, err.split(" ", 1)[0]) in ((1, "error:"), (2, "exceptional:")), (code, err)
         assert out == ""
+
+
+# each part of a sample argv is valid in three draws of four, so that about a
+# third of the argvs reach the mesh; the grids stay at most 4x4
+DIGITS = st.sampled_from(["2", "3", "4", "02", "03"])
+GRIDS = (st.builds("{}x{}".format, DIGITS, DIGITS),
+         st.sampled_from(["0x5", "1x3", "3x1", "0x0", "03x3", "\u0663x\u0663", "2x\uff12",
+                          "\u0662x2", "3", "3x", "x3", "3X3", "3x3x3", "", " 3x3", "-2x3"]))
+CONSTRUCTS = (st.one_of(st.sampled_from(["self", "pedal", "inverse-pedal"]),
+                        st.builds("{}:{}".format, st.sampled_from(["offset", "conchoid"]),
+                                  st.one_of(FIELDS, st.sampled_from(["0", "1", "-1", "1/2"])))),
+              st.sampled_from(["offset", "conchoid", "offset:", "offset:nan", "conchoid:1e400",
+                               "conchoid:1/0", "offset:\u0661", "pedal:1", "self:0", "bogus",
+                               "Pedal", "offset2:1", ":1", ""]))
+# DIR is the directory of the example, MISSING a path below a missing directory
+# and TWICE a polar config with |s| = 2, which conchoid_map rejects
+TWICE = ("[surface]\nkind = polar\nsx = 2*cos(u)*cos(v)\nsy = 2*cos(v)*sin(u)\n"
+         "sz = 2*sin(v)\nr = 1/sin(v)\n[domain]\numin = 0\numax = 2*pi\nvmin = 0.2\nvmax = 1.3\n")
+SURFACES = (st.sampled_from([*cli.GALLERY_NAMES, "TWICE"]),
+            st.sampled_from(["bogus", "Pluecker", "pluecker ", "", "DIR", "MISSING"]))
+OUTS = (st.just("mesh.obj"), st.sampled_from(["DIR", "MISSING"]))
+
+
+@st.composite
+def sample_argv(draw):
+    def part(option, valid_bad):
+        return f"--{option}={draw(valid_bad[0] if draw(st.integers(0, 3)) else valid_bad[1])}"
+    return ["sample", part("surface", SURFACES), part("construct", CONSTRUCTS),
+            part("grid", GRIDS), part("out", OUTS)]
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None)
+@given(sample_argv())
+@example(["sample", "--surface=TWICE", "--construct=conchoid:1/2", "--grid=3x3",
+          "--out=mesh.obj"])  # exit 2, which few draws reach
+@example(["sample", "--surface=pluecker", "--construct=inverse-pedal", "--grid=2x2",
+          "--out=mesh.obj"])  # exit 3
+def test_sample_contract_under_generated_argv(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"DIR": tmp, "MISSING": os.path.join(tmp, "missing", "x"),
+                 "TWICE": os.path.join(tmp, "twice.cfg"), "mesh.obj": os.path.join(tmp, "mesh.obj")}
+        Path(paths["TWICE"]).write_text(TWICE)
+        argv = [re.sub(r"=(DIR|MISSING|TWICE|mesh\.obj)$", lambda m: "=" + paths[m[1]], a)
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)  # any exception escaping main would be a traceback
+        elapsed = time.perf_counter() - t0
+        out, err = out.getvalue(), err.getvalue()
+        assert elapsed <= 1.5, (argv, elapsed)
+        assert "Traceback" not in err
+        if code == 0:
+            target = argv[-1].partition("=")[2]
+            assert err == "" and re.fullmatch(
+                rf"vertices=\d+ faces=\d+ out={re.escape(target)}\n", out), (argv, out)
+            assert os.path.isfile(target)
+        else:
+            prefix = {1: "error: ", 2: "exceptional: ", 3: "empty mesh: "}.get(code)
+            assert prefix and err.startswith(prefix) and err.count("\n") == 1, (argv, code, err)
+            assert out == ""
 
 
 @pytest.mark.parametrize("args", [

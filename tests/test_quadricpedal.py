@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,43 @@ class TestPentaspherical:
             pentaspherical_lift(parse_poly("x0^4 + x1^4"))
         with pytest.raises(NotCyclideShape):
             pentaspherical_lift(parse_poly("x3 - x0"))
+        with pytest.raises(NotCyclideShape):
+            pentaspherical_lift(HomPoly4.zero(Space.POINT))
+        with pytest.raises(NotCyclideShape):
+            pentaspherical_lift(dual_cyclide_closed_form(-1, -3, 1, 1, -4, 0, 0))
+
+    @staticmethod
+    def lift_matrix(a0, a1, a2, a3, b1, b2, b3):
+        """B of a0 (y0+y4)^2 - (y0+y4)(b1 y1 + b2 y2 + b3 y3) + sum ai yi^2."""
+        B = [[Fraction(0)] * 5 for _ in range(5)]
+        B[0][0] = B[0][4] = B[4][0] = B[4][4] = a0
+        for i, (a, b) in enumerate(((a1, b1), (a2, b2), (a3, b3)), start=1):
+            B[i][i] = a
+            B[0][i] = B[i][0] = B[4][i] = B[i][4] = -b / 2
+        return tuple(map(tuple, B))
+
+    def test_lift_reads_the_seven_coefficients(self):
+        rng = random.Random(35)
+        values = [Fraction(0)] * 4 + [Fraction(p, q) for p in range(-3, 4) if p
+                                      for q in (1, 2, 3)]
+        for _ in range(60):
+            p = [rng.choice(values) for _ in range(7)]
+            form = pentaspherical_lift(cyclide_closed_form(*p))
+            assert form.B == self.lift_matrix(*p), p
+            assert all(type(b) is Fraction for row in form.B for b in row)
+
+    @pytest.mark.parametrize("extra", [
+        "x0^3*x1",  # an x0^3 term: O is not a double point
+        "x0^2*x1*x2",  # an off-diagonal x0^2 layer
+        "x0*x1^3",  # an x0 layer that is not q times a linear form
+        "x1^4",  # an x0-free layer that is not a0 q^2
+        "x1^2*x2^2",
+    ])
+    def test_each_broken_layer_is_not_a_cyclide(self, extra):
+        cyclide = cyclide_closed_form(-1, -3, 1, 1, -4, 0, 0)
+        pentaspherical_lift(cyclide)  # lifts before the extra term
+        with pytest.raises(NotCyclideShape):
+            pentaspherical_lift(cyclide + parse_poly(extra))
 
 
 class TestInversePedalQuadric:

@@ -263,6 +263,41 @@ class TestCommutation:
             with pytest.raises(EmptyGrid):
                 commutation_check(n, e, d, grid=(6, 6))
 
+    @staticmethod
+    def disjoint_drop_charts(scale, n_bad, e_bad):
+        """A normal chart of length 1 + scale*u*v with NaN rows where
+        ``n_bad(u, v)``, and a support chart with NaN where ``e_bad(u, v)``."""
+        def n(u, v):
+            w = np.where(n_bad(u, v), np.nan, 1.0 + scale * u * v)
+            return vector_rows(u, w * np.cos(u) * np.cos(v), w * np.sin(u) * np.cos(v),
+                               w * np.sin(v))
+
+        def e(u, v):
+            return np.where(e_bad(u, v), np.nan, 1.0 + 0.25 * np.cos(3.0 * u) * np.sin(2.0 * v))
+
+        return Chart(n, domain=UNIT_DOM), Chart(e, domain=UNIT_DOM)
+
+    @pytest.mark.parametrize("scale,d,expect", [
+        (0.0, -0.3, "0x1.0000000000000p-52"),
+        (0.0, 0.7, "0x1.0000000000000p-51"),
+        # a non-unit normal moves the feet; the largest move sits at u = v = 1,
+        # where the support chart drops its samples
+        (0.5, -0.3, "0x1.46df3c54cb414p-2"),
+        (0.5, 0.0, "0x1.89fc26471075cp-2"),
+        (0.5, 0.7, "0x1.4cb475a282a50p-1"),
+    ])
+    def test_disjoint_drops_of_n_and_e(self, scale, d, expect):
+        # n drops a corner near (0, 0), e one near (1, 1): both masks apply,
+        # each to the samples of its own grid point
+        n, e = self.disjoint_drop_charts(scale, lambda u, v: (u < 0.3) & (v < 0.4),
+                                         lambda u, v: (u > 0.6) & (v > 0.5))
+        assert commutation_check(n, e, d, grid=(7, 9)) == float.fromhex(expect)
+
+    def test_drops_covering_the_grid_together_raise_empty_grid(self):
+        n, e = self.disjoint_drop_charts(0.0, lambda u, v: u < 0.5, lambda u, v: u >= 0.5)
+        with pytest.raises(EmptyGrid, match="no valid sample"):
+            commutation_check(n, e, 0.3, grid=(7, 9))
+
 
 def loop_faces(keep):
     """Faces of the per-cell double loop of the scalar mesher over the

@@ -146,6 +146,10 @@ MUTANTS = [
     Mutant("bisector factor scaled", "quadricpedal", "bisector_from_inverse_pedal", "0.5",
            "scale"),
     Mutant("pentaspherical lift sign", "quadricpedal", "pentaspherical_point", "s - 1.0", "flip"),
+    # the lift reads b off G and accepts G only if its substitution gives G back
+    Mutant("lift coupling doubled", "quadricpedal", "pentaspherical_lift",
+           "G.coefficient(tuple(((k == 0) + 3 * (k == i) for k in range(4)))) / 2", "muldiv"),
+    Mutant("lift y4 sign", "quadricpedal", "pentaspherical_lift", "q - x0 * x0", "flip"),
     Mutant("cyclide coupling sign", "quadricpedal", "_cyclide_form",
            "x0 * x0 * diag - x0 * q * bee", "flip"),
     # the v0*v1 coupling of the named quadrics; closed_form compares the sphere's cyclide
